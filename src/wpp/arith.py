@@ -11,7 +11,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateWeight, InvalidFraction, NotCoprime, NotPairwiseCoprime
+from .errors import (
+    DegenerateWeight,
+    InvalidFraction,
+    LemmaViolated,
+    NotCoprime,
+    NotPairwiseCoprime,
+)
 
 __all__ = [
     "WeightTriple",
@@ -20,6 +26,7 @@ __all__ = [
     "eval_neg_cf",
     "hj_dual",
     "weight_sequence",
+    "ext_gcd",
 ]
 
 
@@ -78,9 +85,9 @@ def weight_triple(a: int, b: int, c: int) -> WeightTriple:
         c_a=_residue(c, a, b), c_b=_residue(c, b, a),
     )
     # mutual-inverse sanity: the two residues at each weight invert each other
-    assert (t.a_b * t.a_c) % a == 1 % a
-    assert (t.b_a * t.b_c) % b == 1 % b
-    assert (t.c_a * t.c_b) % c == 1 % c
+    for x, r1, r2 in ((a, t.a_b, t.a_c), (b, t.b_a, t.b_c), (c, t.c_a, t.c_b)):
+        if (r1 * r2) % x != 1 % x:
+            raise LemmaViolated(f"residues {r1}, {r2} at weight {x} are not inverse")
     return t
 
 
@@ -98,7 +105,8 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
         b = -(-p // q)  # ceil(p / q)
         entries.append(b)
         p, q = q, b * q - p
-    assert p == 1
+    if p != 1:
+        raise LemmaViolated(f"expansion ended on remainder {p}, expected 1")
     return tuple(entries)
 
 
@@ -117,7 +125,8 @@ def eval_neg_cf(entries: tuple[int, ...] | list[int]) -> Fraction:
         num, den = b * num - den, num
     if den < 0:
         num, den = -num, -den
-    assert math.gcd(num, den) == 1, (num, den)  # consecutive convergents are coprime
+    if math.gcd(num, den) != 1:  # consecutive convergents are coprime
+        raise LemmaViolated(f"convergent {num}/{den} is not in lowest terms")
     return Fraction(num, den)
 
 
@@ -160,3 +169,18 @@ def weight_sequence(p: int, q: int) -> tuple[int, ...]:
         out.extend([lo] * j)
         p, q = hi - j * lo, lo
     return tuple(out)
+
+
+def ext_gcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
+    old_r, r = x, y
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t

@@ -1,14 +1,23 @@
 """Command line interface: resolve / scan / render.
 
 Exit codes: 0 success, 2 invalid user input, 3 violated invariant or
-internal inconsistency. Argparse's own usage errors also exit 2.
+internal inconsistency. An exception outside the package's error taxonomy
+is a fault of the program: it also exits 3, with an "internal error:" line
+and the traceback on stderr. Argparse's own usage errors also exit 2.
+
+The chop schedule comes from --eps (resolve only) or, when that is absent,
+from the WPP_EPS_SCHEDULE environment variable ('start,ratio'). The variable
+is read here, once per run, and passed down; the library never reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+import traceback
+from fractions import Fraction
 
 from .errors import LemmaViolated, UserInputError, WppError
 from .render import FORMAT_CHOICES, WHAT_CHOICES, render
@@ -40,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--eps",
         default=None,
         help="chop size schedule 'start,ratio' as exact rationals, e.g. '1/4,1/3'; "
-        "overrides WPP_EPS_SCHEDULE, which applies when --eps is absent; a bad "
-        "value exits 2",
+        "overrides WPP_EPS_SCHEDULE, which the CLI reads when --eps is absent "
+        "(also for scan and render); a bad value exits 2",
     )
     fmt = p_res.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="machine readable (default)")
@@ -66,8 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_resolve(args: argparse.Namespace) -> int:
-    schedule = parse_schedule(args.eps) if args.eps else None
+Schedule = tuple[Fraction, Fraction] | None
+
+
+def _schedule(args: argparse.Namespace) -> Schedule:
+    text = getattr(args, "eps", None) or os.environ.get("WPP_EPS_SCHEDULE")
+    return parse_schedule(text) if text else None
+
+
+def _cmd_resolve(args: argparse.Namespace, schedule: Schedule) -> int:
     start = time.perf_counter()
     rp = build_resolution(args.a, args.b, args.c, presentation=args.presentation,
                           schedule=schedule)
@@ -80,8 +96,9 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    result = run_scan(args.max_c, jobs=args.jobs, checks=(args.check,))
+def _cmd_scan(args: argparse.Namespace, schedule: Schedule) -> int:
+    result = run_scan(args.max_c, jobs=args.jobs, checks=(args.check,),
+                      schedule=schedule)
     print(serialize_scan(result))
     if result["violations"]:
         first = result["violations"][0]
@@ -95,8 +112,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
-    rp = build_resolution(args.a, args.b, args.c, presentation=args.presentation)
+def _cmd_render(args: argparse.Namespace, schedule: Schedule) -> int:
+    rp = build_resolution(args.a, args.b, args.c, presentation=args.presentation,
+                          schedule=schedule)
     rd = ruling(rp, "c") if args.what == "ruling" else None
     sys.stdout.write(render(rp, args.what, args.format, rd=rd))
     return 0
@@ -107,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {"resolve": _cmd_resolve, "scan": _cmd_scan, "render": _cmd_render}
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, _schedule(args))
     except UserInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -116,6 +134,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except WppError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
         return 3
 
 

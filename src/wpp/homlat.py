@@ -20,7 +20,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import MissingClasses, RankMismatch, Unclassified, WppError
+from .arith import ext_gcd
+from .errors import (
+    LemmaViolated,
+    MissingClasses,
+    RankMismatch,
+    Unclassified,
+    UserInputError,
+    WppError,
+)
 
 __all__ = [
     "Vec",
@@ -34,7 +42,6 @@ __all__ = [
     "vadd",
     "vsub",
     "vneg",
-    "vscale",
     "unit",
     "zero",
     "dot",
@@ -63,10 +70,6 @@ def vsub(x: Vec, y: Vec) -> Vec:
 
 def vneg(x: Vec) -> Vec:
     return tuple(-a for a in x)
-
-
-def vscale(c: int, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
 
 
 def unit(rank: int, i: int) -> Vec:
@@ -111,7 +114,8 @@ class Lattice:
         if self.tag == "hirz":
             s = x[0] * y[1] + x[1] * y[0] - self.k_hirz * x[1] * y[1]
             return s - dot(x[2:], y[2:])
-        assert self.gram is not None
+        if self.gram is None:
+            raise MissingClasses("generic lattice has no gram matrix")
         return sum(x[i] * dot(self.gram[i], y) for i in range(self.rank) if x[i])
 
     def sq(self, x: Vec) -> int:
@@ -151,7 +155,8 @@ class Lattice:
         """Extend by one (-1) basis vector; canonical gains coefficient +1 there."""
         k = None if self.canonical is None else self.canonical + (1,)
         if self.tag == "generic":
-            assert self.gram is not None
+            if self.gram is None:
+                raise MissingClasses("generic lattice has no gram matrix")
             g = tuple(row + (0,) for row in self.gram)
             g = g + (zero(self.rank) + (-1,),)
             return Lattice("generic", self.rank + 1, gram=g, canonical=k)
@@ -258,6 +263,24 @@ class GapResult:
 
 _FEASIBLE_CACHE: dict[int, list[set[int]]] = {}
 _CANDIDATE_CACHE: dict[int, dict[int, tuple[tuple[int, int, int], ...]]] = {}
+
+
+def _check_key_bounds(n: int, coeff_bound: int) -> None:
+    """Reject searches whose states overflow the packed integer keys.
+
+    A key packs the remaining square-sum, at most coeff_bound^2 + 1, into 10
+    bits; that is below 1024 exactly for coeff_bound <= 31. The remaining sum
+    is stored offset by 512, and by Cauchy-Schwarz its absolute value is at
+    most sqrt(n * (coeff_bound^2 + 1)), below 512 exactly when the second
+    condition holds.
+    """
+    if not 0 <= coeff_bound <= 31:
+        raise UserInputError(f"coeff_bound must lie in 0..31, got {coeff_bound}")
+    if n * (coeff_bound * coeff_bound + 1) >= 512 * 512:
+        raise UserInputError(
+            f"{n} exceptional slots with coeff_bound {coeff_bound} overflow the "
+            "search keys: need n * (coeff_bound^2 + 1) < 512^2"
+        )
 
 
 def _feasible_states(coeff_bound: int, max_slots: int) -> list[set[int]]:
@@ -443,14 +466,15 @@ def enumerate_exceptional(
     nonnegatively with each of them; passing them here instead of filtering
     afterwards lets the search prune, which matters above rank 9.
     """
+    _check_key_bounds(lat.rank - 1, coeff_bound)
     if lat.tag != "cp2":
         lat2, t_mat, t_inv = to_cp2(lat)
         area2 = transport_area(area, t_inv) if area is not None else None
         cons2 = (
-            tuple(_mat_vec(t_mat, f) for f in constraints) if constraints else None
+            tuple(mat_vec(t_mat, f) for f in constraints) if constraints else None
         )
         inner = enumerate_exceptional(lat2, area2, area_cap, coeff_bound, cons2)
-        back = tuple(_mat_vec(t_inv, x) for x in inner.classes)
+        back = tuple(mat_vec(t_inv, x) for x in inner.classes)
         return ExcSearch(tuple(sorted(back)), inner.complete)
     if lat.canonical is None or not lat._std_k:
         raise MissingClasses("enumeration needs the standard canonical class")
@@ -492,7 +516,8 @@ def log_exceptional(
     kept = tuple(
         x for x in base.classes if all(lat.pair(x, c) >= 0 for c in component_classes)
     )
-    assert kept == base.classes, "constrained search returned a non-log class"
+    if kept != base.classes:
+        raise LemmaViolated("constrained search returned a non-log class")
     return ExcSearch(kept, base.complete)
 
 
@@ -544,34 +569,17 @@ def exceptional_gap(
 Mat = tuple[Vec, ...]
 
 
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    # conversion matrices are near-identity; skipping zero entries matters
-    return tuple(
-        sum(v * x[k] for k, v in enumerate(row) if v) for row in m
-    )
+def mat_vec(blk: Mat, x: Vec) -> Vec:
+    """Apply the matrix whose leading b x b block is blk and which is the
+    identity beyond it: blk . x[:b] followed by x[b:] unchanged, in O(rank)."""
+    b = len(blk)
+    head = x[:b]
+    return tuple(dot(row, head) for row in blk) + x[b:]
 
 
-_mat_vec = mat_vec
-
-
-def _mat_mul(a: Mat, b: Mat) -> Mat:
-    cols = len(b[0])
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for k, v in enumerate(row):
-            if v:
-                brow = b[k]
-                if v == 1:
-                    acc = [x + y for x, y in zip(acc, brow)]
-                else:
-                    acc = [x + v * y for x, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _mat_identity(r: int) -> Mat:
-    return tuple(unit(r, i) for i in range(r))
+def _block_mul(a: Mat, b: Mat) -> Mat:
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_inverse_int(m: Mat) -> Mat:
@@ -601,63 +609,65 @@ def mat_inverse_int(m: Mat) -> Mat:
 def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     """Isometry onto a cp2-form lattice: returns (lattice, T, T^-1).
 
-    T maps coefficient vectors of the source basis to the cp2 basis. For a
-    ruled-surface lattice the composite is a shear making B.B even or odd
-    small, then the standard elementary transformation; the even case consumes
-    one exceptional basis vector and so needs rank >= 3.
+    T maps coefficient vectors of the source basis to the cp2 basis. It
+    differs from the identity only in its leading b x b block, b = min(3,
+    rank), so T and T^-1 are returned as those blocks; mat_vec applies them.
+    For a ruled-surface lattice T is a shear making B.B even or odd small,
+    then the standard elementary transformation; the even case consumes one
+    exceptional basis vector and so needs rank >= 3.
     """
     r = lat.rank
+    b = min(3, r)
     if lat.tag == "cp2":
-        ident = _mat_identity(r)
+        ident = tuple(unit(b, i) for i in range(b))
         return lat, ident, ident
     if lat.tag != "hirz":
         raise WppError("no canonical cp2 form for a generic lattice")
+    if r < 2:
+        raise RankMismatch("a ruled-surface lattice has rank at least 2")
     k = lat.k_hirz
     if k < 0:
         raise WppError("normalise k >= 0 before converting")
     fl = k // 2
-    shear = [list(unit(r, i)) for i in range(r)]
-    shear[0][1] = -fl  # (x, y) -> (x - fl*y, y) so B.B becomes -(k mod 2)
-    shear_m: Mat = tuple(tuple(row) for row in shear)
-    unshear = [list(unit(r, i)) for i in range(r)]
-    unshear[0][1] = fl
-    unshear_m: Mat = tuple(tuple(row) for row in unshear)
+    # shear (x, y) -> (x - fl*y, y) so B.B becomes -(k mod 2)
+    shear: Mat = ((1, -fl, 0), (0, 1, 0), (0, 0, 1))
+    unshear: Mat = ((1, fl, 0), (0, 1, 0), (0, 0, 1))
     if k % 2 == 1:
-        m1 = [list(unit(r, i)) for i in range(r)]
-        m1[1][0] = -1  # H' = F + B', slot 1 becomes the section class
-        m1_inv = [list(unit(r, i)) for i in range(r)]
-        m1_inv[1][0] = 1
+        # H' = F + B', slot 1 becomes the section class
+        m1: Mat = ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
+        m1_inv: Mat = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
     else:
         if r < 3:
             raise WppError("even-k conversion needs an exceptional basis vector")
-        m1 = [list(unit(r, i)) for i in range(r)]
-        m1[0] = [1, 1, 1] + [0] * (r - 3)
-        m1[1] = [0, -1, -1] + [0] * (r - 3)
-        m1[2] = [-1, 0, -1] + [0] * (r - 3)
-        m1_inv = [list(unit(r, i)) for i in range(r)]
-        m1_inv[0] = [1, 1, 0] + [0] * (r - 3)
-        m1_inv[1] = [1, 0, 1] + [0] * (r - 3)
-        m1_inv[2] = [-1, -1, -1] + [0] * (r - 3)
-    m1_m: Mat = tuple(tuple(row) for row in m1)
-    t = _mat_mul(m1_m, shear_m)
-    t_inv = _mat_mul(unshear_m, tuple(tuple(row) for row in m1_inv))
-    if _mat_mul(t, t_inv) != _mat_identity(r):
+        m1 = ((1, 1, 1), (0, -1, -1), (-1, 0, -1))
+        m1_inv = ((1, 1, 0), (1, 0, 1), (-1, -1, -1))
+
+    def lead(m: Mat) -> Mat:
+        return tuple(row[:b] for row in m[:b])
+
+    t = _block_mul(lead(m1), lead(shear))
+    t_inv = _block_mul(lead(unshear), lead(m1_inv))
+    if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
         raise WppError("basis conversion inverse check failed")
     out = cp2_lattice(r - 1)
     if lat.canonical is not None:
-        if _mat_vec(t, lat.canonical) != out.canonical:
+        if mat_vec(t, lat.canonical) != out.canonical:
             raise WppError("canonical class does not convert to the standard one")
     return out, t, t_inv
 
 
 def transport_area(area: AreaForm, t_inv: Mat) -> AreaForm:
-    """Area form in the target basis of a conversion with inverse matrix t_inv."""
-    r = len(t_inv)
-    vals = []
-    for j in range(r):
-        basis_j_old = tuple(t_inv[i][j] for i in range(r))
-        vals.append(area.area(basis_j_old))
-    return AreaForm(tuple(vals))
+    """Area form in the target basis of a conversion with inverse block t_inv.
+
+    The new value on basis vector j is the old area of T^-1 e_j; beyond the
+    block that is e_j itself, so only the first b values are recomputed.
+    """
+    b = len(t_inv)
+    head = tuple(
+        Fraction(sum(area._ints[i] * t_inv[i][j] for i in range(b)), area._den)
+        for j in range(b)
+    )
+    return AreaForm(head + area.values[b:])
 
 
 # --- integer kernel of a primitive functional ---------------------------------
@@ -678,9 +688,7 @@ def functional_kernel_basis(g: Vec) -> tuple[tuple[Vec, ...], Vec]:
     for j in range(n):
         if j == piv or h[j] == 0:
             continue
-        d = math.gcd(h[piv], h[j])
-        # extended gcd: u*h[piv] + v*h[j] == d
-        u, v = _ext_gcd(h[piv], h[j], d)
+        d, u, v = ext_gcd(h[piv], h[j])
         a, b = h[piv] // d, h[j] // d
         r_p, r_j = rows[piv], rows[j]
         rows[piv] = tuple(u * x + v * y for x, y in zip(r_p, r_j))
@@ -694,17 +702,3 @@ def functional_kernel_basis(g: Vec) -> tuple[tuple[Vec, ...], Vec]:
     kernel = tuple(rows[i] for i in range(n) if i != piv)
     return kernel, rows[piv]
 
-
-def _ext_gcd(x: int, y: int, d: int) -> tuple[int, int]:
-    # coefficients (u, v) with u*x + v*y == d == gcd(x, y)
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r == -d:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t

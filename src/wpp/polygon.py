@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .arith import WeightTriple, hj_expand
+from .arith import WeightTriple, ext_gcd, hj_expand
 from .errors import (
     ChopsOverlap,
     InvalidPolygon,
     LemmaViolated,
+    MissingClasses,
     NoMinusOneEdge,
     NotDelzantNeighborhood,
     UserInputError,
@@ -30,6 +31,7 @@ from .homlat import AreaForm, Lattice, Vec, cp2_lattice, hirz_lattice
 __all__ = [
     "Point",
     "IVec",
+    "primitive",
     "LatticePolygon",
     "polygon",
     "corner_type",
@@ -59,28 +61,14 @@ def _det(u: IVec, w: IVec) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
-def _primitive(dx: Fraction, dy: Fraction) -> IVec:
+def primitive(dx: Fraction, dy: Fraction) -> IVec:
+    """Primitive integer vector along the nonzero rational vector (dx, dy)."""
     m = math.lcm(dx.denominator, dy.denominator)
     ix, iy = int(dx * m), int(dy * m)
     g = math.gcd(ix, iy)
     if g == 0:
         raise InvalidPolygon("zero direction vector")
     return (ix // g, iy // g)
-
-
-def _ext_gcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
-    old_r, r = x, y
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ class LatticePolygon:
         key = ("dir", i)
         val = self._cache.get(key)
         if val is None:
-            val = _primitive(*self.edge_vector(i))
+            val = primitive(*self.edge_vector(i))
             self._cache[key] = val
         return val
 
@@ -200,11 +188,13 @@ def corner_type(p: LatticePolygon, i: int, u_side: str = "prev") -> tuple[int, i
     if r == 1:
         p._cache[key] = (1, 0)
         return (1, 0)
-    g, gamma, delta = _ext_gcd(u[0], u[1])
-    assert g == 1
+    g, gamma, delta = ext_gcd(u[0], u[1])
+    if g != 1:
+        raise LemmaViolated(f"edge direction {u} is not primitive")
     y_w = gamma * w[0] + delta * w[1]
     q = y_w % r
-    assert math.gcd(q, r) == 1
+    if math.gcd(q, r) != 1:
+        raise LemmaViolated(f"corner type ({r}, {q}) is not coprime")
     p._cache[key] = (r, q)
     return (r, q)
 
@@ -285,7 +275,8 @@ def chop_corner(
         v = (v[0] + (e / qj) * w[0], v[1] + (e / qj) * w[1])
         uu = (-dirs[j + 1][0], -dirs[j + 1][1])
         rj, qj = qj, b * qj - rj
-    assert (rj, qj) == (1, 0)
+    if (rj, qj) != (1, 0):
+        raise LemmaViolated(f"chop chain ended on ({rj}, {qj}), expected (1, 0)")
     chain.append(v)
 
     ordered = chain if u_side == "prev" else list(reversed(chain))
@@ -483,7 +474,8 @@ def _verify_classes(p: LatticePolygon, sels: tuple[int, ...],
             raise LemmaViolated(f"edges {i},{(i + 1) % m}: not adjacent in homology")
         for r in range(lat.rank):
             total[r] += cls[i][r]
-    assert lat.canonical is not None
+    if lat.canonical is None:
+        raise MissingClasses("ledger lattice has no canonical class")
     if tuple(total) != tuple(-c for c in lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
     if lat.sq(lat.canonical) != 9 - (lat.rank - 1):

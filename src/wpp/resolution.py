@@ -11,13 +11,18 @@ from the stored data without assuming them.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 from .arith import WeightTriple, hj_expand, weight_triple
-from .errors import LemmaViolated, Unclassified, UserInputError, WppError
+from .errors import (
+    LemmaViolated,
+    MissingClasses,
+    Unclassified,
+    UserInputError,
+    WppError,
+)
 from .homlat import (
     AreaForm,
     Lattice,
@@ -37,7 +42,7 @@ from .polygon import (
     chop_corner,
     edge_selfints,
     presentation as presentation_of,
-    _primitive,
+    primitive,
 )
 from .strings import OrientedString, delta_sequence
 
@@ -131,11 +136,6 @@ def parse_schedule(text: str) -> tuple[Fraction, Fraction]:
     return sched
 
 
-def _env_schedule() -> tuple[Fraction, Fraction] | None:
-    raw = os.environ.get("WPP_EPS_SCHEDULE")
-    return parse_schedule(raw) if raw else None
-
-
 def build_resolution(
     a: int,
     b: int,
@@ -149,17 +149,14 @@ def build_resolution(
 
     presentation selects one of the six moment triangles. schedule or
     per-corner epsilons control chop depths; the default schedule always
-    fits. When schedule is None, the WPP_EPS_SCHEDULE environment variable
-    ('start,ratio', as parse_schedule reads it) supplies it if set and
-    non-empty; an explicit schedule (the CLI's --eps) takes precedence. A
-    malformed value, or ratios outside (0, 1), raise UserInputError (CLI
-    exit code 2). Weights are sorted into roles a < b < c internally; the
-    input order is kept for reporting.
+    fits. The result depends on the arguments only: the environment is not
+    read here (the CLI turns WPP_EPS_SCHEDULE into a schedule). Ratios
+    outside (0, 1) raise UserInputError (CLI exit code 2). Weights are
+    sorted into roles a < b < c internally; the input order is kept for
+    reporting.
     """
     if not 1 <= presentation <= 6:
         raise UserInputError(f"presentation must be 1..6, got {presentation}")
-    if schedule is None:
-        schedule = _env_schedule()
     w = weight_triple(*sorted((a, b, c)))
     pres = presentation_of(w, presentation)
     poly0 = pres.polygon
@@ -176,11 +173,11 @@ def build_resolution(
     for lab in "ABC":
         vi = cur.vertices.index(corner_pos[lab])
         target = CORNER_CYCLE[lab]
-        u_target = _primitive(
+        u_target = primitive(
             corner_pos[target][0] - corner_pos[lab][0],
             corner_pos[target][1] - corner_pos[lab][1],
         )
-        toward_prev = _primitive(
+        toward_prev = primitive(
             cur.vertex(vi - 1)[0] - cur.vertex(vi)[0],
             cur.vertex(vi - 1)[1] - cur.vertex(vi)[1],
         )
@@ -210,7 +207,7 @@ def build_resolution(
         aa = poly0.vertex(e)
         bb = poly0.vertex(e + 1)
         name = CONNECTOR_OF_PAIR[frozenset({pos_to_label[aa], pos_to_label[bb]})]
-        seg_dir = _primitive(bb[0] - aa[0], bb[1] - aa[1])
+        seg_dir = primitive(bb[0] - aa[0], bb[1] - aa[1])
         hits = []
         for i in range(cur.n):
             d = cur.direction(i)
@@ -353,7 +350,8 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
             cls = rp.edge_classes[eid]
             for r in range(lat.rank):
                 d_total[r] += cls[r]
-    assert lat.canonical is not None
+    if lat.canonical is None:
+        raise MissingClasses("resolution lattice has no canonical class")
     adjoint = vadd(lat.canonical, tuple(d_total))
     adjoint_area = area.area(adjoint)
     adjoint_square = lat.sq(adjoint)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from multiprocessing import Pool
 
-from .errors import LemmaViolated, UserInputError, WppError
+from .errors import LemmaViolated, MissingClasses, UserInputError, WppError
 from .resolution import (
     build_resolution,
     check_divisor_predicates,
@@ -45,8 +46,17 @@ def coprime_triples(max_c: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def check_triple(triple: tuple[int, int, int], checks: tuple[str, ...] = ("all",)) -> dict:
-    """Verify one triple across all six presentations; never raises."""
+def check_triple(
+    triple: tuple[int, int, int],
+    checks: tuple[str, ...] = ("all",),
+    schedule: tuple[Fraction, Fraction] | None = None,
+) -> dict:
+    """Verify one triple across all six presentations; never raises.
+
+    A WppError is recorded as a violation under its class name; any other
+    exception is a fault of the program and is recorded as "internal: ...",
+    so one bad triple cannot abort a scan.
+    """
     a, b, c = triple
     do = set(CHECK_CHOICES[1:]) if "all" in checks else set(checks)
     run_extra = "all" in checks
@@ -54,7 +64,7 @@ def check_triple(triple: tuple[int, int, int], checks: tuple[str, ...] = ("all",
     violations: list[dict] = []
     for pres in range(1, 7):
         try:
-            rp = build_resolution(a, b, c, presentation=pres)
+            rp = build_resolution(a, b, c, presentation=pres, schedule=schedule)
             if "lemma32" in do:
                 connector_selfints(rp)
             if "def13" in do:
@@ -87,7 +97,8 @@ def check_triple(triple: tuple[int, int, int], checks: tuple[str, ...] = ("all",
                     )
             if pres == 1:
                 lat = rp.lattice
-                assert lat.canonical is not None
+                if lat.canonical is None:
+                    raise MissingClasses("resolution lattice has no canonical class")
                 row.update(
                     n=rp.n,
                     k2=lat.sq(lat.canonical),
@@ -96,29 +107,33 @@ def check_triple(triple: tuple[int, int, int], checks: tuple[str, ...] = ("all",
                     ],
                     sum_b=sums.total_b,
                 )
-        except WppError as exc:
+        except Exception as exc:
+            prefix = "" if isinstance(exc, WppError) else "internal: "
             violations.append(
                 {
                     "triple": [a, b, c],
                     "presentation": pres,
-                    "error": f"{type(exc).__name__}: {exc}",
+                    "error": f"{prefix}{type(exc).__name__}: {exc}",
                 }
             )
     return {"row": row, "violations": violations}
 
 
-def _worker(args: tuple[tuple[int, int, int], tuple[str, ...]]) -> dict:
-    return check_triple(args[0], args[1])
+def _worker(args: tuple) -> dict:
+    return check_triple(*args)
 
 
 def run_scan(
-    max_c: int, jobs: int | None = None, checks: tuple[str, ...] = ("all",)
+    max_c: int,
+    jobs: int | None = None,
+    checks: tuple[str, ...] = ("all",),
+    schedule: tuple[Fraction, Fraction] | None = None,
 ) -> dict:
     for name in checks:
         if name not in CHECK_CHOICES:
             raise UserInputError(f"unknown check {name!r}")
     triples = coprime_triples(max_c)
-    tasks = [(t, tuple(checks)) for t in triples]
+    tasks = [(t, tuple(checks), schedule) for t in triples]
     if jobs == 1 or len(tasks) < 4:
         results = [_worker(t) for t in tasks]
     else:

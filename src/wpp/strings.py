@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .arith import eval_neg_cf, weight_sequence
 from .errors import (
@@ -128,7 +129,8 @@ def delta_sequence(selfints: tuple[int, ...] | list[int]) -> DeltaSeq:
     for s in selfints:
         prev, cur = cur, (-s) * cur - prev
         out.append(cur)
-        assert math.gcd(prev, cur) == 1  # consecutive minors stay coprime
+        if math.gcd(prev, cur) != 1:  # consecutive minors stay coprime
+            raise LemmaViolated(f"consecutive minors {prev}, {cur} share a factor")
     return DeltaSeq(tuple(out))
 
 
@@ -325,7 +327,7 @@ def exterior_blowup(cfg: DivisorConfig, include_component: bool = False,
     return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
 
 
-def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, "ClassMap"]:
+def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Vec]]:
     """Lattice orthogonal to the (-1) class e, with the coefficient map.
 
     When e is a basis vector the orthogonal complement has the tautological
@@ -348,7 +350,8 @@ def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, "ClassMap"]:
             k2 = None if lat.canonical is None else drop(lat.canonical)
             if lat.tag == "cp2":
                 lat2 = cp2_lattice(rank - 2) if k2 is not None else Lattice("cp2", rank - 1)
-                assert k2 is None or lat2.canonical == k2
+                if k2 is not None and lat2.canonical != k2:
+                    raise LemmaViolated("contracted canonical class is not standard")
             elif lat.tag == "hirz":
                 lat2 = Lattice("hirz", rank - 1, k_hirz=lat.k_hirz, canonical=k2)
             else:
@@ -381,9 +384,6 @@ def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, "ClassMap"]:
     )
     k2 = None if lat.canonical is None else to_new(vsub(lat.canonical, e))
     return generic_lattice(gram2, canonical=k2), to_new
-
-
-ClassMap = object  # callable Vec -> Vec; alias for readability in signatures
 
 
 def blowdown(cfg: DivisorConfig, i: int) -> BlowdownResult:
@@ -508,7 +508,8 @@ def resolution_fiber_class(cfg: DivisorConfig, upto: int) -> ResolvedFiber:
     while pairs[-1] != (1, 1):
         a, b = pairs[-1]
         pairs.append((a - b, b) if a > b else (a, b - a))
-    assert len(pairs) == big_l and [min(a, b) for a, b in pairs] == list(mults)
+    if len(pairs) != big_l or [min(a, b) for a, b in pairs] != list(mults):
+        raise LemmaViolated(f"subtraction pairs of ({p}, {q}) miss the weight sequence")
 
     cur = cfg
     res = toric_blowup(cur, upto - 1, upto, label="C1")

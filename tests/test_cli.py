@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import wpp.cli
 from wpp.cli import main
+from wpp.render import render
 from wpp.report import parse_report, serialize_report
+from wpp.resolution import build_resolution
 
 
 def run_main(capsys, argv):
@@ -152,6 +155,62 @@ class TestScan:
         rc, _, err = run_main(capsys, ["scan", "--max-c", "5"])
         assert rc == 3
         assert "wpp resolve 2 3 5 --presentation 4" in err
+
+
+class TestEnvSchedule:
+    def test_reaches_scan_and_render(self, capsys, monkeypatch):
+        monkeypatch.delenv("WPP_EPS_SCHEDULE", raising=False)
+        default_svg = run_main(capsys, ["render", "2", "3", "5"])[1]
+        monkeypatch.setenv("WPP_EPS_SCHEDULE", "1/3,1/5")
+        rc, svg, _ = run_main(capsys, ["render", "2", "3", "5"])
+        sched = (Fraction(1, 3), Fraction(1, 5))
+        assert rc == 0
+        assert svg == render(build_resolution(2, 3, 5, schedule=sched), "polygon", "svg")
+        assert svg != default_svg
+        # chop depths that overlap: every presentation of every triple fails
+        monkeypatch.setenv("WPP_EPS_SCHEDULE", "99/100,99/100")
+        rc, out, _ = run_main(capsys, ["scan", "--max-c", "5", "--jobs", "1"])
+        assert rc == 3
+        violations = json.loads(out)["violations"]
+        assert len(violations) == 12
+        assert all(v["error"].startswith("ChopsOverlap") for v in violations)
+
+
+class TestInternalErrors:
+    def test_scan_records_unexpected_exception(self, monkeypatch):
+        from wpp import scan
+
+        base = scan.run_scan(7, jobs=1)
+        real = scan.build_resolution
+
+        def flaky(a, b, c, presentation=1, **kwargs):
+            if (a, b, c, presentation) == (2, 5, 7, 3):
+                raise ZeroDivisionError("synthetic")
+            return real(a, b, c, presentation=presentation, **kwargs)
+
+        monkeypatch.setattr(scan, "build_resolution", flaky)
+        result = scan.run_scan(7, jobs=1)
+        assert result["violations"] == [
+            {
+                "triple": [2, 5, 7],
+                "presentation": 3,
+                "error": "internal: ZeroDivisionError: synthetic",
+            }
+        ]
+        assert result["violation_count"] == 1
+        assert result["rows"] == base["rows"]
+        assert result["case_table"] == base["case_table"]
+
+    def test_cli_maps_unexpected_exception_to_exit_3(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("synthetic")
+
+        monkeypatch.setattr(wpp.cli, "build_resolution", broken)
+        rc, out, err = run_main(capsys, ["resolve", "2", "3", "5"])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("internal error: ZeroDivisionError: synthetic")
+        assert "Traceback" in err
 
 
 class TestRender:

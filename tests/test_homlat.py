@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wpp.errors import MissingClasses, RankMismatch, Unclassified, WppError
+from wpp.errors import (
+    MissingClasses,
+    RankMismatch,
+    Unclassified,
+    UserInputError,
+    WppError,
+)
 from wpp.homlat import (
     NEG_INF,
     AreaForm,
+    Lattice,
+    _check_key_bounds,
     cp2_lattice,
     connecting_log_exceptional,
     enumerate_exceptional,
@@ -76,6 +84,13 @@ class TestLatticePairings:
         assert not lat.is_exceptional_class(line)
         assert lat.sw_index(line) == 4
 
+    def test_generic_without_gram(self):
+        lat = Lattice("generic", 2)
+        with pytest.raises(MissingClasses):
+            lat.pair((1, 0), (0, 1))
+        with pytest.raises(MissingClasses):
+            lat.blowup()
+
     def test_blowup_extends(self):
         lat = cp2_lattice(1)
         lat2 = lat.blowup()
@@ -84,6 +99,66 @@ class TestLatticePairings:
         gen = generic_lattice(((-2,),), canonical=(0,)).blowup()
         assert gen.sq((0, 1)) == -1
         assert gen.pair((1, 0), (0, 1)) == 0
+
+
+# reference copy of the full r x r conversion that the leading-block path
+# replaced; kept only to check the block path against it
+def _ref_mat_vec(m, x):
+    return tuple(sum(v * x[k] for k, v in enumerate(row) if v) for row in m)
+
+
+def _ref_mat_mul(a, b):
+    cols = len(b[0])
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, v in enumerate(row):
+            if v:
+                acc = [x + v * y for x, y in zip(acc, b[k])]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _ref_identity(r):
+    return tuple(unit(r, i) for i in range(r))
+
+
+def _ref_to_cp2(lat):
+    r = lat.rank
+    k = lat.k_hirz
+    fl = k // 2
+    shear = [list(unit(r, i)) for i in range(r)]
+    shear[0][1] = -fl
+    unshear = [list(unit(r, i)) for i in range(r)]
+    unshear[0][1] = fl
+    if k % 2 == 1:
+        m1 = [list(unit(r, i)) for i in range(r)]
+        m1[1][0] = -1
+        m1_inv = [list(unit(r, i)) for i in range(r)]
+        m1_inv[1][0] = 1
+    else:
+        if r < 3:
+            raise WppError("even-k conversion needs an exceptional basis vector")
+        m1 = [list(unit(r, i)) for i in range(r)]
+        m1[0] = [1, 1, 1] + [0] * (r - 3)
+        m1[1] = [0, -1, -1] + [0] * (r - 3)
+        m1[2] = [-1, 0, -1] + [0] * (r - 3)
+        m1_inv = [list(unit(r, i)) for i in range(r)]
+        m1_inv[0] = [1, 1, 0] + [0] * (r - 3)
+        m1_inv[1] = [1, 0, 1] + [0] * (r - 3)
+        m1_inv[2] = [-1, -1, -1] + [0] * (r - 3)
+    as_mat = lambda m: tuple(tuple(row) for row in m)  # noqa: E731
+    t = _ref_mat_mul(as_mat(m1), as_mat(shear))
+    t_inv = _ref_mat_mul(as_mat(unshear), as_mat(m1_inv))
+    assert _ref_mat_mul(t, t_inv) == _ref_identity(r)
+    return cp2_lattice(r - 1), t, t_inv
+
+
+def _ref_transport_area(area, t_inv):
+    r = len(t_inv)
+    return AreaForm(
+        tuple(area.area(tuple(t_inv[i][j] for i in range(r))) for j in range(r))
+    )
 
 
 class TestConversions:
@@ -98,8 +173,11 @@ class TestConversions:
     def test_to_cp2_preserves_pairings(self, k, extra):
         lat = hirz_lattice(k, extra)
         out, t, t_inv = to_cp2(lat)
-        assert out.tag == "cp2" and out.rank == lat.rank - 1 + 1
+        assert out.tag == "cp2" and out.rank == lat.rank
         r = lat.rank
+        b = min(3, r)
+        assert len(t) == len(t_inv) == b
+        assert all(len(row) == b for row in t + t_inv)
         ident = tuple(unit(r, i) for i in range(r))
         for i in range(r):
             for j in range(r):
@@ -108,10 +186,27 @@ class TestConversions:
         assert mat_vec(t, lat.canonical) == out.canonical
         for i in range(r):
             assert mat_vec(t_inv, mat_vec(t, ident[i])) == ident[i]
+            assert mat_vec(t, mat_vec(t_inv, ident[i])) == ident[i]
 
     def test_to_cp2_even_needs_rank3(self):
         with pytest.raises(WppError):
             to_cp2(hirz_lattice(2))
+
+    def test_cp2_and_generic(self):
+        lat = cp2_lattice(4)
+        out, t, t_inv = to_cp2(lat)
+        assert out is lat
+        assert t == t_inv == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        x = (3, -1, 2, 5, 7)
+        assert mat_vec(t, x) == x
+        with pytest.raises(WppError):
+            to_cp2(generic_lattice(((-2,),)))
+
+    def test_mat_vec_applies_the_block_only(self):
+        blk = ((1, 2), (3, 4))
+        assert mat_vec(blk, (1, 1, 5, 6)) == (3, 7, 5, 6)
+        assert mat_vec(blk, (1, 1)) == (3, 7)
+        assert mat_vec((), (5, 6)) == (5, 6)
 
     def test_transport_area(self):
         lat = hirz_lattice(1, 1)
@@ -120,6 +215,35 @@ class TestConversions:
         moved = transport_area(area, t_inv)
         for x in ((1, 0, 0), (0, 1, 0), (1, 1, 1)):
             assert area.area(x) == moved.area(mat_vec(t, x))
+
+    @pytest.mark.parametrize("k", range(10))
+    def test_blocks_match_full_matrices(self, k):
+        for extra in range(21):
+            lat = hirz_lattice(k, extra)
+            r = lat.rank
+            if k % 2 == 0 and extra == 0:
+                with pytest.raises(WppError):
+                    _ref_to_cp2(lat)
+                with pytest.raises(WppError):
+                    to_cp2(lat)
+                continue
+            ref_out, ref_t, ref_inv = _ref_to_cp2(lat)
+            out, t, t_inv = to_cp2(lat)
+            assert out == ref_out
+            classes = [unit(r, i) for i in range(r)]
+            classes.append(lat.canonical)
+            classes.append(tuple((3 * i + k) % 7 - 3 for i in range(r)))
+            for x in classes:
+                assert mat_vec(t, x) == _ref_mat_vec(ref_t, x)
+                assert mat_vec(t_inv, x) == _ref_mat_vec(ref_inv, x)
+            assert mat_vec(t, lat.canonical) == out.canonical
+            area = AreaForm(tuple(Fraction(i + 1, (i % 4) + 2) for i in range(r)))
+            moved = transport_area(area, t_inv)
+            ref_moved = _ref_transport_area(area, ref_inv)
+            assert moved == ref_moved
+            assert moved.denominator == ref_moved.denominator
+            for x in classes:
+                assert area.area(x) == moved.area(mat_vec(t, x))
 
 
 class TestAreaForm:
@@ -230,6 +354,35 @@ class TestExceptionalEnumeration:
         lat = generic_lattice(((-1,),), canonical=None)
         with pytest.raises((MissingClasses, WppError)):
             enumerate_exceptional(lat)
+
+    def test_ruled_surface_lattice_is_converted_and_back(self):
+        # F_1 blown up five times is the cubic surface: 27 exceptional classes
+        for k in (1, 2, 3):
+            lat = hirz_lattice(k, 5)
+            found = enumerate_exceptional(lat)
+            assert found.complete
+            assert len(found.classes) == 27
+            assert all(lat.is_exceptional_class(x) for x in found.classes)
+            assert list(found.classes) == sorted(found.classes)
+
+    def test_packed_key_bounds(self):
+        assert enumerate_exceptional(cp2_lattice(2), coeff_bound=31).complete
+        # every exceptional class has a coefficient of absolute value 1
+        assert enumerate_exceptional(cp2_lattice(2), coeff_bound=0).classes == ()
+        for bad in (32, -1):
+            with pytest.raises(UserInputError):
+                enumerate_exceptional(cp2_lattice(2), coeff_bound=bad)
+        # 272 * (31^2 + 1) = 261664 < 512^2 <= 273 * 962
+        _check_key_bounds(272, 31)
+        with pytest.raises(UserInputError):
+            enumerate_exceptional(cp2_lattice(273), coeff_bound=31)
+        with pytest.raises(UserInputError):
+            enumerate_exceptional(hirz_lattice(1, 272), coeff_bound=31)
+        _check_key_bounds(512 * 512 - 1, 0)
+        with pytest.raises(UserInputError):
+            _check_key_bounds(512 * 512, 0)
+        with pytest.raises(UserInputError):
+            _check_key_bounds(2, 32)
 
 
 class TestKernelBasis:

@@ -1,12 +1,15 @@
 """End-to-end resolutions: boundary strings, predicates, isometry search."""
 
 import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
+from wpp import cli
 from wpp.errors import LemmaViolated, UserInputError, WppError
 from wpp.homlat import NEG_INF
+from wpp.report import make_report, serialize_report
 from wpp.resolution import (
     build_resolution,
     check_divisor_predicates,
@@ -242,10 +245,28 @@ class TestInputsAndSchedules:
         assert divisor_predicates_hold(alt)
         assert connector_selfints(alt_rp) == (-1, -1, 0)
 
-    def test_env_schedule(self, monkeypatch):
+    def test_library_ignores_env_schedule(self, monkeypatch):
+        monkeypatch.delenv("WPP_EPS_SCHEDULE", raising=False)
+        base = serialize_report(make_report(build_resolution(2, 3, 5)))
+        for value in ("1/3,1/5", "nonsense"):
+            monkeypatch.setenv("WPP_EPS_SCHEDULE", value)
+            assert serialize_report(make_report(build_resolution(2, 3, 5))) == base
+
+    def test_cli_reads_env_schedule(self, monkeypatch, capsys):
+        def resolve(*extra):
+            rc = cli.main(["resolve", "2", "3", "5", *extra])
+            out = capsys.readouterr().out
+            assert rc == 0
+            report = json.loads(out)
+            report.pop("timing")
+            return report
+
+        monkeypatch.delenv("WPP_EPS_SCHEDULE", raising=False)
+        explicit = resolve("--eps", "1/3,1/5")
+        default = resolve()
+        assert explicit != default
         monkeypatch.setenv("WPP_EPS_SCHEDULE", "1/3,1/5")
-        rp = build_resolution(2, 3, 5)
-        assert divisor_predicates_hold(check_divisor_predicates(rp))
+        assert resolve() == explicit
         monkeypatch.setenv("WPP_EPS_SCHEDULE", "nonsense")
-        with pytest.raises(UserInputError):
-            build_resolution(2, 3, 5)
+        assert cli.main(["resolve", "2", "3", "5"]) == 2
+        assert "bad epsilon schedule" in capsys.readouterr().err
