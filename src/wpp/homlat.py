@@ -202,6 +202,19 @@ class AreaForm:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_ints", ints)
 
+    @classmethod
+    def from_scaled(cls, ints: Sequence[int], den: int) -> "AreaForm":
+        """The form with values ints[i] / den, built without Fraction arithmetic."""
+        g = math.gcd(den, *ints)
+        if g > 1:
+            ints = [v // g for v in ints]
+            den //= g
+        form = object.__new__(cls)
+        object.__setattr__(form, "values", tuple(Fraction(v, den) for v in ints))
+        object.__setattr__(form, "_den", den)
+        object.__setattr__(form, "_ints", tuple(ints))
+        return form
+
     @property
     def rank(self) -> int:
         return len(self.values)
@@ -663,11 +676,9 @@ def transport_area(area: AreaForm, t_inv: Mat) -> AreaForm:
     block that is e_j itself, so only the first b values are recomputed.
     """
     b = len(t_inv)
-    head = tuple(
-        Fraction(sum(area._ints[i] * t_inv[i][j] for i in range(b)), area._den)
-        for j in range(b)
-    )
-    return AreaForm(head + area.values[b:])
+    ints = area._ints
+    head = tuple(sum(ints[i] * t_inv[i][j] for i in range(b)) for j in range(b))
+    return AreaForm.from_scaled(head + ints[b:], area._den)
 
 
 # --- integer kernel of a primitive functional ---------------------------------

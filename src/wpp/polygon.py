@@ -1,9 +1,11 @@
 """Rational convex polygons over the integer lattice.
 
-Vertices are exact rational points, counterclockwise. Corners are classified
-up to integral affine equivalence by a pair (r, q); non-Delzant corners are
-smoothed by chains of chops whose data reproduces the continued-fraction
-expansion of r/q. Once every corner is Delzant, edges acquire integer
+Vertices are exact rational points, counterclockwise, stored as integer points
+over their least common denominator: chopping, edge lengths and the ledger run
+on plain ints, and the Fraction vertices are a derived view. Corners are
+classified up to integral affine equivalence by a pair (r, q); non-Delzant
+corners are smoothed by chains of chops whose data reproduces the
+continued-fraction expansion of r/q. Once every corner is Delzant, edges acquire integer
 self-intersections, and a combinatorial contraction ledger assigns a homology
 class and exact area to every edge.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, combinations, compress
 from typing import Sequence
 
 from .arith import WeightTriple, ext_gcd, hj_expand
@@ -61,26 +64,35 @@ def _det(u: IVec, w: IVec) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
-def primitive(dx: Fraction, dy: Fraction) -> IVec:
-    """Primitive integer vector along the nonzero rational vector (dx, dy)."""
-    m = math.lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * m), int(dy * m)
-    g = math.gcd(ix, iy)
+def primitive(dx: int, dy: int) -> IVec:
+    """Primitive integer vector along the nonzero integer vector (dx, dy)."""
+    g = math.gcd(dx, dy)
     if g == 0:
         raise InvalidPolygon("zero direction vector")
-    return (ix // g, iy // g)
+    return (dx // g, dy // g)
 
 
 @dataclass(frozen=True)
 class LatticePolygon:
-    """Strictly convex polygon, rational vertices, counterclockwise."""
+    """Strictly convex polygon, counterclockwise, with rational vertices
+    stored as integer points ipts over their least common denominator den."""
 
-    vertices: tuple[Point, ...]
+    ipts: tuple[IVec, ...]
+    den: int
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.ipts)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        val = self._cache.get("vertices")
+        if val is None:
+            d = self.den
+            val = tuple((Fraction(x, d), Fraction(y, d)) for x, y in self.ipts)
+            self._cache["vertices"] = val
+        return val
 
     def vertex(self, i: int) -> Point:
         return self.vertices[i % self.n]
@@ -90,71 +102,89 @@ class LatticePolygon:
         b = self.vertex(i + 1)
         return (b[0] - a[0], b[1] - a[1])
 
-    def direction(self, i: int) -> IVec:
-        i %= self.n
-        key = ("dir", i)
-        val = self._cache.get(key)
+    def _edges(self) -> tuple[tuple[IVec, ...], tuple[int, ...]]:
+        """Primitive direction and scaled lattice length of every edge."""
+        val = self._cache.get("edges")
         if val is None:
-            val = primitive(*self.edge_vector(i))
-            self._cache[key] = val
+            pts = self.ipts
+            dirs = []
+            lens = []
+            for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+                dx, dy = bx - ax, by - ay
+                g = math.gcd(dx, dy)
+                dirs.append((dx // g, dy // g))
+                lens.append(g)
+            val = (tuple(dirs), tuple(lens))
+            self._cache["edges"] = val
         return val
+
+    @property
+    def directions(self) -> tuple[IVec, ...]:
+        """Primitive integer direction of every edge."""
+        return self._edges()[0]
+
+    def direction(self, i: int) -> IVec:
+        dirs = self._edges()[0]
+        return dirs[i % len(dirs)]
+
+    def length_scaled(self, i: int) -> int:
+        """Lattice length of edge i times den: the gcd of its integer vector."""
+        lens = self._edges()[1]
+        return lens[i % len(lens)]
 
     def edge_length(self, i: int) -> Fraction:
         """Lattice length: the edge vector divided by its primitive direction."""
-        i %= self.n
-        key = ("len", i)
-        val = self._cache.get(key)
-        if val is None:
-            ev = self.edge_vector(i)
-            d = self.direction(i)
-            val = ev[0] / d[0] if d[0] else ev[1] / d[1]
-            self._cache[key] = val
-        return val
+        return Fraction(self.length_scaled(i), self.den)
 
     def inward_normal(self, i: int) -> IVec:
         dx, dy = self.direction(i)
         return (-dy, dx)
 
     def area2(self) -> Fraction:
-        s = Fraction(0)
-        for i in range(self.n):
-            a, b = self.vertex(i), self.vertex(i + 1)
-            s += a[0] * b[1] - a[1] * b[0]
-        return s
+        return Fraction(_cross_sum(self.ipts), self.den * self.den)
+
+
+_flat = chain.from_iterable  # the coordinates of a sequence of points
+
+
+def _cross_sum(pts: Sequence[IVec]) -> int:
+    """Twice the signed area of the integer polygon pts."""
+    return sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _validated(ipts: list[IVec], den: int) -> LatticePolygon:
+    """The polygon ipts / den, reordered counterclockwise; raises
+    InvalidPolygon unless it is strictly convex."""
+    n = len(ipts)
+    if n < 3:
+        raise InvalidPolygon("need at least three vertices")
+    for i in range(n):
+        if ipts[i] == ipts[(i + 1) % n]:
+            raise InvalidPolygon("repeated consecutive vertex")
+    s = _cross_sum(ipts)
+    if s == 0:
+        raise InvalidPolygon("degenerate polygon")
+    if s < 0:
+        ipts = ipts[::-1]
+    for i in range(n):
+        a = ipts[i]
+        b = ipts[(i + 1) % n]
+        c = ipts[(i + 2) % n]
+        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+        if cross <= 0:
+            raise InvalidPolygon(f"not strictly convex at vertex {(i + 1) % n}")
+    return LatticePolygon(tuple(ipts), den)
 
 
 def polygon(points: Sequence[tuple]) -> LatticePolygon:
     """Canonicalise to counterclockwise order and validate strict convexity."""
-    verts = [( _fr(p[0]), _fr(p[1]) ) for p in points]
-    if len(verts) < 3:
-        raise InvalidPolygon("need at least three vertices")
-    # validate on a cleared-denominator copy: plain int arithmetic avoids the
-    # per-operation normalisation cost of Fraction cross products
-    den = 1
-    for x, y in verts:
-        den = math.lcm(den, x.denominator, y.denominator)
-    iverts = [(int(x * den), int(y * den)) for x, y in verts]
-    n = len(verts)
-    for i in range(n):
-        if iverts[i] == iverts[(i + 1) % n]:
-            raise InvalidPolygon("repeated consecutive vertex")
-    s = 0
-    for i in range(n):
-        a, b = iverts[i], iverts[(i + 1) % n]
-        s += a[0] * b[1] - a[1] * b[0]
-    if s == 0:
-        raise InvalidPolygon("degenerate polygon")
-    if s < 0:
-        verts.reverse()
-        iverts.reverse()
-    for i in range(n):
-        a = iverts[i]
-        b = iverts[(i + 1) % n]
-        c = iverts[(i + 2) % n]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        if cross <= 0:
-            raise InvalidPolygon(f"not strictly convex at vertex {(i + 1) % n}")
-    return LatticePolygon(tuple(verts))
+    verts = [(_fr(p[0]), _fr(p[1])) for p in points]
+    den = math.lcm(1, *(c.denominator for v in verts for c in v))
+    ipts = [
+        (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in verts
+    ]
+    return _validated(ipts, den)
 
 
 def _corner_dirs(p: LatticePolygon, i: int, u_side: str) -> tuple[IVec, IVec]:
@@ -206,7 +236,7 @@ def default_epsilons(p: LatticePolygon, i: int, k: int,
     init_ratio, ratio = schedule if schedule is not None else (Fraction(1, 4), Fraction(1, 3))
     if not (0 < init_ratio < 1 and 0 < ratio < 1):
         raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
-    shortest = min(p.edge_length(i - 1), p.edge_length(i))
+    shortest = Fraction(min(p.length_scaled(i - 1), p.length_scaled(i)), p.den)
     eps0 = shortest * init_ratio
     out = []
     e = eps0
@@ -249,7 +279,7 @@ def chop_corner(
     if epsilons is None:
         epsilons = default_epsilons(p, i, k, schedule)
     eps = [_fr(e) for e in epsilons]
-    if len(eps) != k or any(e <= 0 for e in eps):
+    if len(eps) != k or any(e.numerator <= 0 for e in eps):
         raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
 
     # predicted directions: e_0 = -u, e_1 = (w - q u)/r, e_{j+1} = b_j e_j - e_{j-1}
@@ -265,28 +295,51 @@ def chop_corner(
     if exit_dir != w:
         raise LemmaViolated("chop chain does not exit along the far edge")
 
-    v = p.vertex(i)
-    chain: list[Point] = []
+    # q_j of the corner met by chop j: (r, q) -> (q, b q - r) after each chop
+    qs = []
     rj, qj = r, q
-    uu: IVec = u
-    for j, b in enumerate(entries):
-        e = eps[j]
-        chain.append((v[0] + e * uu[0], v[1] + e * uu[1]))
-        v = (v[0] + (e / qj) * w[0], v[1] + (e / qj) * w[1])
-        uu = (-dirs[j + 1][0], -dirs[j + 1][1])
+    for b in entries:
+        qs.append(qj)
         rj, qj = qj, b * qj - rj
     if (rj, qj) != (1, 0):
         raise LemmaViolated(f"chop chain ended on ({rj}, {qj}), expected (1, 0)")
-    chain.append(v)
 
-    ordered = chain if u_side == "prev" else list(reversed(chain))
-    verts = list(p.vertices)
-    new_verts = verts[:i] + ordered + verts[i + 1:]
+    # chop j moves eps_j along the u side and eps_j / q_j along w; put the
+    # old vertices and every move over one denominator and chain in ints
+    steps = []  # eps_j / q_j in lowest terms
+    for e, qj in zip(eps, qs):
+        g = math.gcd(e.numerator, qj)
+        steps.append((e.numerator // g, e.denominator * (qj // g)))
+    den = math.lcm(p.den, *(sd for _, sd in steps))
+    scale = den // p.den
+    vx, vy = p.ipts[i]
+    vx, vy = vx * scale, vy * scale
+    chain: list[IVec] = []
+    for d, e, (sn, sd) in zip(dirs, eps, steps):
+        ue = e.numerator * (den // e.denominator)
+        wf = sn * (den // sd)
+        chain.append((vx - ue * d[0], vy - ue * d[1]))
+        vx, vy = vx + wf * w[0], vy + wf * w[1]
+    chain.append((vx, vy))
+
+    # reduce to the least common denominator; the kept old vertices share
+    # the factor g0 with p.den, so their scaled coordinates share scale * g0
+    head, tail = p.ipts[:i], p.ipts[i + 1:]
+    g0 = math.gcd(p.den, *_flat(head), *_flat(tail))
+    g = math.gcd(scale * g0, *_flat(chain))
+    if g > 1:
+        den //= g
+        chain = [(x // g, y // g) for x, y in chain]
+    if scale != g:
+        head = tuple((x * scale // g, y * scale // g) for x, y in head)
+        tail = tuple((x * scale // g, y * scale // g) for x, y in tail)
+    ordered = chain if u_side == "prev" else chain[::-1]
+    new_ipts = [*head, *ordered, *tail]
     try:
-        p2 = polygon(new_verts)
+        p2 = _validated(new_ipts, den)
     except InvalidPolygon as exc:
         raise ChopsOverlap(f"chop depths too large at vertex {i}: {exc}") from exc
-    if p2.vertices != tuple(new_verts):
+    if p2.ipts != tuple(new_ipts):
         # canonicalisation must not have reordered anything
         raise ChopsOverlap(f"chop at vertex {i} broke the vertex cycle")
 
@@ -336,9 +389,12 @@ def edge_selfint(p: LatticePolygon, i: int) -> int:
 
 
 def edge_selfints(p: LatticePolygon) -> tuple[int, ...]:
-    out = tuple(edge_selfint(p, i) for i in range(p.n))
-    if sum(out) != 12 - 3 * p.n:
-        raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
+    out = p._cache.get("selfints")
+    if out is None:
+        out = tuple(edge_selfint(p, i) for i in range(p.n))
+        if sum(out) != 12 - 3 * p.n:
+            raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
+        p._cache["selfints"] = out
     return out
 
 
@@ -355,22 +411,22 @@ class PolygonClasses:
     contraction_ids: tuple[int, ...]
 
 
-def assign_classes(p: LatticePolygon, verify: str = "auto") -> PolygonClasses:
+def assign_classes(p: LatticePolygon) -> PolygonClasses:
     """Assign homology classes to edges by contracting (-1) edges to a minimal
     model, then replaying the contractions as blowups.
 
     Contracting the (-1) edge of smallest original index at every step makes
     the basis deterministic. Ends on a triangle (projective plane) or on a
     ruled quadrilateral; each replayed blowup restores one edge as a basis
-    (-1) vector and corrects its two neighbours. verify is "full", "light" or
-    "auto" (full up to rank 16).
+    (-1) vector and corrects its two neighbours. Lengths are carried as
+    integers over p.den throughout.
     """
     sels = edge_selfints(p)
     m = p.n
     entries = [
-        {"id": i, "s": sels[i], "len": p.edge_length(i)} for i in range(m)
+        {"id": i, "s": sels[i], "len": p.length_scaled(i)} for i in range(m)
     ]
-    steps: list[tuple[int, int, int, Fraction]] = []
+    steps: list[tuple[int, int, int, int]] = []
     terminal = ""
     terminal_k = 0
     while True:
@@ -422,7 +478,7 @@ def assign_classes(p: LatticePolygon, verify: str = "auto") -> PolygonClasses:
     rank0 = 1 if terminal == "cp2" else 2
     rank = rank0 + n_steps
     classes: dict[int, list[int]] = {}
-    area_vals: list[Fraction] = [Fraction(0)] * rank
+    area_vals = [0] * rank
     if terminal == "cp2":
         for e in entries:
             classes[e["id"]] = [1] + [0] * (rank - 1)
@@ -449,46 +505,72 @@ def assign_classes(p: LatticePolygon, verify: str = "auto") -> PolygonClasses:
         area_vals[b_idx] = ln
 
     edge_classes = tuple(tuple(classes[i]) for i in range(m))
-    area = AreaForm(tuple(area_vals))
+    area = AreaForm.from_scaled(tuple(area_vals), p.den)
     pc = PolygonClasses(lat, area, edge_classes, terminal, terminal_k,
                         tuple(s[0] for s in steps))
-    _verify_classes(p, sels, pc, verify)
+    _verify_classes(p, sels, pc)
     return pc
 
 
-def _verify_classes(p: LatticePolygon, sels: tuple[int, ...],
-                    pc: PolygonClasses, mode: str) -> None:
+def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses) -> None:
+    """Check squares, adjunction, areas, the anticanonical sum and every
+    pairing between edge classes: 1 for adjacent edges, 0 otherwise."""
     lat, area, cls = pc.lattice, pc.area, pc.edge_classes
     m = p.n
-    if mode == "auto":
-        mode = "full" if lat.rank <= 16 else "light"
-    total = [0] * lat.rank
     for i in range(m):
         if lat.sq(cls[i]) != sels[i]:
             raise LemmaViolated(f"edge {i}: square {lat.sq(cls[i])} != {sels[i]}")
         if lat.adjunction_defect(cls[i]) != 0:
             raise LemmaViolated(f"edge {i}: adjunction defect nonzero")
-        if area.area(cls[i]) != p.edge_length(i):
+        if area.area_scaled(cls[i]) * p.den != p.length_scaled(i) * area.denominator:
             raise LemmaViolated(f"edge {i}: area does not match edge length")
         if lat.pair(cls[i], cls[(i + 1) % m]) != 1:
             raise LemmaViolated(f"edges {i},{(i + 1) % m}: not adjacent in homology")
-        for r in range(lat.rank):
-            total[r] += cls[i][r]
     if lat.canonical is None:
         raise MissingClasses("ledger lattice has no canonical class")
-    if tuple(total) != tuple(-c for c in lat.canonical):
+    if tuple(map(sum, zip(*cls))) != tuple(-c for c in lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
     if lat.sq(lat.canonical) != 9 - (lat.rank - 1):
         raise LemmaViolated("canonical square does not match the rank")
-    if mode == "full":
-        for i in range(m):
-            for j in range(i + 2, m):
-                if i == 0 and j == m - 1:
-                    continue
-                if lat.pair(cls[i], cls[j]) != 0:
-                    raise LemmaViolated(
-                        f"edges {i},{j}: unexpected intersection {lat.pair(cls[i], cls[j])}"
-                    )
+    _check_nonadjacent(lat, cls)
+
+
+def _check_nonadjacent(lat: Lattice, cls: Sequence[Vec]) -> None:
+    """Classes of nonadjacent edges of the cycle cls pair to zero.
+
+    The cp2 gram is diagonal, so only classes sharing a nonzero slot can
+    meet; the ruled-surface gram also links slot 0 with slot 1. Only those
+    pairs are computed: the ledger touches each exceptional slot from at most
+    three edges, so there are O(rank) of them.
+    """
+    m = len(cls)
+    for i, j in sorted(_linked_pairs(lat, cls)):
+        if (j - i) % m in (1, m - 1):
+            continue
+        if lat.pair(cls[i], cls[j]) != 0:
+            raise LemmaViolated(
+                f"edges {i},{j}: unexpected intersection {lat.pair(cls[i], cls[j])}"
+            )
+
+
+def _linked_pairs(lat: Lattice, cls: Sequence[Vec]) -> set[tuple[int, int]]:
+    """Index pairs i < j whose classes the gram matrix can pair nonzero."""
+    if lat.tag not in ("cp2", "hirz"):
+        raise WppError(f"no sparse pairing structure for a {lat.tag} lattice")
+    by_slot: dict[int, list[int]] = {}
+    slots = range(lat.rank)
+    for i, x in enumerate(cls):
+        for s in compress(slots, x):
+            by_slot.setdefault(s, []).append(i)
+    linked = {pair for bucket in by_slot.values() for pair in combinations(bucket, 2)}
+    if lat.tag == "hirz":
+        linked.update(
+            (min(i, j), max(i, j))
+            for i in by_slot.get(0, ())
+            for j in by_slot.get(1, ())
+            if i != j
+        )
+    return linked
 
 
 # --- the six weight presentations ----------------------------------------------
@@ -522,10 +604,10 @@ def presentation(w: WeightTriple, index: int) -> Presentation:
         raise UserInputError(f"presentation index must be 1..6, got {index}")
     table = _presentation_tables(w)[index - 1]
     poly = polygon(list(table.values()))
-    corner_vertex = {}
-    for label, pt in table.items():
-        pt_f = (_fr(pt[0]), _fr(pt[1]))
-        corner_vertex[label] = poly.vertices.index(pt_f)
+    corner_vertex = {
+        label: poly.ipts.index((x * poly.den, y * poly.den))
+        for label, (x, y) in table.items()
+    }
     if poly.area2() != w.a * w.b * w.c:
         raise LemmaViolated(f"presentation {index} has wrong area")
     return Presentation(index, poly, corner_vertex)

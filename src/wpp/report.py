@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .errors import MissingClasses
 from .homlat import NEG_INF
 from .resolution import (
     ResolutionPair,
@@ -97,7 +98,8 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
     rres = ruling_resolution(rp, rd) if rd.case == "Unicuspidal" else None
     w = rp.weights
     lat = rp.lattice
-    assert lat.canonical is not None
+    if lat.canonical is None:
+        raise MissingClasses("resolution lattice has no canonical class")
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "triple": list(rp.weights_input),

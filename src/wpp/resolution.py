@@ -143,7 +143,6 @@ def build_resolution(
     presentation: int = 1,
     schedule: tuple[Fraction, Fraction] | None = None,
     epsilons: dict | None = None,
-    verify: str = "auto",
 ) -> ResolutionPair:
     """Resolve the weighted projective plane with the given weights.
 
@@ -161,7 +160,9 @@ def build_resolution(
     pres = presentation_of(w, presentation)
     poly0 = pres.polygon
 
-    corner_pos = {lab: poly0.vertices[idx] for lab, idx in pres.corner_vertex.items()}
+    # corners as integer points over poly0.den; an unchopped corner sits in
+    # a later polygon at the same point over that polygon's denominator
+    corner_pos = {lab: poly0.ipts[idx] for lab, idx in pres.corner_vertex.items()}
 
     expected = {
         "A": (w.a, w.a_b),
@@ -171,23 +172,17 @@ def build_resolution(
     cur = poly0
     chop_edges: dict[str, list[int]] = {}
     for lab in "ABC":
-        vi = cur.vertices.index(corner_pos[lab])
-        target = CORNER_CYCLE[lab]
-        u_target = primitive(
-            corner_pos[target][0] - corner_pos[lab][0],
-            corner_pos[target][1] - corner_pos[lab][1],
-        )
-        toward_prev = primitive(
-            cur.vertex(vi - 1)[0] - cur.vertex(vi)[0],
-            cur.vertex(vi - 1)[1] - cur.vertex(vi)[1],
-        )
-        toward_next = cur.direction(vi)
-        if u_target == toward_prev:
+        x, y = corner_pos[lab]
+        vi = cur.ipts.index((x * cur.den // poly0.den, y * cur.den // poly0.den))
+        tx, ty = corner_pos[CORNER_CYCLE[lab]]
+        u_target = primitive(tx - x, ty - y)
+        back = cur.direction(vi - 1)
+        if u_target == (-back[0], -back[1]):
             u_side = "prev"
-        elif u_target == toward_next:
+        elif u_target == cur.direction(vi):
             u_side = "next"
         else:
-            raise LemmaViolated(f"corner {lab}: no edge toward {target}")
+            raise LemmaViolated(f"corner {lab}: no edge toward {CORNER_CYCLE[lab]}")
         eps = None if epsilons is None else epsilons.get(lab)
         res = chop_corner(cur, vi, u_side, epsilons=eps, schedule=schedule)
         if res.corner != expected[lab]:
@@ -200,28 +195,27 @@ def build_resolution(
         cur = res.polygon
 
     # connector edge ids by geometry: the unique surviving edge on each
-    # original triangle side
+    # original triangle side, compared over the common denominator
     pos_to_label = {pt: lab for lab, pt in corner_pos.items()}
+    d0, d1 = poly0.den, cur.den
     conn_final: dict[str, int] = {}
     for e in range(3):
-        aa = poly0.vertex(e)
-        bb = poly0.vertex(e + 1)
+        aa = poly0.ipts[e]
+        bb = poly0.ipts[(e + 1) % 3]
         name = CONNECTOR_OF_PAIR[frozenset({pos_to_label[aa], pos_to_label[bb]})]
-        seg_dir = primitive(bb[0] - aa[0], bb[1] - aa[1])
-        hits = []
-        for i in range(cur.n):
-            d = cur.direction(i)
-            if d != seg_dir and d != (-seg_dir[0], -seg_dir[1]):
-                continue
-            va = cur.vertex(i)
-            if (va[0] - aa[0]) * seg_dir[1] == (va[1] - aa[1]) * seg_dir[0]:
-                hits.append(i)
+        sx, sy = primitive(bb[0] - aa[0], bb[1] - aa[1])
+        hits = [
+            i
+            for i, (d, va) in enumerate(zip(cur.directions, cur.ipts))
+            if (d == (sx, sy) or d == (-sx, -sy))
+            and (va[0] * d0 - aa[0] * d1) * sy == (va[1] * d0 - aa[1] * d1) * sx
+        ]
         if len(hits) != 1:
             raise LemmaViolated(f"connector {name}: {len(hits)} candidate edges")
         conn_final[name] = hits[0]
 
     sels = edge_selfints(cur)
-    pc = assign_classes(cur, verify=verify)
+    pc = assign_classes(cur)
     lat, area, classes = pc.lattice, pc.area, pc.edge_classes
     if lat.tag == "hirz":
         lat2, t_mat, t_inv = to_cp2(lat)
@@ -230,7 +224,7 @@ def build_resolution(
         for i in range(cur.n):
             if lat2.sq(classes[i]) != sels[i]:
                 raise LemmaViolated("basis conversion broke a self-intersection")
-            if area.area(classes[i]) != cur.edge_length(i):
+            if area.area_scaled(classes[i]) * cur.den != cur.length_scaled(i) * area.denominator:
                 raise LemmaViolated("basis conversion broke an area")
         lat = lat2
 

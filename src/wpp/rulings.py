@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import weight_sequence
-from .errors import LemmaViolated, NoSignChange, WppError
+from .errors import LemmaViolated, MissingClasses, NoSignChange, WppError
 from .homlat import Vec
 from .resolution import ResolutionPair
 from .strings import (
@@ -100,7 +100,8 @@ class CombinedString:
             if el.role != self.target:
                 count += 1
                 continue
-            assert el.stored_index is not None
+            if el.stored_index is None:
+                raise MissingClasses(f"string component {el.name} has no stored index")
             keep = el.stored_index <= nu if self.direction == "forward" else el.stored_index >= nu
             if keep:
                 count += 1
@@ -270,7 +271,8 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
                           None, fwd, bwd, tuple(violations))
 
     nu_a, nu_b = fwd.nu, bwd.nu
-    assert nu_a is not None and nu_b is not None
+    if nu_a is None or nu_b is None:
+        raise LemmaViolated(f"sign change approaching {target} has no index")
     # independent route: definiteness scanning over truncations
     if (nu_a, nu_b) != nu_indices(rp, target):
         fail("nu_scan", "truncation scan disagrees with the sign-change indices")
@@ -278,9 +280,9 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     if fwd.fiber != bwd.fiber:
         fail("fiber_mismatch", "forward and backward fibers differ")
     fiber = fwd.fiber
-    assert fiber is not None
     p, q = fwd.p, fwd.q
-    assert p is not None and q is not None
+    if fiber is None or p is None or q is None:
+        raise MissingClasses(f"sign change approaching {target} has no fiber data")
 
     if s_opp >= 0:
         case = "EmbeddedFiber"
@@ -369,12 +371,14 @@ def ruling_resolution(rp: ResolutionPair, rd: RulingData) -> RulingResolution:
     if rd.violations:
         raise WppError(f"ruling data carries violations {rd.violations}")
     fwd = rd.forward
-    assert fwd.sign_change is not None
+    if fwd.sign_change is None:
+        raise LemmaViolated("Unicuspidal ruling has no forward sign change")
     cs = fwd.combined
     cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
                        validate=False)
     rf = resolution_fiber_class(cfg, fwd.sign_change)
-    assert rd.pa is not None and rd.qa is not None
+    if rd.pa is None or rd.qa is None:
+        raise MissingClasses("Unicuspidal ruling has no cusp fraction")
     if rf.multiplicities != weight_sequence(rd.pa, rd.qa):
         raise LemmaViolated("resolution multiplicities differ from the weight sequence")
     lat2 = rf.config.lattice

@@ -259,6 +259,13 @@ class TestAreaForm:
         with pytest.raises(RankMismatch):
             a.area((1, 2))
 
+    @given(st.lists(st.integers(-500, 500), max_size=6), st.integers(1, 360))
+    def test_from_scaled_matches_fraction_values(self, ints, den):
+        a = AreaForm.from_scaled(ints, den)
+        b = AreaForm(tuple(Fraction(v, den) for v in ints))
+        assert a == b
+        assert (a.values, a._ints, a.denominator) == (b.values, b._ints, b.denominator)
+
     @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=5))
     def test_scaled_orders_match(self, vals):
         a = AreaForm(tuple(vals))

@@ -208,7 +208,7 @@ class TestAssignClasses:
     def test_classes_reproduce_intersections(self):
         pres = presentation(W235, 1)
         cur, _ = chop_all_corners(W235, pres)
-        pc = assign_classes(cur, verify="full")
+        pc = assign_classes(cur)
         lat = pc.lattice
         sels = edge_selfints(cur)
         m = cur.n
