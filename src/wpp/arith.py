@@ -49,13 +49,6 @@ class WeightTriple:
     c_a: int
     c_b: int
 
-    def weights(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
-
-    def residue(self, x: str, y: str) -> int:
-        """Residue of weight x oriented by weight y, by role name ('a','b','c')."""
-        return getattr(self, f"{x}_{y}")
-
 
 def _residue(x: int, y: int, z: int) -> int:
     # unique r in (0, x) with r*y == z mod x; x >= 2 and gcd(x, y) = 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -188,45 +189,46 @@ def generic_lattice(gram: Sequence[Sequence[int]], canonical: Vec | None = None)
     return Lattice("generic", r, gram=g, canonical=canonical)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AreaForm:
-    """Symplectic area functional: exact rational value on each basis vector."""
+    """Symplectic area functional: exact rational value on each basis vector,
+    stored as integers _ints over one common denominator _den in lowest terms."""
 
-    values: tuple[Fraction, ...]
-    _den: int = field(init=False, compare=False, repr=False, default=1)
-    _ints: tuple[int, ...] = field(init=False, compare=False, repr=False, default=())
+    _ints: tuple[int, ...]
+    _den: int
 
-    def __post_init__(self) -> None:
-        den = math.lcm(*(v.denominator for v in self.values)) if self.values else 1
-        ints = tuple(int(v * den) for v in self.values)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_ints", ints)
+    def __init__(self, values: Sequence[Fraction]) -> None:
+        den = math.lcm(*(v.denominator for v in values)) if values else 1
+        self._reduce([v.numerator * (den // v.denominator) for v in values], den)
 
     @classmethod
     def from_scaled(cls, ints: Sequence[int], den: int) -> "AreaForm":
         """The form with values ints[i] / den, built without Fraction arithmetic."""
-        g = math.gcd(den, *ints)
-        if g > 1:
-            ints = [v // g for v in ints]
-            den //= g
         form = object.__new__(cls)
-        object.__setattr__(form, "values", tuple(Fraction(v, den) for v in ints))
-        object.__setattr__(form, "_den", den)
-        object.__setattr__(form, "_ints", tuple(ints))
+        form._reduce(ints, den)
         return form
+
+    def _reduce(self, ints: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *ints)
+        object.__setattr__(self, "_ints", tuple(v // g for v in ints))
+        object.__setattr__(self, "_den", den // g)
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._den) for v in self._ints)
 
     @property
     def rank(self) -> int:
-        return len(self.values)
+        return len(self._ints)
 
     def area(self, x: Vec) -> Fraction:
-        if len(x) != len(self.values):
+        if len(x) != len(self._ints):
             raise RankMismatch("class has wrong length for area form")
         return Fraction(dot(self._ints, x), self._den)
 
     def area_scaled(self, x: Vec) -> int:
         """Integer area in units of 1/denominator; orders match .area exactly."""
-        if len(x) != len(self.values):
+        if len(x) != len(self._ints):
             raise RankMismatch("class has wrong length for area form")
         return dot(self._ints, x)
 

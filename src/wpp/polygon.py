@@ -582,9 +582,6 @@ class Presentation:
     polygon: LatticePolygon
     corner_vertex: dict  # label "A"|"B"|"C" -> vertex index
 
-    def vertex_of(self, label: str) -> int:
-        return self.corner_vertex[label]
-
 
 def _presentation_tables(w: WeightTriple) -> list[dict]:
     a, b, c = w.a, w.b, w.c

@@ -83,10 +83,6 @@ class StringData:
     edge_ids: tuple[int, ...]  # final polygon edges, expansion order
     selfints: tuple[int, ...]
 
-    @property
-    def string(self) -> OrientedString:
-        return OrientedString(self.selfints)
-
 
 @dataclass(frozen=True)
 class ConnectorData:

@@ -92,55 +92,44 @@ class CombinedString:
     def labels(self) -> tuple[str, ...]:
         return tuple(el.name for el in self.elements)
 
-    def target_prefix_length(self, nu: int) -> int:
-        """Length of the truncation that keeps target components with stored
-        index <= nu (forward) or >= nu (backward)."""
-        count = 0
-        for el in self.elements:
-            if el.role != self.target:
-                count += 1
-                continue
-            if el.stored_index is None:
-                raise MissingClasses(f"string component {el.name} has no stored index")
-            keep = el.stored_index <= nu if self.direction == "forward" else el.stored_index >= nu
-            if keep:
-                count += 1
-        return count
 
+def _chains(cycle: tuple[CycleElement, ...], target: str) -> tuple[CombinedString, CombinedString]:
+    """Both approach chains toward target, cut from one path.
 
-def _combined(rp: ResolutionPair, target: str, direction: str) -> CombinedString:
-    cycle = boundary_elements(rp)
-    m = len(cycle)
-    opp = OPPOSITE_CONNECTOR[target]
+    The path is the cycle without the opposite connector, read from just after
+    it. The forward chain is the path cut after the target string's last
+    component; the backward chain is the reversed path cut after its first.
+    """
+    opp = OPPOSITE_CONNECTOR.get(target)
+    if opp is None:
+        raise WppError(f"target must be one of a, b, c, got {target!r}")
     start = next(i for i, el in enumerate(cycle) if el.name == opp)
-    k_t = len(rp.strings[target].edge_ids)
-    elements: list[CycleElement] = []
-    if direction == "forward":
-        i = start + 1
-        while True:
-            el = cycle[i % m]
-            elements.append(el)
-            if el.role == target and el.stored_index == k_t:
-                break
-            i += 1
-    else:
-        i = start - 1
-        while True:
-            el = cycle[i % m]
-            elements.append(el)
-            if el.role == target and el.stored_index == 1:
-                break
-            i -= 1
-    return CombinedString(direction, target, tuple(elements))
+    path = cycle[start + 1:] + cycle[:start]
+    hits = [i for i, el in enumerate(path) if el.role == target]
+    return (CombinedString("forward", target, path[: hits[-1] + 1]),
+            CombinedString("backward", target, path[hits[0]:][::-1]))
 
 
 def combined_strings(rp: ResolutionPair, target: str = "c") -> tuple[CombinedString, CombinedString]:
     """The two approach chains for a target string: walking the cycle forward
     and backward from the opposite connector. The backward walk traverses the
     other strings in reversed orientation."""
-    if target not in ("a", "b", "c"):
-        raise WppError(f"target must be one of a, b, c, got {target!r}")
-    return _combined(rp, target, "forward"), _combined(rp, target, "backward")
+    return _chains(boundary_elements(rp), target)
+
+
+def _nu_scan(chains: tuple[CombinedString, CombinedString]) -> tuple[int, int]:
+    """Stored index of the first target component, along each chain, whose
+    truncation of the chain there is not negative definite."""
+    out = []
+    for cs in chains:
+        sels = cs.selfints
+        nus = (el.stored_index for k, el in enumerate(cs.elements, start=1)
+               if el.role == cs.target and not is_negative_definite(sels[:k]))
+        nu = next(nus, None)
+        if nu is None:
+            raise NoSignChange(f"every truncation toward {cs.target} is negative definite")
+        out.append(nu)
+    return out[0], out[1]
 
 
 def nu_indices(rp: ResolutionPair, target: str = "c") -> tuple[int, int]:
@@ -151,23 +140,7 @@ def nu_indices(rp: ResolutionPair, target: str = "c") -> tuple[int, int]:
     nu for which the backward chain truncated from stored index nu up is not
     negative definite. Both point into the same stored numbering.
     """
-    fwd, bwd = combined_strings(rp, target)
-    k_t = len(rp.strings[target].edge_ids)
-    nu_fwd = None
-    for nu in range(1, k_t + 1):
-        sels = fwd.selfints[: fwd.target_prefix_length(nu)]
-        if not is_negative_definite(sels):
-            nu_fwd = nu
-            break
-    nu_bwd = None
-    for nu in range(k_t, 0, -1):
-        sels = bwd.selfints[: bwd.target_prefix_length(nu)]
-        if not is_negative_definite(sels):
-            nu_bwd = nu
-            break
-    if nu_fwd is None or nu_bwd is None:
-        raise NoSignChange(f"every truncation toward {target} is negative definite")
-    return nu_fwd, nu_bwd
+    return _nu_scan(combined_strings(rp, target))
 
 
 @dataclass(frozen=True)
@@ -175,6 +148,7 @@ class ApproachData:
     """Sign-change data of one approach chain."""
 
     combined: CombinedString
+    config: DivisorConfig  # the chain with its classes
     deltas: tuple[int, ...]
     sign_change: int | None  # count of leading positive minors
     nu: int | None  # stored index of the chain node, when it lies in the target
@@ -185,11 +159,12 @@ class ApproachData:
 
 
 def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
-    sels = cs.selfints
-    ds = delta_sequence(sels)
+    cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
+                       validate=False)
+    ds = delta_sequence(cs.selfints)
     big_k = ds.first_sign_change()
     if big_k is None:
-        return ApproachData(cs, ds.deltas, None, None, False, None, None, None)
+        return ApproachData(cs, cfg, ds.deltas, None, None, False, None, None, None)
     node = cs.elements[big_k - 1]
     nu = node.stored_index if node.role == cs.target else None
     in_range = (
@@ -197,10 +172,8 @@ def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
         and big_k < len(cs.elements)
         and cs.elements[big_k].role == cs.target
     )
-    cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
-                       validate=False)
     fd = fiber_class(cfg, big_k)
-    return ApproachData(cs, ds.deltas, big_k, nu, in_range, fd.fclass, fd.p, fd.q)
+    return ApproachData(cs, cfg, ds.deltas, big_k, nu, in_range, fd.fclass, fd.p, fd.q)
 
 
 @dataclass(frozen=True)
@@ -244,12 +217,12 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     For the permuted targets the same data is computed and any failed claim is
     recorded in violations instead of raised.
     """
-    fwd_cs, bwd_cs = combined_strings(rp, target)
+    cycle = boundary_elements(rp)
+    chains = _chains(cycle, target)
     strict = target == "c"
     opp = OPPOSITE_CONNECTOR[target]
     s_opp = rp.connectors[opp].selfint
-    fwd = _approach(rp, fwd_cs)
-    bwd = _approach(rp, bwd_cs)
+    fwd, bwd = (_approach(rp, cs) for cs in chains)
     violations: list[str] = []
 
     def fail(tag: str, msg: str) -> None:
@@ -274,7 +247,7 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     if nu_a is None or nu_b is None:
         raise LemmaViolated(f"sign change approaching {target} has no index")
     # independent route: definiteness scanning over truncations
-    if (nu_a, nu_b) != nu_indices(rp, target):
+    if (nu_a, nu_b) != _nu_scan(chains):
         fail("nu_scan", "truncation scan disagrees with the sign-change indices")
 
     if fwd.fiber != bwd.fiber:
@@ -312,7 +285,7 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
         fail("area", "fiber class has nonpositive area")
 
     profile_ok = True
-    for el in boundary_elements(rp):
+    for el in cycle:
         want = 0
         if el.name == opp:
             want = 1
@@ -373,16 +346,13 @@ def ruling_resolution(rp: ResolutionPair, rd: RulingData) -> RulingResolution:
     fwd = rd.forward
     if fwd.sign_change is None:
         raise LemmaViolated("Unicuspidal ruling has no forward sign change")
-    cs = fwd.combined
-    cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
-                       validate=False)
-    rf = resolution_fiber_class(cfg, fwd.sign_change)
+    rf = resolution_fiber_class(fwd.config, fwd.sign_change)
     if rd.pa is None or rd.qa is None:
         raise MissingClasses("Unicuspidal ruling has no cusp fraction")
     if rf.multiplicities != weight_sequence(rd.pa, rd.qa):
         raise LemmaViolated("resolution multiplicities differ from the weight sequence")
     lat2 = rf.config.lattice
-    chain_names = {el.name for el in cs.elements}
+    chain_names = {el.name for el in fwd.combined.elements}
     for el in boundary_elements(rp):
         if el.name in chain_names:
             continue

@@ -46,17 +46,25 @@ def coprime_triples(max_c: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _check_names(checks: tuple[str, ...]) -> None:
+    for name in checks:
+        if name not in CHECK_CHOICES:
+            raise UserInputError(f"unknown check {name!r}")
+
+
 def check_triple(
     triple: tuple[int, int, int],
     checks: tuple[str, ...] = ("all",),
     schedule: tuple[Fraction, Fraction] | None = None,
 ) -> dict:
-    """Verify one triple across all six presentations; never raises.
+    """Verify one triple across all six presentations.
 
-    A WppError is recorded as a violation under its class name; any other
-    exception is a fault of the program and is recorded as "internal: ...",
-    so one bad triple cannot abort a scan.
+    An unknown check name raises UserInputError before any check runs. After
+    that nothing raises: a WppError is recorded as a violation under its class
+    name; any other exception is a fault of the program and is recorded as
+    "internal: ...", so one bad triple cannot abort a scan.
     """
+    _check_names(checks)
     a, b, c = triple
     do = set(CHECK_CHOICES[1:]) if "all" in checks else set(checks)
     run_extra = "all" in checks
@@ -129,9 +137,7 @@ def run_scan(
     checks: tuple[str, ...] = ("all",),
     schedule: tuple[Fraction, Fraction] | None = None,
 ) -> dict:
-    for name in checks:
-        if name not in CHECK_CHOICES:
-            raise UserInputError(f"unknown check {name!r}")
+    _check_names(checks)
     triples = coprime_triples(max_c)
     tasks = [(t, tuple(checks), schedule) for t in triples]
     if jobs == 1 or len(tasks) < 4:

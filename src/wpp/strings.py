@@ -195,9 +195,6 @@ class DivisorConfig:
                         f"components {i},{j} pair to {self.pair(i, j)}, expected {expected}"
                     )
 
-    def as_string(self) -> OrientedString:
-        return OrientedString(self.selfints())
-
 
 def chain_config(lattice: Lattice, classes: list[Vec], labels: list[str] | None = None,
                  validate: bool = True) -> DivisorConfig:
@@ -245,8 +242,20 @@ def _pad(x: Vec, rank: int) -> Vec:
     return x + (0,) * (rank - len(x))
 
 
-def _embed_all(cfg: DivisorConfig, lat2: Lattice) -> list[Component]:
-    return [Component(c.label, _pad(c.cls, lat2.rank)) for c in cfg.components]
+def _blowup(cfg: DivisorConfig, hit: tuple[int, ...], pos: int | None,
+            label: str | None) -> MoveResult:
+    """Grow the lattice by a fresh (-1) vector e, pad every component, subtract
+    e from the hit components and, unless pos is None, insert a sphere of
+    class e at pos, labelled e<index> when no label is given."""
+    lat2 = cfg.lattice.blowup()
+    t = lat2.rank - 1
+    e = unit(lat2.rank, t)
+    comps = [Component(c.label, _pad(c.cls, lat2.rank)) for c in cfg.components]
+    for i in hit:
+        comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
+    if pos is not None:
+        comps.insert(pos, Component(f"e{t}" if label is None else label, e))
+    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
 
 
 def toric_blowup(cfg: DivisorConfig, i: int, j: int, label: str | None = None) -> MoveResult:
@@ -260,22 +269,7 @@ def toric_blowup(cfg: DivisorConfig, i: int, j: int, label: str | None = None) -
         raise BadIndex(f"bad component pair ({i}, {j})")
     if cfg.pair(i, j) != 1:
         raise NotAdjacent(f"components {i} and {j} do not meet once")
-    lat2 = cfg.lattice.blowup()
-    t = lat2.rank - 1
-    comps = _embed_all(cfg, lat2)
-    e = unit(lat2.rank, t)
-    comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
-    comps[j] = Component(comps[j].label, vsub(comps[j].cls, e))
-    if label is None:
-        label = f"e{t}"
-    if j == i + 1:
-        pos = j
-    elif i == j + 1:
-        pos = i
-    else:
-        pos = n
-    comps.insert(pos, Component(label, e))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
+    return _blowup(cfg, (i, j), max(i, j) if abs(i - j) == 1 else n, label)
 
 
 def half_toric_blowup(cfg: DivisorConfig, i: int, label: str | None = None) -> MoveResult:
@@ -283,29 +277,14 @@ def half_toric_blowup(cfg: DivisorConfig, i: int, label: str | None = None) -> M
     n = len(cfg.components)
     if not 0 <= i < n:
         raise BadIndex(f"bad component index {i}")
-    lat2 = cfg.lattice.blowup()
-    t = lat2.rank - 1
-    comps = _embed_all(cfg, lat2)
-    e = unit(lat2.rank, t)
-    comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
-    if label is None:
-        label = f"e{t}"
-    pos = 0 if i == 0 else len(comps)
-    comps.insert(pos, Component(label, e))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
+    return _blowup(cfg, (i,), 0 if i == 0 else n, label)
 
 
 def non_toric_blowup(cfg: DivisorConfig, i: int) -> MoveResult:
     """Blow up a free point of component i without recording the new sphere."""
-    n = len(cfg.components)
-    if not 0 <= i < n:
+    if not 0 <= i < len(cfg.components):
         raise BadIndex(f"bad component index {i}")
-    lat2 = cfg.lattice.blowup()
-    t = lat2.rank - 1
-    comps = _embed_all(cfg, lat2)
-    e = unit(lat2.rank, t)
-    comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, None)
+    return _blowup(cfg, (i,), None, None)
 
 
 def exterior_blowup(cfg: DivisorConfig, include_component: bool = False,
@@ -315,16 +294,7 @@ def exterior_blowup(cfg: DivisorConfig, include_component: bool = False,
     include_component decides whether the free (-1) sphere joins the
     configuration or only the lattice grows.
     """
-    lat2 = cfg.lattice.blowup()
-    t = lat2.rank - 1
-    comps = _embed_all(cfg, lat2)
-    pos: int | None = None
-    if include_component:
-        if label is None:
-            label = f"e{t}"
-        pos = len(comps)
-        comps.append(Component(label, unit(lat2.rank, t)))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
+    return _blowup(cfg, (), len(cfg.components) if include_component else None, label)
 
 
 def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Vec]]:
