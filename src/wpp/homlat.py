@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import mul
 from typing import Sequence
 
@@ -263,10 +263,21 @@ class ExcSearch:
     complete is True only when the degree range certified by Cauchy-Schwarz
     fits inside the coefficient bound (possible only for b2 - 1 <= 8); then
     the returned set is exactly the set of solutions, not just a sample.
+
+    nodes is the number of search-tree nodes visited: calls of the recursion
+    over the exceptional slots, summed over the degrees tried. It is a work
+    count, the same on every run for fixed inputs, and takes no part in
+    equality. Each condition the search enforces is a functional g with
+    offset + g.x >= 0; a node with m open slots, whose coefficients must sum
+    to s with squares summing to q, is dropped when g has reached a value v
+    there with L = m v + G1 s < 0 and L^2 > (m G2 - G1^2)(m q - s^2), G1 and
+    G2 being the sums of g and g^2 over the open slots (at m = 0: when
+    v < 0). _cp2_exceptional_raw derives this bound.
     """
 
     classes: tuple[Vec, ...]
     complete: bool
+    nodes: int = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -276,12 +287,12 @@ class GapResult:
     witness: Vec | None
 
 
-_FEASIBLE_CACHE: dict[int, list[set[int]]] = {}
-_CANDIDATE_CACHE: dict[int, dict[int, tuple[tuple[int, int, int], ...]]] = {}
+_FEASIBLE_CACHE: dict[int, list[dict[int, int]]] = {}
+_CANDIDATE_CACHE: dict[int, dict[int, tuple[tuple[int, int, int, int], ...]]] = {}
 
 
 def _check_key_bounds(n: int, coeff_bound: int) -> None:
-    """Reject searches whose states overflow the packed integer keys.
+    """Reject searches whose states overflow the packed candidate-cache keys.
 
     A key packs the remaining square-sum, at most coeff_bound^2 + 1, into 10
     bits; that is below 1024 exactly for coeff_bound <= 31. The remaining sum
@@ -298,26 +309,23 @@ def _check_key_bounds(n: int, coeff_bound: int) -> None:
         )
 
 
-def _feasible_states(coeff_bound: int, max_slots: int) -> list[set[int]]:
-    """F[k] = encoded (sum, square-sum) pairs reachable with exactly k
-    coefficients bounded by coeff_bound, square-sum capped at coeff_bound^2+1.
+def _feasible_states(coeff_bound: int, max_slots: int) -> list[dict[int, int]]:
+    """F[k] maps each sum s of exactly k coefficients bounded by coeff_bound
+    to a bit mask over square-sums: bit q is set when some such k
+    coefficients have sum s and square-sum q, for q <= coeff_bound^2 + 1.
 
-    Keys are ((sum + 512) << 10) | square_sum; membership is the exact
-    completability test for the recursion below, much sharper than the
-    Cauchy-Schwarz bound it replaces.
+    (F[k].get(s, 0) >> q) & 1 is the exact completability test for the
+    recursion below. One int per sum keeps a layer to a few hundred bytes.
     """
-    qmax = coeff_bound * coeff_bound + 1
-    layers = _FEASIBLE_CACHE.setdefault(coeff_bound, [{(512 << 10) | 0}])
+    full = (1 << (coeff_bound * coeff_bound + 2)) - 1
+    layers = _FEASIBLE_CACHE.setdefault(coeff_bound, [{0: 1}])
     while len(layers) <= max_slots:
-        prev = layers[-1]
-        nxt: set[int] = set()
-        for key in prev:
-            s_enc = key >> 10
-            q = key & 1023
+        nxt: dict[int, int] = {}
+        for s, mask in layers[-1].items():
             for c in range(-coeff_bound, coeff_bound + 1):
-                q2 = q + c * c
-                if q2 <= qmax:
-                    nxt.add(((s_enc + c) << 10) | q2)
+                shifted = (mask << (c * c)) & full
+                if shifted:
+                    nxt[s + c] = nxt.get(s + c, 0) | shifted
         layers.append(nxt)
     return layers
 
@@ -325,16 +333,32 @@ def _feasible_states(coeff_bound: int, max_slots: int) -> list[set[int]]:
 def _cp2_exceptional_raw(
     n: int,
     coeff_bound: int,
-    constraints: Sequence[Vec] | None = None,
-    raw_funcs: Sequence[tuple[int, tuple[int, ...]]] | None = None,
-) -> tuple[list[Vec], bool]:
+    funcs: Sequence[tuple[int, Sequence[int]]] = (),
+) -> tuple[list[Vec], bool, int]:
     """All (d, c_1..c_n) with d^2 - sum c^2 = -1 and -3d - sum c = -1, |coeffs| <= bound.
 
-    Each constraint is a class the solutions must pair nonnegatively with;
-    raw_funcs are (offset, coefficients) pairs required to satisfy
-    offset + dot(coefficients, x) >= 0 on the raw coordinate vector. Both are
-    enforced inside the recursion with a remaining-budget bound, which prunes
-    the search far below the unconstrained tree.
+    funcs are (offset, g) pairs; every solution x satisfies offset + g.x >= 0.
+    They are enforced inside the recursion, which drops a node as soon as no
+    completion of its prefix can satisfy one of them. Returns the sorted
+    solutions, the complete flag and the number of nodes visited.
+
+    The pruning bound. At a node m exceptional slots are still open, and the
+    two equations fix the sum s and the square-sum q of their coefficients.
+    Let v be the value a functional has reached (offset included) and G1, G2
+    the sums of its coefficients and of their squares over the open slots,
+    zero coefficients counted. Write the open coefficients as c = (s/m)1 + u
+    with u orthogonal to 1; then |u|^2 = q - s^2/m, and g.c = s G1/m + g'.u
+    with g' = g - (G1/m)1, |g'|^2 = G2 - G1^2/m. By Cauchy-Schwarz, the
+    largest value of g.c over real c with these two sums is
+        s G1/m + sqrt((G2 - G1^2/m)(q - s^2/m)),
+    so no completion, integral or not, reaches v + g.c >= 0 when (times m)
+        L = m v + G1 s < 0   and   L^2 > (m G2 - G1^2)(m q - s^2).
+    That is the test below, in exact integers. It is never weaker than the
+    plain Cauchy-Schwarz test v^2 > G2 q, which ignores the fixed sum. When
+    m = 0 the value is final and the node is dropped iff v < 0; the formula
+    reads 0 > 0 there and would keep every node, so that case is a branch of
+    its own. Past the end of a functional's support G1 = G2 = 0 and the test
+    is v < 0 as well, exactly.
     """
     found: list[Vec] = []
     feasible_d: list[int] = []
@@ -348,24 +372,14 @@ def _cp2_exceptional_raw(
         cmax = max((math.isqrt(d * d + 1) for d in feasible_d), default=0)
         complete = cmax <= coeff_bound
 
-    # unify both kinds into (offset, coefficient-vector) form; pairing against
-    # (d, c_1..c_n) in the standard diagonal form enters the d slot positively
-    # and every exceptional slot negatively
-    offsets: list[int] = []
-    funcs: list[tuple[int, ...]] = []
-    for f in constraints or ():
-        offsets.append(0)
-        funcs.append((f[0],) + tuple(-v for v in f[1:]))
-    for off, coeffs in raw_funcs or ():
-        offsets.append(off)
-        funcs.append(tuple(coeffs))
-
+    offsets = [off for off, _g in funcs]
+    gs = [tuple(g) for _off, g in funcs]
     # assign slots in an order that closes constraint supports early: greedily
     # take the functional with the fewest unplaced slots and place its support
     # next, so its exact end-of-support rejection fires high in the tree
     order = list(range(1, n + 1))
-    if funcs:
-        remaining = [set(p for p in range(1, n + 1) if g[p]) for g in funcs]
+    if gs:
+        remaining = [set(p for p in range(1, n + 1) if g[p]) for g in gs]
         placed: list[int] = []
         placed_set: set[int] = set()
         while True:
@@ -380,80 +394,92 @@ def _cp2_exceptional_raw(
                     r.discard(p)
         placed.extend(p for p in range(1, n + 1) if p not in placed_set)
         order = placed
-        funcs = [
-            (g[0],) + tuple(g[order[j]] for j in range(n)) for g in funcs
-        ]
-    # sum_sq[fi][p]: total squared coefficient mass of slots p..n; by
-    # Cauchy-Schwarz the unassigned slots can lower a running value by at most
-    # sqrt(sum_sq * remaining-square-budget), and the test value^2 > sum_sq * q
-    # is exact integer arithmetic, with sum_sq = 0 an exact test at support end
-    sum_sq: list[list[int]] = []
-    for g in funcs:
-        tails = [0] * (n + 2)
-        for i in range(n, 0, -1):
-            tails[i] = tails[i + 1] + g[i] * g[i]
-        sum_sq.append(tails)
-    # only functionals with a nonzero coefficient at a slot need their running
-    # value updated there; ones that are merely "still open" get re-checked at
-    # their next nonzero slot, which keeps the exact end-of-support rejection
-    active: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 2)]
-    for fi, g in enumerate(funcs):
-        for pos in range(1, n + 1):
-            if g[pos]:
-                active[pos].append((fi, g[pos], sum_sq[fi][pos + 1]))
-    partial = [0] * len(funcs)
+        gs = [(g[0],) + tuple(g[order[j]] for j in range(n)) for g in gs]
+    # active[pos]: (index, coefficient, G1, m G2 - G1^2) for each functional
+    # with a nonzero coefficient at slot pos, the tails taken over the m = n -
+    # pos slots after it; heads: the same tails over all n slots, for the d
+    # level. A functional is tested only where its coefficient is nonzero:
+    # its value moves only there, and its last nonzero slot carries the exact
+    # end-of-support test
+    active: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n + 2)]
+    heads: list[tuple[int, int]] = []
+    for fi, g in enumerate(gs):
+        g1 = g2 = 0
+        for pos in range(n, 0, -1):
+            gv = g[pos]
+            if gv:
+                active[pos].append((fi, gv, g1, (n - pos) * g2 - g1 * g1))
+                g1 += gv
+                g2 += gv * gv
+        heads.append((g1, n * g2 - g1 * g1))
+    partial = [0] * len(gs)
+    nodes = 0
 
     layers = _feasible_states(coeff_bound, n)
+    # candidates at (slots, srem, qrem): (c, s, q, m q - s^2) for each
+    # completable coefficient c, with s, q the sums left for the m = slots - 1
+    # slots after it
     cand_cache = _CANDIDATE_CACHE.setdefault(coeff_bound, {})
 
     def rec(i: int, srem: int, qrem: int, prefix: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
         if i == n:
             if srem == 0 and qrem == 0:
                 found.append(tuple(prefix))
             return
         slots = n - i
+        m = slots - 1
         key = (slots << 20) | ((srem + 512) << 10) | qrem
         cands = cand_cache.get(key)
         if cands is None:
-            feas = layers[slots - 1]
-            s_base = srem + 512
+            feas = layers[m]
             lim = min(coeff_bound, math.isqrt(qrem))
             out = []
             for c in range(lim, -lim - 1, -1):
                 q2 = qrem - c * c
-                if ((s_base - c) << 10) | q2 in feas:
-                    out.append((c, q2))
+                s2 = srem - c
+                if (feas.get(s2, 0) >> q2) & 1:
+                    out.append((c, s2, q2, m * q2 - s2 * s2))
             cands = tuple(out)
             cand_cache[key] = cands
         touched = active[i + 1]  # slot being assigned
-        for c, q2 in cands:
+        for c, s2, q2, w in cands:
             ok = True
-            for fi, gv, sqtail in touched:
+            for fi, gv, g1, disc in touched:
                 value = partial[fi] + gv * c
                 partial[fi] = value
-                if value < 0 and value * value > sqtail * q2:
+                if m:
+                    lin = m * value + g1 * s2
+                    if lin < 0 and lin * lin > disc * w:
+                        ok = False
+                elif value < 0:
                     ok = False
             if ok:
                 prefix.append(c)
-                rec(i + 1, srem - c, q2, prefix)
+                rec(i + 1, s2, q2, prefix)
                 prefix.pop()
-            for fi, gv, _sqtail in touched:
+            for fi, gv, _g1, _disc in touched:
                 partial[fi] -= gv * c
 
     for d in feasible_d:
         if abs(d) > coeff_bound:
             continue
-        if ((1 - 3 * d + 512) << 10) | (d * d + 1) not in layers[n]:
+        s0, q0 = 1 - 3 * d, d * d + 1
+        # n >= 1 past this test: with no exceptional slot 1 - 3d would be 0
+        if not (layers[n].get(s0, 0) >> q0) & 1:
             continue
-        q0 = d * d + 1
+        w0 = n * q0 - s0 * s0
         skip = False
-        for fi, g in enumerate(funcs):
+        for fi, g in enumerate(gs):
             value = offsets[fi] + g[0] * d
             partial[fi] = value
-            if value < 0 and value * value > sum_sq[fi][1] * q0:
+            g1, disc = heads[fi]
+            lin = n * value + g1 * s0
+            if lin < 0 and lin * lin > disc * w0:
                 skip = True
         if not skip:
-            rec(0, 1 - 3 * d, d * d + 1, [d])
+            rec(0, s0, q0, [d])
     if order != list(range(1, n + 1)):
         remapped = []
         for x in found:
@@ -463,7 +489,12 @@ def _cp2_exceptional_raw(
             remapped.append(tuple(y))
         found = remapped
     found.sort()
-    return found, complete
+    return found, complete, nodes
+
+
+def _pairing_functional(f: Vec) -> Vec:
+    """g with g.x = f.x in the cp2 form: d slot positive, the others negated."""
+    return (f[0],) + tuple(-v for v in f[1:])
 
 
 def enumerate_exceptional(
@@ -472,38 +503,43 @@ def enumerate_exceptional(
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
     constraints: Sequence[Vec] | None = None,
+    meets: Sequence[Vec] | None = None,
 ) -> ExcSearch:
     """Bounded enumeration of classes with square -1 and canonical pairing -1.
 
     With an area form, only classes of positive area (and area <= area_cap if
-    given) are kept. Non-cp2 lattices are converted first when possible.
-    Classes in `constraints` restrict the search to solutions pairing
-    nonnegatively with each of them; passing them here instead of filtering
-    afterwards lets the search prune, which matters above rank 9.
+    given) are kept; a cap without an area form is rejected. Non-cp2 lattices
+    are converted first when possible. Every returned class pairs
+    nonnegatively with each class in `constraints` and at least 1 with each
+    class in `meets`. Both go into the search as functionals instead of
+    filters applied afterwards, so it prunes on them, which matters above
+    rank 9.
     """
+    if area is None and area_cap is not None:
+        raise UserInputError("area_cap needs an area form")
     _check_key_bounds(lat.rank - 1, coeff_bound)
     if lat.tag != "cp2":
         lat2, t_mat, t_inv = to_cp2(lat)
         area2 = transport_area(area, t_inv) if area is not None else None
-        cons2 = (
-            tuple(mat_vec(t_mat, f) for f in constraints) if constraints else None
+        cons2, meets2 = (
+            tuple(mat_vec(t_mat, f) for f in fs) if fs else None
+            for fs in (constraints, meets)
         )
-        inner = enumerate_exceptional(lat2, area2, area_cap, coeff_bound, cons2)
+        inner = enumerate_exceptional(lat2, area2, area_cap, coeff_bound, cons2, meets2)
         back = tuple(mat_vec(t_inv, x) for x in inner.classes)
-        return ExcSearch(tuple(sorted(back)), inner.complete)
+        return ExcSearch(tuple(sorted(back)), inner.complete, inner.nodes)
     if lat.canonical is None or not lat._std_k:
         raise MissingClasses("enumeration needs the standard canonical class")
-    raw_funcs: list[tuple[int, tuple[int, ...]]] = []
+    funcs = [(0, _pairing_functional(f)) for f in constraints or ()]
+    funcs += [(-1, _pairing_functional(f)) for f in meets or ()]
     if area is not None:
         # positive area, and the cap when given, in scaled integer units; the
         # same conditions are re-checked below, these only steer the search
-        raw_funcs.append((-1, tuple(area._ints)))
+        funcs.append((-1, area._ints))
         if area_cap is not None:
             cap_scaled = math.floor(area_cap * area.denominator)
-            raw_funcs.append((cap_scaled, tuple(-v for v in area._ints)))
-    raw, complete = _cp2_exceptional_raw(
-        lat.rank - 1, coeff_bound, constraints, raw_funcs
-    )
+            funcs.append((cap_scaled, tuple(-v for v in area._ints)))
+    raw, complete, nodes = _cp2_exceptional_raw(lat.rank - 1, coeff_bound, funcs)
     if area is not None:
         kept = []
         for x in raw:
@@ -514,7 +550,12 @@ def enumerate_exceptional(
                 continue
             kept.append(x)
         raw = kept
-    return ExcSearch(tuple(raw), complete)
+    return ExcSearch(tuple(raw), complete, nodes)
+
+
+def _check_log(lat: Lattice, classes: Sequence[Vec], component_classes: Sequence[Vec]) -> None:
+    if not all(lat.pair(x, c) >= 0 for x in classes for c in component_classes):
+        raise LemmaViolated("constrained search returned a non-log class")
 
 
 def log_exceptional(
@@ -528,12 +569,8 @@ def log_exceptional(
     base = enumerate_exceptional(
         lat, area, area_cap, coeff_bound, constraints=component_classes
     )
-    kept = tuple(
-        x for x in base.classes if all(lat.pair(x, c) >= 0 for c in component_classes)
-    )
-    if kept != base.classes:
-        raise LemmaViolated("constrained search returned a non-log class")
-    return ExcSearch(kept, base.complete)
+    _check_log(lat, base.classes, component_classes)
+    return base
 
 
 def connecting_log_exceptional(
@@ -545,15 +582,28 @@ def connecting_log_exceptional(
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
 ) -> ExcSearch:
-    """Log exceptional classes meeting both listed groups at least once."""
-    base = log_exceptional(lat, area, component_classes, area_cap, coeff_bound)
-    kept = tuple(
-        x
-        for x in base.classes
-        if sum(lat.pair(x, c) for c in group_i) >= 1
-        and sum(lat.pair(x, c) for c in group_j) >= 1
+    """Log exceptional classes meeting both listed groups at least once.
+
+    A class meets a group when its pairings with the group's classes sum to
+    at least 1, that is, when it pairs at least 1 with the sum of the group.
+    The two sums go into the search as `meets` classes, functionals with
+    offset -1, beside the components as `constraints` with offset 0. So the
+    search prunes on them as on the components, with the bound derived in
+    _cp2_exceptional_raw: a node is dropped once m v + G1 s < 0 and
+    (m v + G1 s)^2 > (m G2 - G1^2)(m q - s^2) for one of them, and no class
+    is enumerated only to be filtered out. Both conditions are re-checked on
+    the result, and a class failing either raises LemmaViolated.
+    """
+    groups = (group_i, group_j)
+    sums = tuple(reduce(vadd, group, zero(lat.rank)) for group in groups)
+    base = enumerate_exceptional(
+        lat, area, area_cap, coeff_bound, constraints=component_classes, meets=sums
     )
-    return ExcSearch(kept, base.complete)
+    _check_log(lat, base.classes, component_classes)
+    for x in base.classes:
+        if not all(sum(lat.pair(x, c) for c in group) >= 1 for group in groups):
+            raise LemmaViolated("connecting search returned a class missing a group")
+    return base
 
 
 def exceptional_gap(

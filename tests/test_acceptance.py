@@ -13,7 +13,7 @@ import random
 import time
 
 from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
-from wpp.homlat import log_exceptional
+from wpp.homlat import connecting_log_exceptional, log_exceptional
 from wpp.resolution import build_resolution
 from wpp.rulings import ruling
 from wpp.scan import coprime_triples, run_scan
@@ -209,6 +209,9 @@ def _connecting_sets_match(w, require_complete: bool) -> None:
         ncls = rp.connector_class(label)
         expected = (ncls,) if lat.sq(ncls) == -1 else ()
         assert kept == expected, (w, label, kept, expected)
+        # the search that prunes on the connecting conditions finds the same set
+        conn = connecting_log_exceptional(lat, area, comp, groups[ri], groups[rj])
+        assert (conn.classes, conn.complete) == (kept, base.complete), (w, label)
 
 
 def test_criterion_5_exceptional_gap_oracle(acceptance_line):
@@ -224,11 +227,13 @@ def test_criterion_5_exceptional_gap_oracle(acceptance_line):
         assert len(small) == 93
         for w in small:
             _connecting_sets_match(w, require_complete=True)
-        # above rank 9 certified-complete enumeration is out of reach, so the
-        # bounded oracle is spot-checked on the three lexicographically first
-        # triples of every string-length total from 9 through 14, plus the
-        # worked large example
-        mid = [w for n in range(9, 15) for w in strata[n][:3]]
+        # above rank 9 the enumeration is bounded, not certified complete; the
+        # bounded oracle runs on every triple with string-length total 9 or
+        # 10, on the three lexicographically first triples of every total
+        # from 11 through 14, and on the worked large example
+        assert len(strata[9]) + len(strata[10]) == 206
+        mid = strata[9] + strata[10]
+        mid += [w for n in range(11, 15) for w in strata[n][:3]]
         mid.append((11, 13, 14))
         for w in mid:
             _connecting_sets_match(w, require_complete=False)

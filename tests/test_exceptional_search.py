@@ -1,0 +1,430 @@
+"""Differential tests: the exceptional-class search against the search it
+replaced.
+
+The reference functions below are copies of the earlier implementation. It
+pruned each functional with the plain Cauchy-Schwarz test v^2 > G2 q, which
+ignores that the open coefficients have a fixed sum, and it found connecting
+classes by enumerating every log class and filtering afterwards. A node
+counter is added to the copy so the two searches' work can be compared.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wpp import homlat
+from wpp.arith import hj_expand, weight_triple
+from wpp.errors import LemmaViolated, UserInputError
+from wpp.homlat import (
+    AreaForm,
+    ExcSearch,
+    _cp2_exceptional_raw,
+    connecting_log_exceptional,
+    cp2_lattice,
+    enumerate_exceptional,
+    exceptional_gap,
+    hirz_lattice,
+    log_exceptional,
+    mat_vec,
+    to_cp2,
+    transport_area,
+)
+from wpp.polygon import assign_classes
+from wpp.resolution import build_resolution
+from wpp.scan import coprime_triples
+
+CONNECTOR_ENDS = {"N_a": ("b", "c"), "N_b": ("a", "c"), "N_c": ("a", "b")}
+
+
+# --- reference: plain Cauchy-Schwarz, connecting filter after the search -------
+
+_REF_FEASIBLE: dict[int, list[set[int]]] = {}
+_REF_CANDIDATES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {}
+
+
+def ref_feasible_states(coeff_bound, max_slots):
+    qmax = coeff_bound * coeff_bound + 1
+    layers = _REF_FEASIBLE.setdefault(coeff_bound, [{(512 << 10) | 0}])
+    while len(layers) <= max_slots:
+        prev = layers[-1]
+        nxt = set()
+        for key in prev:
+            s_enc = key >> 10
+            q = key & 1023
+            for c in range(-coeff_bound, coeff_bound + 1):
+                q2 = q + c * c
+                if q2 <= qmax:
+                    nxt.add(((s_enc + c) << 10) | q2)
+        layers.append(nxt)
+    return layers
+
+
+def ref_raw(n, coeff_bound, constraints=None, raw_funcs=None):
+    """Returns (solutions, complete, nodes)."""
+    found = []
+    feasible_d = []
+    for d in range(-coeff_bound - 8, coeff_bound + 9):
+        if (1 - 3 * d) ** 2 <= n * (d * d + 1):
+            feasible_d.append(d)
+    complete = n <= 8 and all(abs(d) <= coeff_bound for d in feasible_d)
+    if complete:
+        cmax = max((math.isqrt(d * d + 1) for d in feasible_d), default=0)
+        complete = cmax <= coeff_bound
+
+    offsets = []
+    funcs = []
+    for f in constraints or ():
+        offsets.append(0)
+        funcs.append((f[0],) + tuple(-v for v in f[1:]))
+    for off, coeffs in raw_funcs or ():
+        offsets.append(off)
+        funcs.append(tuple(coeffs))
+
+    order = list(range(1, n + 1))
+    if funcs:
+        remaining = [set(p for p in range(1, n + 1) if g[p]) for g in funcs]
+        placed = []
+        placed_set = set()
+        while True:
+            open_funcs = [r for r in remaining if r]
+            if not open_funcs:
+                break
+            best = min(open_funcs, key=len)
+            for p in sorted(best):
+                placed.append(p)
+                placed_set.add(p)
+                for r in remaining:
+                    r.discard(p)
+        placed.extend(p for p in range(1, n + 1) if p not in placed_set)
+        order = placed
+        funcs = [(g[0],) + tuple(g[order[j]] for j in range(n)) for g in funcs]
+    sum_sq = []
+    for g in funcs:
+        tails = [0] * (n + 2)
+        for i in range(n, 0, -1):
+            tails[i] = tails[i + 1] + g[i] * g[i]
+        sum_sq.append(tails)
+    active = [[] for _ in range(n + 2)]
+    for fi, g in enumerate(funcs):
+        for pos in range(1, n + 1):
+            if g[pos]:
+                active[pos].append((fi, g[pos], sum_sq[fi][pos + 1]))
+    partial = [0] * len(funcs)
+    nodes = 0
+
+    layers = ref_feasible_states(coeff_bound, n)
+    cand_cache = _REF_CANDIDATES.setdefault(coeff_bound, {})
+
+    def rec(i, srem, qrem, prefix):
+        nonlocal nodes
+        nodes += 1
+        if i == n:
+            if srem == 0 and qrem == 0:
+                found.append(tuple(prefix))
+            return
+        slots = n - i
+        key = (slots << 20) | ((srem + 512) << 10) | qrem
+        cands = cand_cache.get(key)
+        if cands is None:
+            feas = layers[slots - 1]
+            s_base = srem + 512
+            lim = min(coeff_bound, math.isqrt(qrem))
+            out = []
+            for c in range(lim, -lim - 1, -1):
+                q2 = qrem - c * c
+                if ((s_base - c) << 10) | q2 in feas:
+                    out.append((c, q2))
+            cands = tuple(out)
+            cand_cache[key] = cands
+        touched = active[i + 1]
+        for c, q2 in cands:
+            ok = True
+            for fi, gv, sqtail in touched:
+                value = partial[fi] + gv * c
+                partial[fi] = value
+                if value < 0 and value * value > sqtail * q2:
+                    ok = False
+            if ok:
+                prefix.append(c)
+                rec(i + 1, srem - c, q2, prefix)
+                prefix.pop()
+            for fi, gv, _sqtail in touched:
+                partial[fi] -= gv * c
+
+    for d in feasible_d:
+        if abs(d) > coeff_bound:
+            continue
+        if ((1 - 3 * d + 512) << 10) | (d * d + 1) not in layers[n]:
+            continue
+        q0 = d * d + 1
+        skip = False
+        for fi, g in enumerate(funcs):
+            value = offsets[fi] + g[0] * d
+            partial[fi] = value
+            if value < 0 and value * value > sum_sq[fi][1] * q0:
+                skip = True
+        if not skip:
+            rec(0, 1 - 3 * d, d * d + 1, [d])
+    if order != list(range(1, n + 1)):
+        remapped = []
+        for x in found:
+            y = [x[0]] + [0] * n
+            for j in range(n):
+                y[order[j]] = x[j + 1]
+            remapped.append(tuple(y))
+        found = remapped
+    found.sort()
+    return found, complete, nodes
+
+
+def ref_enumerate(lat, area=None, area_cap=None, coeff_bound=12, constraints=None):
+    """Returns (classes, complete, nodes)."""
+    if lat.tag != "cp2":
+        lat2, t_mat, t_inv = to_cp2(lat)
+        area2 = transport_area(area, t_inv) if area is not None else None
+        cons2 = tuple(mat_vec(t_mat, f) for f in constraints) if constraints else None
+        classes, complete, nodes = ref_enumerate(lat2, area2, area_cap, coeff_bound, cons2)
+        back = tuple(mat_vec(t_inv, x) for x in classes)
+        return tuple(sorted(back)), complete, nodes
+    raw_funcs = []
+    if area is not None:
+        raw_funcs.append((-1, tuple(area._ints)))
+        if area_cap is not None:
+            cap_scaled = math.floor(area_cap * area.denominator)
+            raw_funcs.append((cap_scaled, tuple(-v for v in area._ints)))
+    raw, complete, nodes = ref_raw(lat.rank - 1, coeff_bound, constraints, raw_funcs)
+    if area is not None:
+        raw = [
+            x
+            for x in raw
+            if area.area_scaled(x) > 0 and (area_cap is None or area.area(x) <= area_cap)
+        ]
+    return tuple(raw), complete, nodes
+
+
+def ref_log(lat, area, comps, area_cap=None, coeff_bound=12):
+    classes, complete, nodes = ref_enumerate(lat, area, area_cap, coeff_bound, comps)
+    assert all(lat.pair(x, c) >= 0 for x in classes for c in comps)
+    return classes, complete, nodes
+
+
+def ref_connecting(lat, area, comps, gi, gj, area_cap=None, coeff_bound=12):
+    classes, complete, nodes = ref_log(lat, area, comps, area_cap, coeff_bound)
+    kept = tuple(
+        x
+        for x in classes
+        if sum(lat.pair(x, c) for c in gi) >= 1 and sum(lat.pair(x, c) for c in gj) >= 1
+    )
+    return kept, complete, nodes
+
+
+def ref_gap(lat, area, comps, gi, gj, area_cap=None, coeff_bound=12):
+    kept, complete, _nodes = ref_connecting(lat, area, comps, gi, gj, area_cap, coeff_bound)
+    if not kept:
+        return Fraction(0), complete, None
+    best = max(kept, key=area.area_scaled)
+    return area.area(best), complete, best
+
+
+# --- the forms a build is searched in ---------------------------------------------
+
+
+def lattice_forms(rp):
+    """(lattice, area, edge classes) of a build: its cp2 form, and its
+    ruled-surface form as assigned before conversion when it has one."""
+    forms = [(rp.lattice, rp.area, rp.edge_classes)]
+    if rp.terminal == "hirz":
+        pc = assign_classes(rp.polygon)
+        forms.append((pc.lattice, pc.area, pc.edge_classes))
+    return forms
+
+
+def searches(rp, lat, area, classes):
+    """Components, the largest connector area, and per connector its label and
+    the two groups it must meet, in the given form."""
+    groups = {r: tuple(classes[i] for i in rp.strings[r].edge_ids) for r in "abc"}
+    comps = tuple(x for r in "abc" for x in groups[r])
+    cap = max(area.area(classes[rp.connectors[lab].edge_id]) for lab in CONNECTOR_ENDS)
+    ends = [(lab, groups[ri], groups[rj]) for lab, (ri, rj) in CONNECTOR_ENDS.items()]
+    return comps, cap, ends
+
+
+# most presentations of these end on a ruled surface, so both lattice forms are
+# searched; n runs from 6 to 10, which the reference covers in a few seconds
+DIFF_TRIPLES = ((2, 3, 5), (3, 4, 5), (2, 5, 7), (3, 5, 7), (4, 5, 7), (2, 7, 9))
+
+
+def test_triple_set_covers_both_forms_and_ranks():
+    tags, ranks = set(), set()
+    for w in DIFF_TRIPLES:
+        for pres in range(1, 7):
+            rp = build_resolution(*w, presentation=pres)
+            ranks.add(rp.n)
+            tags.update(lat.tag for lat, _a, _c in lattice_forms(rp))
+    assert tags == {"cp2", "hirz"}
+    assert min(ranks) <= 6 and max(ranks) >= 9
+
+
+@pytest.mark.parametrize("w", DIFF_TRIPLES)
+def test_public_searches_match_reference(w):
+    for pres in range(1, 7):
+        rp = build_resolution(*w, presentation=pres)
+        for lat, area, classes in lattice_forms(rp):
+            comps, cap, ends = searches(rp, lat, area, classes)
+            for ac in (None, cap):
+                got = enumerate_exceptional(lat, area, ac, constraints=comps)
+                assert (got.classes, got.complete) == ref_enumerate(lat, area, ac, 12, comps)[:2]
+                got = log_exceptional(lat, area, comps, ac)
+                assert (got.classes, got.complete) == ref_log(lat, area, comps, ac)[:2]
+                for label, gi, gj in ends:
+                    got = connecting_log_exceptional(lat, area, comps, gi, gj, ac)
+                    want = ref_connecting(lat, area, comps, gi, gj, ac)
+                    assert (got.classes, got.complete) == want[:2], (w, pres, lat.tag, label, ac)
+                    gap = exceptional_gap(lat, area, comps, gi, gj, ac)
+                    assert (gap.value, gap.certified, gap.witness) == ref_gap(
+                        lat, area, comps, gi, gj, ac
+                    )
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_unconstrained_enumeration_matches_reference(n):
+    area = AreaForm((Fraction(3 * n + 1),) + tuple(Fraction(i) for i in range(1, n + 1)))
+    for ac in (None, Fraction(n + 1)):
+        got = enumerate_exceptional(cp2_lattice(n), area, ac)
+        assert (got.classes, got.complete) == ref_enumerate(cp2_lattice(n), area, ac)[:2]
+    for lat in (cp2_lattice(n), hirz_lattice(1, n)):
+        got = enumerate_exceptional(lat)
+        assert (got.classes, got.complete) == ref_enumerate(lat)[:2]
+
+
+# --- random functionals -------------------------------------------------------------
+
+
+@st.composite
+def functionals(draw):
+    """n, coefficient bound and one to three (offset, g) pairs on (d, c_1..c_n).
+
+    Supports are drawn as a mask over the slots, so full supports (the last
+    slot then closes a functional: the m = 0 case) and supports that end
+    before the last slot (the end-of-support case) both occur often.
+    """
+    n = draw(st.integers(0, 7))
+    bound = draw(st.sampled_from((1, 2, 3, 12)))
+    count = draw(st.integers(1, 3))
+    funcs = []
+    for _ in range(count):
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        coeffs = [draw(st.integers(-3, 3))]
+        coeffs += [draw(st.integers(-3, 3).filter(bool)) if on else 0 for on in mask]
+        funcs.append((draw(st.integers(-6, 6)), tuple(coeffs)))
+    return n, bound, funcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(functionals())
+# the second functional is decided by the last slot alone (m = 0): the first
+# closes slot 1, and only the m = 0 test drops c_2 > 0
+@example((2, 12, [(0, (0, 2, 0)), (0, (0, 0, -1))]))
+# completions reaching exactly 0 at the maximum of the bound must be kept, at
+# an exceptional slot and at the d level
+@example((3, 12, [(-3, (0, -2, -1, 0))]))
+@example((2, 12, [(0, (-1, 0, -2))]))
+# a support ending before the last slot, next to one that reaches it
+@example((5, 12, [(-1, (0, 1, 0, 0, 0, 0)), (0, (1, 0, -1, -1, -1, -1))]))
+def test_raw_search_matches_reference(case):
+    n, bound, funcs = case
+    found, complete, _nodes = _cp2_exceptional_raw(n, bound, funcs)
+    ref_found, ref_complete, _ref_nodes = ref_raw(n, bound, None, funcs)
+    assert found == ref_found
+    assert complete == ref_complete
+    for x in found:
+        assert all(off + sum(g * v for g, v in zip(gs, x)) >= 0 for off, gs in funcs)
+
+
+# --- post-search checks and input checks ---------------------------------------------
+
+
+def test_post_search_checks_raise(monkeypatch):
+    lat = cp2_lattice(2)
+    area = AreaForm((Fraction(3), Fraction(1), Fraction(1)))
+    real = homlat.enumerate_exceptional
+
+    def unconstrained(lat, area, area_cap, coeff_bound, constraints=None, meets=None):
+        return real(lat, area, area_cap, coeff_bound)
+
+    monkeypatch.setattr(homlat, "enumerate_exceptional", unconstrained)
+    # e1 and e2 each pair -1 with the group holding themselves
+    with pytest.raises(LemmaViolated):
+        connecting_log_exceptional(lat, area, [], [(0, 1, 0)], [(0, 0, 1)])
+    # H - e1 - e2 pairs -1 with itself
+    with pytest.raises(LemmaViolated):
+        log_exceptional(lat, area, [(1, -1, -1)])
+
+
+def test_cap_without_area_is_rejected():
+    with pytest.raises(UserInputError):
+        enumerate_exceptional(cp2_lattice(3), area_cap=Fraction(1))
+    with pytest.raises(UserInputError):
+        enumerate_exceptional(hirz_lattice(1, 3), None, Fraction(1))
+    with pytest.raises(UserInputError):
+        log_exceptional(cp2_lattice(3), None, [], area_cap=Fraction(1))
+
+
+# --- node counts ------------------------------------------------------------------------
+
+
+def _string_length_sum(w):
+    t = weight_triple(*w)
+    return sum(len(hj_expand(x, r)) for x, r in zip(w, (t.a_b, t.b_c, t.c_a)))
+
+
+def mid_triples():
+    """Criterion 5's spot checks above rank 9: the three lexicographically
+    first triples of coprime_triples(60) for every n from 9 through 14, and
+    (11, 13, 14)."""
+    strata = {n: [] for n in range(9, 15)}
+    for w in coprime_triples(60):
+        n = _string_length_sum(w)
+        if n in strata and len(strata[n]) < 3:
+            strata[n].append(w)
+    return [w for n in range(9, 15) for w in strata[n]] + [(11, 13, 14)]
+
+
+def test_node_count_is_deterministic(monkeypatch):
+    rp = build_resolution(11, 13, 14)
+    comps, cap, ends = searches(rp, rp.lattice, rp.area, rp.edge_classes)
+
+    def counts():
+        return [
+            connecting_log_exceptional(rp.lattice, rp.area, comps, gi, gj, ac).nodes
+            for _label, gi, gj in ends
+            for ac in (None, cap)
+        ]
+
+    warm = counts()
+    monkeypatch.setattr(homlat, "_CANDIDATE_CACHE", {})
+    monkeypatch.setattr(homlat, "_FEASIBLE_CACHE", {})
+    assert counts() == warm == counts()
+    assert all(warm)
+    search = enumerate_exceptional(cp2_lattice(3))
+    assert search == ExcSearch(search.classes, search.complete, search.nodes + 1)
+
+
+def test_fewer_nodes_than_reference_on_mid_triples():
+    mid = mid_triples()
+    assert len(mid) == 19
+    for w in mid:
+        rp = build_resolution(*w)
+        comps, cap, ends = searches(rp, rp.lattice, rp.area, rp.edge_classes)
+        # the reference needs up to 23 s per uncapped search above n = 11
+        caps = (None, cap) if rp.n <= 11 or w == (11, 13, 14) else (cap,)
+        for ac in caps:
+            for label, gi, gj in ends:
+                got = connecting_log_exceptional(rp.lattice, rp.area, comps, gi, gj, ac)
+                _kept, _complete, ref_nodes = ref_connecting(
+                    rp.lattice, rp.area, comps, gi, gj, ac
+                )
+                assert got.nodes < ref_nodes, (w, label, ac, got.nodes, ref_nodes)
