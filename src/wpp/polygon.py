@@ -2,19 +2,22 @@
 
 Vertices are exact rational points, counterclockwise, stored as integer points
 over their least common denominator: chopping, edge lengths and the ledger run
-on plain ints, and the Fraction vertices are a derived view. Corners are
+on plain ints, and the Fraction vertices are a derived view. Every edge has a
+primitive integer direction d_i, read from one cached edge table. Corners are
 classified up to integral affine equivalence by a pair (r, q); non-Delzant
 corners are smoothed by chains of chops whose data reproduces the
-continued-fraction expansion of r/q. Once every corner is Delzant, edges acquire integer
-self-intersections, and a combinatorial contraction ledger assigns a homology
-class and exact area to every edge.
+continued-fraction expansion of r/q. Once every corner is Delzant
+(det(d_{i-1}, d_i) = 1), edge i carries the integer self-intersection
+det(d_{i+1}, d_{i-1}), and a combinatorial contraction ledger assigns a
+homology class and exact area to every edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, combinations, compress
 from typing import Sequence
 
@@ -34,12 +37,12 @@ from .homlat import AreaForm, Lattice, Vec, cp2_lattice, hirz_lattice
 __all__ = [
     "Point",
     "IVec",
-    "primitive",
     "LatticePolygon",
     "polygon",
     "corner_type",
     "ChopResult",
     "chop_corner",
+    "check_schedule",
     "default_epsilons",
     "edge_selfint",
     "edge_selfints",
@@ -64,14 +67,6 @@ def _det(u: IVec, w: IVec) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
-def primitive(dx: int, dy: int) -> IVec:
-    """Primitive integer vector along the nonzero integer vector (dx, dy)."""
-    g = math.gcd(dx, dy)
-    if g == 0:
-        raise InvalidPolygon("zero direction vector")
-    return (dx // g, dy // g)
-
-
 @dataclass(frozen=True)
 class LatticePolygon:
     """Strictly convex polygon, counterclockwise, with rational vertices
@@ -79,69 +74,56 @@ class LatticePolygon:
 
     ipts: tuple[IVec, ...]
     den: int
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.ipts)
 
-    @property
+    @cached_property
     def vertices(self) -> tuple[Point, ...]:
-        val = self._cache.get("vertices")
-        if val is None:
-            d = self.den
-            val = tuple((Fraction(x, d), Fraction(y, d)) for x, y in self.ipts)
-            self._cache["vertices"] = val
-        return val
+        d = self.den
+        return tuple((Fraction(x, d), Fraction(y, d)) for x, y in self.ipts)
 
-    def vertex(self, i: int) -> Point:
-        return self.vertices[i % self.n]
-
-    def edge_vector(self, i: int) -> tuple[Fraction, Fraction]:
-        a = self.vertex(i)
-        b = self.vertex(i + 1)
-        return (b[0] - a[0], b[1] - a[1])
-
+    @cached_property
     def _edges(self) -> tuple[tuple[IVec, ...], tuple[int, ...]]:
         """Primitive direction and scaled lattice length of every edge."""
-        val = self._cache.get("edges")
-        if val is None:
-            pts = self.ipts
-            dirs = []
-            lens = []
-            for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
-                dx, dy = bx - ax, by - ay
-                g = math.gcd(dx, dy)
-                dirs.append((dx // g, dy // g))
-                lens.append(g)
-            val = (tuple(dirs), tuple(lens))
-            self._cache["edges"] = val
-        return val
+        pts = self.ipts
+        dirs = []
+        lens = []
+        for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+            dx, dy = bx - ax, by - ay
+            g = math.gcd(dx, dy)
+            dirs.append((dx // g, dy // g))
+            lens.append(g)
+        return tuple(dirs), tuple(lens)
 
     @property
     def directions(self) -> tuple[IVec, ...]:
         """Primitive integer direction of every edge."""
-        return self._edges()[0]
+        return self._edges[0]
 
     def direction(self, i: int) -> IVec:
-        dirs = self._edges()[0]
-        return dirs[i % len(dirs)]
+        return self._edges[0][i % len(self.ipts)]
 
     def length_scaled(self, i: int) -> int:
         """Lattice length of edge i times den: the gcd of its integer vector."""
-        lens = self._edges()[1]
-        return lens[i % len(lens)]
+        return self._edges[1][i % len(self.ipts)]
 
     def edge_length(self, i: int) -> Fraction:
         """Lattice length: the edge vector divided by its primitive direction."""
         return Fraction(self.length_scaled(i), self.den)
 
-    def inward_normal(self, i: int) -> IVec:
-        dx, dy = self.direction(i)
-        return (-dy, dx)
-
     def area2(self) -> Fraction:
         return Fraction(_cross_sum(self.ipts), self.den * self.den)
+
+    @cached_property
+    def selfints(self) -> tuple[int, ...]:
+        """Self-intersection of every edge, checked against the smooth toric
+        sum rule 12 - 3n."""
+        out = tuple(edge_selfint(self, i) for i in range(self.n))
+        if sum(out) != 12 - 3 * self.n:
+            raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
+        return out
 
 
 _flat = chain.from_iterable  # the coordinates of a sequence of points
@@ -206,17 +188,12 @@ def corner_type(p: LatticePolygon, i: int, u_side: str = "prev") -> tuple[int, i
     (1, 0). The type depends on which edge plays u: swapping sides replaces q
     by its inverse mod r.
     """
-    key = ("corner", i % p.n, u_side)
-    cached = p._cache.get(key)
-    if cached is not None:
-        return cached
     u, w = _corner_dirs(p, i, u_side)
     d = _det(u, w)
     r = abs(d)
     if r == 0:
         raise InvalidPolygon("flat corner")
     if r == 1:
-        p._cache[key] = (1, 0)
         return (1, 0)
     g, gamma, delta = ext_gcd(u[0], u[1])
     if g != 1:
@@ -225,17 +202,21 @@ def corner_type(p: LatticePolygon, i: int, u_side: str = "prev") -> tuple[int, i
     q = y_w % r
     if math.gcd(q, r) != 1:
         raise LemmaViolated(f"corner type ({r}, {q}) is not coprime")
-    p._cache[key] = (r, q)
     return (r, q)
+
+
+def check_schedule(schedule: tuple[Fraction, Fraction] | None) -> None:
+    """Raise UserInputError unless both schedule ratios lie in (0, 1)."""
+    if schedule is not None and not all(0 < x < 1 for x in schedule):
+        raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
 
 
 def default_epsilons(p: LatticePolygon, i: int, k: int,
                      schedule: tuple[Fraction, Fraction] | None = None) -> list[Fraction]:
     """Chop depths that provably fit: start at a quarter of the shorter
     adjacent edge and shrink by thirds."""
+    check_schedule(schedule)
     init_ratio, ratio = schedule if schedule is not None else (Fraction(1, 4), Fraction(1, 3))
-    if not (0 < init_ratio < 1 and 0 < ratio < 1):
-        raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
     shortest = Fraction(min(p.length_scaled(i - 1), p.length_scaled(i)), p.den)
     eps0 = shortest * init_ratio
     out = []
@@ -363,39 +344,26 @@ def chop_corner(
 
 
 def edge_selfint(p: LatticePolygon, i: int) -> int:
-    """Self-intersection of the sphere over edge i, from the normal relation.
+    """Self-intersection of the sphere over edge i, from the edge directions.
 
-    Requires Delzant corners at both ends: then n_{i-1} + n_{i+1} = -s n_i has
-    a unique integer solution s.
+    Requires Delzant corners at both ends, det(d_{i-1}, d_i) = 1 and
+    det(d_i, d_{i+1}) = 1. Then d_{i-1} + d_{i+1} = -s d_i for an integer s,
+    and s = det(d_{i+1}, d_{i-1}).
     """
-    i %= p.n
-    for v_idx, side in ((i, "prev"), ((i + 1) % p.n, "prev")):
-        if corner_type(p, v_idx, side)[0] != 1:
-            raise NotDelzantNeighborhood(f"corner at vertex {v_idx} is not Delzant")
-    n_prev = p.inward_normal(i - 1)
-    n_cur = p.inward_normal(i)
-    n_next = p.inward_normal(i + 1)
-    x = (n_prev[0] + n_next[0], n_prev[1] + n_next[1])
-    if n_cur[0]:
-        s_num, s_den = -x[0], n_cur[0]
-    else:
-        s_num, s_den = -x[1], n_cur[1]
-    if s_num % s_den:
-        raise LemmaViolated(f"normal relation not integral at edge {i}")
-    s = s_num // s_den
-    if (-s * n_cur[0], -s * n_cur[1]) != x:
-        raise LemmaViolated(f"normal relation inconsistent at edge {i}")
-    return s
+    dirs = p.directions
+    n = len(dirs)
+    i %= n
+    prev, cur, nxt = dirs[i - 1], dirs[i], dirs[(i + 1) % n]
+    if _det(prev, cur) != 1:
+        raise NotDelzantNeighborhood(f"corner at vertex {i} is not Delzant")
+    if _det(cur, nxt) != 1:
+        raise NotDelzantNeighborhood(f"corner at vertex {(i + 1) % n} is not Delzant")
+    return _det(nxt, prev)
 
 
 def edge_selfints(p: LatticePolygon) -> tuple[int, ...]:
-    out = p._cache.get("selfints")
-    if out is None:
-        out = tuple(edge_selfint(p, i) for i in range(p.n))
-        if sum(out) != 12 - 3 * p.n:
-            raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
-        p._cache["selfints"] = out
-    return out
+    """Self-intersections of all edges, computed once per polygon."""
+    return p.selfints
 
 
 # --- class assignment by contraction ledger ------------------------------------

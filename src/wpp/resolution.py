@@ -39,10 +39,10 @@ from .polygon import (
     CORNER_CYCLE,
     LatticePolygon,
     assign_classes,
+    check_schedule,
     chop_corner,
     edge_selfints,
     presentation as presentation_of,
-    primitive,
 )
 from .strings import OrientedString, delta_sequence
 
@@ -129,6 +129,7 @@ def parse_schedule(text: str) -> tuple[Fraction, Fraction]:
         sched = (Fraction(left.strip()), Fraction(right.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise UserInputError(f"bad epsilon schedule {text!r}") from exc
+    check_schedule(sched)
     return sched
 
 
@@ -143,72 +144,63 @@ def build_resolution(
     """Resolve the weighted projective plane with the given weights.
 
     presentation selects one of the six moment triangles. schedule or
-    per-corner epsilons control chop depths; the default schedule always
-    fits. The result depends on the arguments only: the environment is not
-    read here (the CLI turns WPP_EPS_SCHEDULE into a schedule). Ratios
-    outside (0, 1) raise UserInputError (CLI exit code 2). Weights are
+    per-corner epsilons, keyed by corner label "A", "B" or "C", control chop
+    depths; the default schedule always fits. The result depends on the
+    arguments only: the environment is not read here (the CLI turns
+    WPP_EPS_SCHEDULE into a schedule). Ratios outside (0, 1) and other
+    epsilons keys raise UserInputError (CLI exit code 2). Weights are
     sorted into roles a < b < c internally; the input order is kept for
     reporting.
     """
     if not 1 <= presentation <= 6:
         raise UserInputError(f"presentation must be 1..6, got {presentation}")
     w = weight_triple(*sorted((a, b, c)))
+    unknown = set(epsilons or ()) - set(CORNER_CYCLE)
+    if unknown:
+        raise UserInputError(
+            f"epsilons for unknown corners {sorted(map(repr, unknown))}; labels are A, B, C"
+        )
     pres = presentation_of(w, presentation)
     poly0 = pres.polygon
-
-    # corners as integer points over poly0.den; an unchopped corner sits in
-    # a later polygon at the same point over that polygon's denominator
-    corner_pos = {lab: poly0.ipts[idx] for lab, idx in pres.corner_vertex.items()}
+    label_at = {v: lab for lab, v in pres.corner_vertex.items()}
 
     expected = {
         "A": (w.a, w.a_b),
         "B": (w.b, w.b_c),
         "C": (w.c, w.c_a),
     }
+    # side[e]: current index of the edge on triangle side e, which runs from
+    # triangle vertex e to e + 1. An unchopped corner v starts edge side[v],
+    # and its u side is the one toward the next corner of the cycle.
+    side = [0, 1, 2]
     cur = poly0
     chop_edges: dict[str, list[int]] = {}
     for lab in "ABC":
-        x, y = corner_pos[lab]
-        vi = cur.ipts.index((x * cur.den // poly0.den, y * cur.den // poly0.den))
-        tx, ty = corner_pos[CORNER_CYCLE[lab]]
-        u_target = primitive(tx - x, ty - y)
-        back = cur.direction(vi - 1)
-        if u_target == (-back[0], -back[1]):
-            u_side = "prev"
-        elif u_target == cur.direction(vi):
-            u_side = "next"
-        else:
-            raise LemmaViolated(f"corner {lab}: no edge toward {CORNER_CYCLE[lab]}")
+        v0 = pres.corner_vertex[lab]
+        u_side = "next" if label_at[(v0 + 1) % 3] == CORNER_CYCLE[lab] else "prev"
         eps = None if epsilons is None else epsilons.get(lab)
-        res = chop_corner(cur, vi, u_side, epsilons=eps, schedule=schedule)
+        res = chop_corner(cur, side[v0], u_side, epsilons=eps, schedule=schedule)
         if res.corner != expected[lab]:
             raise LemmaViolated(
                 f"corner {lab} has type {res.corner}, expected {expected[lab]}"
             )
-        for lst in chop_edges.values():
+        for lst in (side, *chop_edges.values()):
             lst[:] = [res.edge_map[i] for i in lst]
         chop_edges[lab] = list(res.new_edge_indices)
         cur = res.polygon
 
-    # connector edge ids by geometry: the unique surviving edge on each
-    # original triangle side, compared over the common denominator
-    pos_to_label = {pt: lab for lab, pt in corner_pos.items()}
+    # each connector is the tracked side: it keeps the side's direction and
+    # starts on the side's line, compared over the common denominator
     d0, d1 = poly0.den, cur.den
     conn_final: dict[str, int] = {}
-    for e in range(3):
-        aa = poly0.ipts[e]
-        bb = poly0.ipts[(e + 1) % 3]
-        name = CONNECTOR_OF_PAIR[frozenset({pos_to_label[aa], pos_to_label[bb]})]
-        sx, sy = primitive(bb[0] - aa[0], bb[1] - aa[1])
-        hits = [
-            i
-            for i, (d, va) in enumerate(zip(cur.directions, cur.ipts))
-            if (d == (sx, sy) or d == (-sx, -sy))
-            and (va[0] * d0 - aa[0] * d1) * sy == (va[1] * d0 - aa[1] * d1) * sx
-        ]
-        if len(hits) != 1:
-            raise LemmaViolated(f"connector {name}: {len(hits)} candidate edges")
-        conn_final[name] = hits[0]
+    for e, eid in enumerate(side):
+        name = CONNECTOR_OF_PAIR[frozenset({label_at[e], label_at[(e + 1) % 3]})]
+        sx, sy = poly0.direction(e)
+        (ax, ay), (vx, vy) = poly0.ipts[e], cur.ipts[eid]
+        on_line = (vx * d0 - ax * d1) * sy == (vy * d0 - ay * d1) * sx
+        if cur.direction(eid) != (sx, sy) or not on_line:
+            raise LemmaViolated(f"connector {name}: edge {eid} is off its triangle side")
+        conn_final[name] = eid
 
     sels = edge_selfints(cur)
     pc = assign_classes(cur)

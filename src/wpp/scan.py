@@ -13,6 +13,7 @@ from fractions import Fraction
 from multiprocessing import Pool
 
 from .errors import LemmaViolated, MissingClasses, UserInputError, WppError
+from .polygon import check_schedule
 from .resolution import (
     build_resolution,
     check_divisor_predicates,
@@ -59,12 +60,14 @@ def check_triple(
 ) -> dict:
     """Verify one triple across all six presentations.
 
-    An unknown check name raises UserInputError before any check runs. After
-    that nothing raises: a WppError is recorded as a violation under its class
-    name; any other exception is a fault of the program and is recorded as
-    "internal: ...", so one bad triple cannot abort a scan.
+    An unknown check name or a schedule ratio outside (0, 1) raises
+    UserInputError before any check runs. After that nothing raises: a
+    WppError is recorded as a violation under its class name; any other
+    exception is a fault of the program and is recorded as "internal: ...",
+    so one bad triple cannot abort a scan.
     """
     _check_names(checks)
+    check_schedule(schedule)
     a, b, c = triple
     do = set(CHECK_CHOICES[1:]) if "all" in checks else set(checks)
     run_extra = "all" in checks
@@ -138,6 +141,9 @@ def run_scan(
     schedule: tuple[Fraction, Fraction] | None = None,
 ) -> dict:
     _check_names(checks)
+    check_schedule(schedule)
+    if jobs is not None and jobs < 1:
+        raise UserInputError(f"--jobs must be at least 1, got {jobs}")
     triples = coprime_triples(max_c)
     tasks = [(t, tuple(checks), schedule) for t in triples]
     if jobs == 1 or len(tasks) < 4:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import wpp.cli
+import wpp.scan
 from wpp.cli import main
 from wpp.render import render
 from wpp.report import parse_report, serialize_report
@@ -38,6 +39,25 @@ class TestExitCodes:
         rc, _, err = run_main(capsys, argv)
         assert rc == 2
         assert "error" in err.lower()
+
+    def test_bad_env_schedule_in_scan_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPP_EPS_SCHEDULE", "2,1/2")
+        rc, out, err = run_main(capsys, ["scan", "--max-c", "7"])
+        assert rc == 2
+        assert out == ""
+        assert "epsilon schedule" in err
+        assert "violation" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_scan_jobs_below_one_exits_2(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(wpp.scan, "Pool", no_pool)
+        rc, out, err = run_main(capsys, ["scan", "--max-c", "12", "--jobs", jobs])
+        assert rc == 2
+        assert out == ""
+        assert "--jobs must be at least 1" in err
 
     def test_overlapping_schedule_exits_3(self, capsys):
         rc, _, err = run_main(

@@ -205,7 +205,8 @@ def assert_same_geometry(p, ref_verts):
         assert p.direction(i) == ref_direction(ref_verts, i)
         assert p.edge_length(i) == ref_length(ref_verts, i)
         assert p.length_scaled(i) == p.edge_length(i) * p.den
-        assert p.edge_vector(i) == ref_edge(ref_verts, i)
+        # the edge vector is its primitive direction times its lattice length
+        assert tuple(c * p.edge_length(i) for c in p.direction(i)) == ref_edge(ref_verts, i)
 
 
 def chop_sides(w, pres):

@@ -232,6 +232,17 @@ class TestInputsAndSchedules:
         for bad in ("1/3", "a,b", "1/0,1/2", ""):
             with pytest.raises(UserInputError):
                 parse_schedule(bad)
+        for bad in ("2,1/2", "1/2,1", "0,1/2", "-1/4,1/3"):
+            with pytest.raises(UserInputError, match="epsilon schedule"):
+                parse_schedule(bad)
+
+    @pytest.mark.parametrize("key", ["a", "D", "N_a", 0])
+    def test_rejects_unknown_corner_labels(self, key):
+        eps = [Fraction(1, 10)]
+        with pytest.raises(UserInputError, match="unknown corners"):
+            build_resolution(2, 3, 5, epsilons={key: eps})
+        with pytest.raises(UserInputError, match="unknown corners"):
+            build_resolution(2, 3, 5, epsilons={"A": eps, key: eps})
 
     def test_explicit_schedule_same_combinatorics(self):
         # chop depths move symplectic areas but never the combinatorial data
