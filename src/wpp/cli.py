@@ -103,9 +103,10 @@ def _cmd_scan(args: argparse.Namespace, schedule: Schedule) -> int:
     if result["violations"]:
         first = result["violations"][0]
         a, b, c = first["triple"]
+        eps = "" if schedule is None else f" --eps {schedule[0]},{schedule[1]}"
         print(
             f"{len(result['violations'])} violation(s); reproduce the first with: "
-            f"wpp resolve {a} {b} {c} --presentation {first['presentation']}",
+            f"wpp resolve {a} {b} {c} --presentation {first['presentation']}{eps}",
             file=sys.stderr,
         )
         return 3

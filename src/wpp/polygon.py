@@ -46,6 +46,7 @@ __all__ = [
     "default_epsilons",
     "edge_selfint",
     "edge_selfints",
+    "linked_pairs",
     "PolygonClasses",
     "assign_classes",
     "Presentation",
@@ -512,7 +513,7 @@ def _check_nonadjacent(lat: Lattice, cls: Sequence[Vec]) -> None:
     three edges, so there are O(rank) of them.
     """
     m = len(cls)
-    for i, j in sorted(_linked_pairs(lat, cls)):
+    for i, j in sorted(linked_pairs(lat, cls)):
         if (j - i) % m in (1, m - 1):
             continue
         if lat.pair(cls[i], cls[j]) != 0:
@@ -521,7 +522,7 @@ def _check_nonadjacent(lat: Lattice, cls: Sequence[Vec]) -> None:
             )
 
 
-def _linked_pairs(lat: Lattice, cls: Sequence[Vec]) -> set[tuple[int, int]]:
+def linked_pairs(lat: Lattice, cls: Sequence[Vec]) -> set[tuple[int, int]]:
     """Index pairs i < j whose classes the gram matrix can pair nonzero."""
     if lat.tag not in ("cp2", "hirz"):
         raise WppError(f"no sparse pairing structure for a {lat.tag} lattice")

@@ -32,7 +32,6 @@ from .homlat import (
     mat_vec,
     to_cp2,
     transport_area,
-    unit,
     vadd,
 )
 from .polygon import (
@@ -42,6 +41,7 @@ from .polygon import (
     check_schedule,
     chop_corner,
     edge_selfints,
+    linked_pairs,
     presentation as presentation_of,
 )
 from .strings import OrientedString, delta_sequence
@@ -60,7 +60,6 @@ __all__ = [
     "TwoMinus2Data",
     "two_minus2_strings",
     "check_two_minus2",
-    "TorelliResult",
     "torelli_compare",
     "parse_schedule",
 ]
@@ -216,6 +215,10 @@ def build_resolution(
                 raise LemmaViolated("basis conversion broke an area")
         lat = lat2
 
+    # a string runs from the connector toward the next corner of the cycle to
+    # the other connector at its corner; a chop from the wrong side at a
+    # corner type (r, q) with q^2 = 1 mod r keeps the type but not this order
+    prev_corner = {nxt: lab for lab, nxt in CORNER_CYCLE.items()}
     strings: dict[str, StringData] = {}
     for lab, role in (("A", "a"), ("B", "b"), ("C", "c")):
         ids = tuple(chop_edges[lab])
@@ -226,6 +229,10 @@ def build_resolution(
             raise LemmaViolated(
                 f"string {role} self-intersections do not match {weight}/{residue}"
             )
+        for end, other in ((ids[0], CORNER_CYCLE[lab]), (ids[-1], prev_corner[lab])):
+            conn = CONNECTOR_OF_PAIR[frozenset({lab, other})]
+            if (end - conn_final[conn]) % cur.n not in (1, cur.n - 1):
+                raise LemmaViolated(f"string {role}: edge {end} does not meet {conn}")
         strings[role] = StringData(role, weight, residue, ids, ss)
     connectors = {
         name: ConnectorData(name, eid, sels[eid]) for name, eid in conn_final.items()
@@ -462,74 +469,35 @@ def check_two_minus2(rp: ResolutionPair) -> tuple[TwoMinus2Data, ...]:
     return tuple(rows)
 
 
-# --- isometry search between two resolutions -------------------------------------
+# --- Torelli comparison of two resolutions ---------------------------------------
 
 
-@dataclass(frozen=True)
-class TorelliResult:
-    found: bool
-    permutation: tuple[int, ...] | None  # image slot of each exceptional vector
+def torelli_compare(r1: ResolutionPair, r2: ResolutionPair) -> bool:
+    """Does the label map between the boundary classes of two resolutions of
+    one weight triple extend to an isometry of H_2 fixing K and the area form?
 
-
-def torelli_compare(r1: ResolutionPair, r2: ResolutionPair) -> TorelliResult:
-    """Search the restricted isometry family (permutations of the exceptional
-    basis vectors fixing the line class) for one matching both area forms and
-    every correspondingly-labelled boundary class.
-
-    A negative answer means no isometry within this family, not that none
-    exists at all.
+    The labels are the components of S_a, S_b, S_c in expansion order, then
+    N_a, N_b, N_c. On a smooth toric surface the boundary classes generate
+    H_2 over Z and sum to -K, so the label map extends to at most one linear
+    map. The form is nondegenerate, so the map exists and is an isometry
+    exactly when the labelled gram matrices agree; it is integral since both
+    sets generate, fixes K = -(sum of the classes), and preserves area exactly
+    when the labelled areas agree. This is the paper's Torelli-type theorem:
+    the homological data of the three strings and their connectors determine
+    the configuration.
     """
     if r1.weights != r2.weights:
         raise WppError("resolutions have different weight triples")
-    lat1, lat2 = r1.lattice, r2.lattice
-    if lat1.rank != lat2.rank:
-        return TorelliResult(False, None)
+    return _labelled_data(r1) == _labelled_data(r2)
 
-    def labelled(rp: ResolutionPair) -> list[Vec]:
-        out = []
-        for role in "abc":
-            out.extend(rp.string_classes(role))
-        for name in ("N_a", "N_b", "N_c"):
-            out.append(rp.connector_class(name))
-        return out
 
-    cls1, cls2 = labelled(r1), labelled(r2)
-    if len(cls1) != len(cls2):
-        return TorelliResult(False, None)
-    if any(x[0] != y[0] for x, y in zip(cls1, cls2)):
-        return TorelliResult(False, None)
-    rank = lat1.rank
-    if r1.area.area(unit(rank, 0)) != r2.area.area(unit(rank, 0)):
-        return TorelliResult(False, None)
-    n = rank - 1
-    e_area1 = [r1.area.area(unit(rank, i)) for i in range(1, rank)]
-    e_area2 = [r2.area.area(unit(rank, i)) for i in range(1, rank)]
-    cand = [
-        [
-            j
-            for j in range(n)
-            if e_area2[j] == e_area1[i]
-            and all(x[i + 1] == y[j + 1] for x, y in zip(cls1, cls2))
-        ]
-        for i in range(n)
-    ]
-
-    assign: list[int | None] = [None] * n
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for j in cand[i]:
-            if not used[j]:
-                used[j] = True
-                assign[i] = j
-                if backtrack(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = None
-        return False
-
-    if backtrack(0):
-        return TorelliResult(True, tuple(assign))  # type: ignore[arg-type]
-    return TorelliResult(False, None)
+def _labelled_data(rp: ResolutionPair) -> tuple[dict, tuple[Fraction, ...]]:
+    """Nonzero labelled gram entries and the labelled areas."""
+    cls = [x for role in "abc" for x in rp.string_classes(role)]
+    cls += [rp.connector_class(name) for name in ("N_a", "N_b", "N_c")]
+    lat = rp.lattice
+    if tuple(map(sum, zip(*cls))) != tuple(-k for k in lat.canonical):
+        raise LemmaViolated("labelled boundary classes do not sum to -K")
+    pairs = linked_pairs(lat, cls) | {(i, i) for i in range(len(cls))}
+    gram = {(i, j): g for i, j in pairs if (g := lat.pair(cls[i], cls[j]))}
+    return gram, tuple(rp.area.area(x) for x in cls)

@@ -195,6 +195,19 @@ class TestEnvSchedule:
         assert len(violations) == 12
         assert all(v["error"].startswith("ChopsOverlap") for v in violations)
 
+    def test_scan_reproducer_carries_the_schedule(self, capsys, monkeypatch):
+        monkeypatch.setenv("WPP_EPS_SCHEDULE", "99/100,99/100")
+        rc, _, err = run_main(capsys, ["scan", "--max-c", "5", "--jobs", "1"])
+        assert rc == 3
+        line = err.split("reproduce the first with: ", 1)[1].strip()
+        assert line.startswith("wpp resolve ")
+        assert "--eps 99/100,99/100" in line
+        # the line alone rebuilds the failing resolution in a clean shell
+        monkeypatch.delenv("WPP_EPS_SCHEDULE")
+        rc, _, err = run_main(capsys, line.split()[1:])
+        assert rc == 3
+        assert "chop depths too large" in err
+
 
 class TestInternalErrors:
     def test_scan_records_unexpected_exception(self, monkeypatch):

@@ -29,6 +29,7 @@ from wpp.polygon import (
     presentation,
 )
 from wpp.resolution import CONNECTOR_OF_PAIR, build_resolution
+from wpp.rulings import boundary_elements
 
 # the triples whose reports tests/test_golden_outputs.py pins
 GOLDEN_TRIPLES = (
@@ -127,6 +128,16 @@ def assert_matches_reference(rp, ref):
     assert list(rp.connectors) == list(connectors)
 
 
+def assert_cycle_walks_the_polygon(rp):
+    """Consecutive boundary elements are consecutive polygon edges, all
+    stepped in one direction around the polygon."""
+    ids = [el.edge_id for el in boundary_elements(rp)]
+    m = rp.polygon.n
+    assert sorted(ids) == list(range(m))
+    steps = {(ids[(k + 1) % m] - ids[k]) % m for k in range(m)}
+    assert steps in ({1}, {m - 1})
+
+
 # --- differential tests ----------------------------------------------------------
 
 
@@ -137,6 +148,7 @@ def test_build_matches_reference(triple, sched):
     for idx in range(1, 7):
         rp = build_resolution(*triple, presentation=idx, schedule=sched)
         assert_matches_reference(rp, ref_chop_all(w, idx, schedule=sched))
+        assert_cycle_walks_the_polygon(rp)
 
 
 def test_explicit_epsilons_match_reference():
@@ -195,6 +207,20 @@ def test_flipped_u_side_fails_the_corner_type_check(monkeypatch, idx):
     _patch_chop(monkeypatch, lambda k, real, p, i, u, **kw: real(p, i, flip[u], **kw))
     with pytest.raises(LemmaViolated, match=r"corner A has type \(11, 8\)"):
         build_resolution(11, 13, 14, presentation=idx)
+
+
+@pytest.mark.parametrize("triple", ((2, 3, 5), (3, 8, 11)))
+@pytest.mark.parametrize("idx", range(1, 7))
+def test_flipped_u_side_at_self_inverse_corners_fails_the_orientation_check(
+    monkeypatch, triple, idx
+):
+    # every corner type (r, q) of these triples has q^2 = 1 mod r, so a chop
+    # from the wrong side keeps the type; the string then starts at the
+    # wrong connector
+    flip = {"prev": "next", "next": "prev"}
+    _patch_chop(monkeypatch, lambda k, real, p, i, u, **kw: real(p, i, flip[u], **kw))
+    with pytest.raises(LemmaViolated, match=r"string c: edge \d+ does not meet N_b"):
+        build_resolution(*triple, presentation=idx)
 
 
 @pytest.mark.parametrize("triple", ((2, 3, 5), (11, 13, 14)))

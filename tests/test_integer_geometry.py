@@ -18,12 +18,12 @@ from wpp.homlat import AreaForm
 from wpp.polygon import (
     CORNER_CYCLE,
     _check_nonadjacent,
-    _linked_pairs,
     assign_classes,
     chop_corner,
     corner_type,
     default_epsilons,
     edge_selfints,
+    linked_pairs,
     polygon,
     presentation,
 )
@@ -366,7 +366,7 @@ def test_linked_pairs_cover_every_nonzero_pair(triple):
             nonzero = {
                 (i, j) for i in range(m) for j in range(i + 1, m) if lat.pair(cls[i], cls[j])
             }
-            assert nonzero <= _linked_pairs(lat, cls)
+            assert nonzero <= linked_pairs(lat, cls)
             assert ref_nonadjacent_ok(lat, cls)
             _check_nonadjacent(lat, cls)
 
