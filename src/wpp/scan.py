@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from multiprocessing import Pool
 
+from .arith import weight_triple
 from .errors import LemmaViolated, MissingClasses, UserInputError, WppError
 from .polygon import check_schedule
 from .resolution import (
@@ -60,12 +61,16 @@ def check_triple(
 ) -> dict:
     """Verify one triple across all six presentations.
 
-    An unknown check name or a schedule ratio outside (0, 1) raises
-    UserInputError before any check runs. After that nothing raises: a
-    WppError is recorded as a violation under its class name; any other
-    exception is a fault of the program and is recorded as "internal: ...",
-    so one bad triple cannot abort a scan.
+    A triple that is not three pairwise coprime weights >= 2, an unknown check
+    name or a schedule ratio outside (0, 1) raises UserInputError before any
+    check runs. After that nothing raises: a WppError is recorded as a
+    violation under its class name; any other exception is a fault of the
+    program and is recorded as "internal: ...", so one bad triple cannot
+    abort a scan.
     """
+    if len(triple) != 3:
+        raise UserInputError(f"a weight triple has three entries, got {tuple(triple)}")
+    weight_triple(*triple)
     _check_names(checks)
     check_schedule(schedule)
     a, b, c = triple

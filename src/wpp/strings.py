@@ -227,8 +227,9 @@ def abstract_chain(selfints: tuple[int, ...] | list[int],
 
 @dataclass(frozen=True)
 class MoveResult:
+    """The blown-up configuration; its fresh (-1) vector is the last basis vector."""
+
     config: DivisorConfig
-    e_index: int  # basis index of the fresh (-1) vector
     position: int | None  # where the new component sits, when one is added
 
 
@@ -244,9 +245,10 @@ def _pad(x: Vec, rank: int) -> Vec:
 
 def _blowup(cfg: DivisorConfig, hit: tuple[int, ...], pos: int | None,
             label: str | None) -> MoveResult:
-    """Grow the lattice by a fresh (-1) vector e, pad every component, subtract
-    e from the hit components and, unless pos is None, insert a sphere of
-    class e at pos, labelled e<index> when no label is given."""
+    """Grow the lattice by a fresh (-1) vector e as its last basis vector, pad
+    every component, subtract e from the hit components and, unless pos is
+    None, insert a sphere of class e at pos, labelled e<index> when no label
+    is given."""
     lat2 = cfg.lattice.blowup()
     t = lat2.rank - 1
     e = unit(lat2.rank, t)
@@ -255,7 +257,7 @@ def _blowup(cfg: DivisorConfig, hit: tuple[int, ...], pos: int | None,
         comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
     if pos is not None:
         comps.insert(pos, Component(f"e{t}" if label is None else label, e))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), t, pos)
+    return MoveResult(DivisorConfig(lat2, tuple(comps)), pos)
 
 
 def toric_blowup(cfg: DivisorConfig, i: int, j: int, label: str | None = None) -> MoveResult:
@@ -438,36 +440,38 @@ def fiber_profile(cfg: DivisorConfig, fd: FiberData) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ResolvedFiber:
-    config: DivisorConfig
-    fclass: Vec
-    base: FiberData
-    multiplicities: tuple[int, ...]
-    exceptional_positions: tuple[int, ...]
-    exceptional_basis: tuple[int, ...]
-    last_meeting: int | None
+    """A fiber class made square-zero by toric blowups C1..CB at its chain node."""
+
+    config: DivisorConfig  # the chain with C1..CB between the node spheres
+    fclass: Vec  # the resolved fiber, in config's lattice
+    base: FiberData  # the fiber before the blowups
+    multiplicities: tuple[int, ...]  # weight sequence of (p, q): C_t takes m_t
+    last_meeting: int | None  # index of the one component the fiber meets, if any
 
 
 def resolution_fiber_class(cfg: DivisorConfig, upto: int) -> ResolvedFiber:
     """Resolve the fiber at a determinant sign change into a square-zero class.
 
-    Repeated blowups along the chain node, following the subtraction pattern
+    Repeated blowups at the chain node, following the subtraction pattern
     of the multiplicity sequence of (p, q), make the fiber class disjoint from
     the transformed chain except for a single transverse point on the last
-    exceptional sphere.
+    exceptional sphere. Every blowup lies on the two node spheres or on the
+    spheres it created, so the blowups run on those two alone and the rest of
+    the chain is padded into the final lattice once.
     """
     fd = fiber_class(cfg, upto)
     p, q = fd.p, fd.q
     if not (q > 0 and p >= 0):
         raise NotAtSignChange(f"minors ({fd.deltas[upto-1]}, {fd.deltas[upto]}) at position {upto}")
-    # canonical pairing of F through adjunction on the chain components
-    orig_selfints = cfg.selfints()
-    kf_base = sum(fd.deltas[i] * (-2 - orig_selfints[i]) for i in range(upto))
+    # canonical pairing of F by adjunction on the chain components:
+    # sum_{i<upto} d_i (b_i - 2) telescopes through b_i d_i = d_{i+1} + d_{i-1}
+    # to d_upto - d_{upto-1} - d_0 = -p - q - 1
+    kf_base = -p - q - 1
     mults = weight_sequence(p, q)
-    big_l = len(mults)
-    if big_l == 0:
+    if not mults:
         # (p, q) = (0, 1): the fiber already has square zero
         last = upto if upto < len(cfg.components) else None
-        rf = ResolvedFiber(cfg, fd.fclass, fd, (), (), (), last)
+        rf = ResolvedFiber(cfg, fd.fclass, fd, (), last)
         _verify_resolved_fiber(rf, kf_base)
         return rf
     if upto >= len(cfg.components):
@@ -478,37 +482,24 @@ def resolution_fiber_class(cfg: DivisorConfig, upto: int) -> ResolvedFiber:
     while pairs[-1] != (1, 1):
         a, b = pairs[-1]
         pairs.append((a - b, b) if a > b else (a, b - a))
-    if len(pairs) != big_l or [min(a, b) for a, b in pairs] != list(mults):
+    if [min(a, b) for a, b in pairs] != list(mults):
         raise LemmaViolated(f"subtraction pairs of ({p}, {q}) miss the weight sequence")
 
-    cur = cfg
-    res = toric_blowup(cur, upto - 1, upto, label="C1")
-    cur = res.config
-    c_pos = res.position
-    exc_positions = [c_pos]
-    exc_basis = [res.e_index]
-    for i in range(1, big_l):
-        a, b = pairs[i - 1]
-        if a > b:
-            res = toric_blowup(cur, c_pos - 1, c_pos, label=f"C{i+1}")
-            new_pos = res.position
-        else:
-            res = toric_blowup(cur, c_pos, c_pos + 1, label=f"C{i+1}")
-            new_pos = res.position
-        cur = res.config
-        for idx in range(len(exc_positions)):
-            if exc_positions[idx] >= new_pos:
-                exc_positions[idx] += 1
-        exc_positions.append(new_pos)
-        exc_basis.append(res.e_index)
-        c_pos = new_pos
-    rank2 = cur.lattice.rank
-    f = list(_pad(fd.fclass, rank2))
-    for m, eb in zip(mults, exc_basis):
-        f[eb] -= m
-    fv = tuple(f)
-    rf = ResolvedFiber(cur, fv, fd, tuple(mults), tuple(exc_positions),
-                       tuple(exc_basis), exc_positions[-1])
+    # C1 goes between the node spheres; after C_i with pair (a, b) the next
+    # blowup is at C_i's left node when a > b, else at its right node
+    res = toric_blowup(DivisorConfig(cfg.lattice, cfg.components[upto - 1:upto + 1]),
+                       0, 1, label="C1")
+    for i, (a, b) in enumerate(pairs[:-1], start=2):
+        left = res.position - 1 if a > b else res.position
+        res = toric_blowup(res.config, left, left + 1, label=f"C{i}")
+    lat2 = res.config.lattice
+    padded = [Component(x.label, _pad(x.cls, lat2.rank)) for x in cfg.components]
+    spliced = (*padded[:upto - 1], *res.config.components, *padded[upto + 1:])
+    f = list(_pad(fd.fclass, lat2.rank))
+    for t, m in enumerate(mults, start=cfg.lattice.rank):
+        f[t] -= m  # each blowup appends its (-1) vector to the basis
+    rf = ResolvedFiber(DivisorConfig(lat2, spliced), tuple(f), fd, mults,
+                       upto - 1 + res.position)
     _verify_resolved_fiber(rf, kf_base + sum(mults))
     return rf
 

@@ -1,12 +1,12 @@
-"""Scan entry points: check names, the chop schedule and the job count are
-validated before any check runs."""
+"""Scan entry points: the weight triple, check names, the chop schedule and
+the job count are validated before any check runs."""
 
 from fractions import Fraction
 
 import pytest
 
 from wpp import scan
-from wpp.errors import UserInputError
+from wpp.errors import DegenerateWeight, NotPairwiseCoprime, UserInputError
 
 
 @pytest.fixture
@@ -34,6 +34,18 @@ def test_bad_schedule_rejected_before_any_build(sched, no_builds):
         scan.check_triple((2, 3, 5), schedule=sched)
     with pytest.raises(UserInputError, match="epsilon schedule"):
         scan.run_scan(7, jobs=1, schedule=sched)
+
+
+@pytest.mark.parametrize("triple, error", [
+    ((2, 4, 5), NotPairwiseCoprime),
+    ((1, 3, 5), DegenerateWeight),
+    ((0, 3, 5), DegenerateWeight),
+    ((2, 3), UserInputError),
+    ((2, 3, 5, 7), UserInputError),
+])
+def test_check_triple_rejects_bad_triples(triple, error, no_builds):
+    with pytest.raises(error):
+        scan.check_triple(triple)
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
