@@ -3,12 +3,22 @@
 Every rational is serialized as an exact string like "5/3" (or "4" when
 integral), never as a float. parse(serialize(report)) == report holds by
 construction since reports contain only JSON-native values.
+
+serialize_report's output is byte-identical to
+json.dumps(report, sort_keys=True, indent=2). It is written by dumps_indented
+rather than by that call because CPython 3.10 and 3.11 encode in C only when
+indent is None: with indent=2 the json module falls back to a pure-Python
+encoder that yields one chunk per token. dumps_indented walks dicts and lists
+in Python and hands each flat list of scalars (the class vectors, most of a
+high-rank report) and each scalar to the C encoder in one call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import MissingClasses
 from .homlat import NEG_INF
@@ -23,10 +33,12 @@ from .rulings import RulingData, RulingResolution, ruling, ruling_resolution
 
 __all__ = [
     "SCHEMA_VERSION",
+    "dumps_indented",
     "fraction_str",
     "make_report",
     "serialize_report",
     "parse_report",
+    "ratio_str",
     "text_report",
 ]
 
@@ -35,6 +47,12 @@ SCHEMA_VERSION = 1
 
 def fraction_str(x) -> str:
     return str(Fraction(x))
+
+
+def ratio_str(num: int, den: int) -> str:
+    """num / den in lowest terms, "p" or "p/q": the text of str(Fraction(num, den)) for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _kodaira_json(k):
@@ -88,7 +106,7 @@ def _ruling_resolution_json(rr: RulingResolution) -> dict:
     }
 
 
-def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
+def make_report(rp: ResolutionPair) -> dict:
     """Full machine-readable description of one resolution with all checks."""
     pred = check_divisor_predicates(rp)
     sums = check_sum_bound(rp)
@@ -97,9 +115,13 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
     rd = ruling(rp, "c")
     rres = ruling_resolution(rp, rd) if rd.case == "Unicuspidal" else None
     w = rp.weights
-    lat = rp.lattice
+    lat, area, poly = rp.lattice, rp.area, rp.polygon
     if lat.canonical is None:
         raise MissingClasses("resolution lattice has no canonical class")
+
+    def area_str(edge_id: int) -> str:
+        return ratio_str(area.area_scaled(rp.edge_classes[edge_id]), area.denominator)
+
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "triple": list(rp.weights_input),
@@ -110,11 +132,9 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
         "k_squared": lat.sq(lat.canonical),
         "terminal_model": {"kind": rp.terminal, "k": rp.terminal_k},
         "polygon": {
-            "vertices": [[fraction_str(x), fraction_str(y)] for x, y in rp.polygon.vertices],
+            "vertices": [[ratio_str(x, poly.den), ratio_str(y, poly.den)] for x, y in poly.ipts],
             "edge_selfints": list(rp.edge_sels),
-            "edge_lengths": [
-                fraction_str(rp.polygon.edge_length(i)) for i in range(rp.polygon.n)
-            ],
+            "edge_lengths": [ratio_str(poly.length_scaled(i), poly.den) for i in range(poly.n)],
         },
         "strings": {
             role: {
@@ -123,7 +143,7 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
                 "selfints": list(sd.selfints),
                 "edge_ids": list(sd.edge_ids),
                 "classes": [list(rp.edge_classes[i]) for i in sd.edge_ids],
-                "areas": [fraction_str(rp.edge_area(i)) for i in sd.edge_ids],
+                "areas": [area_str(i) for i in sd.edge_ids],
             }
             for role, sd in sorted(rp.strings.items())
         },
@@ -132,7 +152,7 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
                 "selfint": cd.selfint,
                 "edge_id": cd.edge_id,
                 "class": list(rp.edge_classes[cd.edge_id]),
-                "area": fraction_str(rp.edge_area(cd.edge_id)),
+                "area": area_str(cd.edge_id),
             }
             for name, cd in sorted(rp.connectors.items())
         },
@@ -172,13 +192,69 @@ def make_report(rp: ResolutionPair, timing: float | None = None) -> dict:
         "ruling": _ruling_json(rd),
         "ruling_resolution": None if rres is None else _ruling_resolution_json(rres),
     }
-    if timing is not None:
-        report["timing"] = {"seconds": timing}
     return report
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # the C encoder: indent is None
+_INDENT = "  "
+
+
+def dumps_indented(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for every
+    acyclic obj that json accepts; what json rejects raises TypeError here too."""
+    parts: list[str] = []
+    _write(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append the indented text of obj; nl is a newline plus obj's indent."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + _INDENT
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _key(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + _INDENT
+        # a list that starts with a container is not flat: skip encoding it
+        if not isinstance(obj[0], (dict, list, tuple)):
+            text = _encode(obj)
+            # scalars other than strings hold no ", ", so the compact text of
+            # a flat list re-indents by replacing its separators
+            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
+                out.append("[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(_encode(obj))
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: sorted as given, then a non-str key
+    (int, float, bool or None) is quoted as its scalar text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _encode(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def serialize_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2)
+    return dumps_indented(report)
 
 
 def parse_report(text: str) -> dict:

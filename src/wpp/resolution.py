@@ -117,9 +117,6 @@ class ResolutionPair:
     def connector_class(self, label: str) -> Vec:
         return self.edge_classes[self.connectors[label].edge_id]
 
-    def edge_area(self, edge_id: int) -> Fraction:
-        return self.area.area(self.edge_classes[edge_id])
-
 
 def parse_schedule(text: str) -> tuple[Fraction, Fraction]:
     """Parse 'p/q,r/s' into the (initial ratio, shrink ratio) chop schedule."""

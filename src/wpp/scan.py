@@ -7,7 +7,6 @@ count. No timing or host information enters the result.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from multiprocessing import Pool
@@ -15,6 +14,7 @@ from multiprocessing import Pool
 from .arith import weight_triple
 from .errors import LemmaViolated, MissingClasses, UserInputError, WppError
 from .polygon import check_schedule
+from .report import dumps_indented
 from .resolution import (
     build_resolution,
     check_divisor_predicates,
@@ -177,4 +177,4 @@ def run_scan(
 
 
 def serialize_scan(result: dict) -> str:
-    return json.dumps(result, sort_keys=True, indent=2)
+    return dumps_indented(result)

@@ -1,0 +1,142 @@
+"""The report writer against the json module it replaces.
+
+dumps_indented must give exactly json.dumps(x, sort_keys=True, indent=2) for
+every report, every scan and any JSON tree; ratio_str must give exactly
+str(Fraction(num, den)).
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_golden_outputs import REPORT_DIGESTS, SCHEDULES
+from wpp.report import dumps_indented, make_report, ratio_str, serialize_report
+from wpp.resolution import build_resolution
+from wpp.scan import run_scan, serialize_scan
+
+HIGH_RANK = ((163, 283, 369), (2, 149, 151), (247, 250, 253))
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("triple", sorted(REPORT_DIGESTS))
+def test_golden_reports(triple):
+    for idx in range(1, 7):
+        for sched in SCHEDULES:
+            rep = make_report(build_resolution(*triple, presentation=idx, schedule=sched))
+            assert serialize_report(rep) == oracle(rep)
+
+
+@pytest.mark.parametrize("triple", HIGH_RANK)
+def test_high_rank_reports(triple):
+    rp = build_resolution(*triple)
+    assert rp.n >= 150
+    rep = make_report(rp)
+    assert serialize_report(rep) == oracle(rep)
+
+
+def test_scan():
+    result = run_scan(12, jobs=1)
+    assert serialize_scan(result) == oracle(result)
+
+
+EDGE_CASES = [
+    [],
+    {},
+    [[]],
+    [{}],
+    [1, []],
+    [1, {}],
+    [1, [2, 3]],
+    [[1, 2], 3],
+    {"a": [], "b": {}, "c": [[]]},
+    (1, 2, 3),
+    [(1, 2), (3, (4,))],
+    {"t": ()},
+    [1, True, False, None, 2],
+    [None],
+    [True, [False]],
+    [0.5, float("inf"), float("-inf"), float("nan"), 1e-05, 1e300, -0.0],
+    {"f": 1e-05, "g": [2.5, 3]},
+    ["a, b", "c"],
+    [1, "x, y", 2],
+    [1, ", "],
+    ['say "hi"', "back\\slash", "new\nline", "tab\t", "café", "☃", "\U0001f600"],
+    {'k "q"': 1, "k\\b": 2, "k\nl": 3, "é": 4},
+    "plain",
+    'quote " and , space',
+    7,
+    -3,
+    2**80,
+    1.5,
+    True,
+    None,
+    [[1, [2, [3, []]]]],
+    {"z": 1, "a": {"y": [1, 2], "b": [{"c": None}]}},
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_CASES, ids=range(len(EDGE_CASES)))
+def test_edge_cases(obj):
+    assert dumps_indented(obj) == oracle(obj)
+
+
+# keys json converts: sorted as given, then written as their scalar text
+NON_STR_KEYS = [
+    {1: "a", 10: "b", 2: "c"},
+    {-1.5: 0, 2.25: [1, 2]},
+    {float("inf"): 1, float("-inf"): 2},
+    {True: 1, False: 0},
+    {None: [1]},
+    {"outer": {3: {4: []}, 1: None}},
+    [{2**70: 1, 0: 2}],
+]
+
+
+@pytest.mark.parametrize("obj", NON_STR_KEYS, ids=range(len(NON_STR_KEYS)))
+def test_non_str_keys_match_json(obj):
+    assert dumps_indented(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 0, "a": 1}, {None: 0, 1: 1}, {(1, 2): 0}, [1, object()]])
+def test_unencodable_raises_like_json(obj):
+    with pytest.raises(TypeError):
+        oracle(obj)
+    with pytest.raises(TypeError):
+        dumps_indented(obj)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+trees = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_random_trees(obj):
+    assert dumps_indented(obj) == oracle(obj)
+
+
+def test_ratio_str():
+    cases = [(0, 1), (0, 7), (5, 1), (-5, 1), (6, 4), (-6, 4), (-6, 3), (7, 7), (1, 2**64)]
+    rng = random.Random(10)
+    cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(2000)]
+    for num, den in cases:
+        assert ratio_str(num, den) == str(Fraction(num, den)), (num, den)
