@@ -19,11 +19,11 @@ from .homlat import Vec
 from .resolution import ResolutionPair
 from .strings import (
     DivisorConfig,
+    FiberData,
     ResolvedFiber,
     chain_config,
     delta_sequence,
     fiber_class,
-    is_negative_definite,
     resolution_fiber_class,
 )
 
@@ -117,30 +117,27 @@ def combined_strings(rp: ResolutionPair, target: str = "c") -> tuple[CombinedStr
     return _chains(boundary_elements(rp), target)
 
 
-def _nu_scan(chains: tuple[CombinedString, CombinedString]) -> tuple[int, int]:
-    """Stored index of the first target component, along each chain, whose
-    truncation of the chain there is not negative definite."""
-    out = []
-    for cs in chains:
-        sels = cs.selfints
-        nus = (el.stored_index for k, el in enumerate(cs.elements, start=1)
-               if el.role == cs.target and not is_negative_definite(sels[:k]))
-        nu = next(nus, None)
-        if nu is None:
-            raise NoSignChange(f"every truncation toward {cs.target} is negative definite")
-        out.append(nu)
-    return out[0], out[1]
+def _chain_nu(cs: CombinedString) -> int:
+    """Stored index of the first target component at or after the chain's sign
+    change, where its prefixes stop being negative definite."""
+    big_k = delta_sequence(cs.selfints).first_sign_change()
+    if big_k is not None:
+        for el in cs.elements[big_k - 1:]:
+            if el.role == cs.target:
+                return el.stored_index
+    raise NoSignChange(f"every truncation toward {cs.target} is negative definite")
 
 
 def nu_indices(rp: ResolutionPair, target: str = "c") -> tuple[int, int]:
-    """Truncation indices into the target string, by definiteness scanning.
+    """Truncation indices into the target string, from one delta sequence per chain.
 
     The first index is the least nu for which the forward chain truncated at
     stored index nu stops being negative definite; the second is the largest
     nu for which the backward chain truncated from stored index nu up is not
     negative definite. Both point into the same stored numbering.
     """
-    return _nu_scan(combined_strings(rp, target))
+    fwd, bwd = combined_strings(rp, target)
+    return _chain_nu(fwd), _chain_nu(bwd)
 
 
 @dataclass(frozen=True)
@@ -153,9 +150,7 @@ class ApproachData:
     sign_change: int | None  # count of leading positive minors
     nu: int | None  # stored index of the chain node, when it lies in the target
     in_range: bool  # node and its chain successor both in the target string
-    fiber: Vec | None
-    p: int | None
-    q: int | None
+    fiber: FiberData | None  # fiber class at the sign change, with its (p, q)
 
 
 def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
@@ -164,7 +159,7 @@ def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
     ds = delta_sequence(cs.selfints)
     big_k = ds.first_sign_change()
     if big_k is None:
-        return ApproachData(cs, cfg, ds.deltas, None, None, False, None, None, None)
+        return ApproachData(cs, cfg, ds.deltas, None, None, False, None)
     node = cs.elements[big_k - 1]
     nu = node.stored_index if node.role == cs.target else None
     in_range = (
@@ -172,8 +167,8 @@ def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
         and big_k < len(cs.elements)
         and cs.elements[big_k].role == cs.target
     )
-    fd = fiber_class(cfg, big_k)
-    return ApproachData(cs, cfg, ds.deltas, big_k, nu, in_range, fd.fclass, fd.p, fd.q)
+    return ApproachData(cs, cfg, ds.deltas, big_k, nu, in_range,
+                        fiber_class(cfg, ds.deltas, big_k))
 
 
 @dataclass(frozen=True)
@@ -218,11 +213,10 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     recorded in violations instead of raised.
     """
     cycle = boundary_elements(rp)
-    chains = _chains(cycle, target)
+    fwd, bwd = (_approach(rp, cs) for cs in _chains(cycle, target))
     strict = target == "c"
     opp = OPPOSITE_CONNECTOR[target]
     s_opp = rp.connectors[opp].selfint
-    fwd, bwd = (_approach(rp, cs) for cs in chains)
     violations: list[str] = []
 
     def fail(tag: str, msg: str) -> None:
@@ -230,7 +224,8 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
             raise LemmaViolated(msg)
         violations.append(tag)
 
-    if fwd.sign_change is None or bwd.sign_change is None:
+    fa, fb = fwd.fiber, bwd.fiber
+    if fa is None or fb is None:  # a chain without sign change has no fiber
         if strict:
             raise NoSignChange(f"no determinant sign change approaching {target}")
         return RulingData(target, opp, s_opp, "NoSignChange", fwd.nu, bwd.nu,
@@ -240,34 +235,31 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     if not (fwd.in_range and bwd.in_range):
         fail("out_of_range", f"sign change lands outside string {target}")
         return RulingData(target, opp, s_opp, "OutOfRange", fwd.nu, bwd.nu,
-                          None, fwd.p, fwd.q, bwd.p, bwd.q, None, None, None,
+                          None, fa.p, fa.q, fb.p, fb.q, None, None, None,
                           None, fwd, bwd, tuple(violations))
 
+    # in_range puts each node in the target string; the prefixes before a node
+    # are negative definite and the one ending there is not, so nu_indices
+    # gives (nu_a, nu_b) by construction and needs no cross-check here
     nu_a, nu_b = fwd.nu, bwd.nu
     if nu_a is None or nu_b is None:
         raise LemmaViolated(f"sign change approaching {target} has no index")
-    # independent route: definiteness scanning over truncations
-    if (nu_a, nu_b) != _nu_scan(chains):
-        fail("nu_scan", "truncation scan disagrees with the sign-change indices")
 
-    if fwd.fiber != bwd.fiber:
+    if fa.fclass != fb.fclass:
         fail("fiber_mismatch", "forward and backward fibers differ")
-    fiber = fwd.fiber
-    p, q = fwd.p, fwd.q
-    if fiber is None or p is None or q is None:
-        raise MissingClasses(f"sign change approaching {target} has no fiber data")
+    fiber, p, q = fa.fclass, fa.p, fa.q
 
     if s_opp >= 0:
         case = "EmbeddedFiber"
         shape_ok = (
             nu_b - nu_a == 2
             and (p, q) == (0, 1)
-            and (bwd.p, bwd.q) == (0, 1)
+            and (fb.p, fb.q) == (0, 1)
         )
     else:
         case = "Unicuspidal"
         shape_ok = (
-            nu_b - nu_a == 1 and (p, q) == (bwd.q, bwd.p) and p >= 1 and q >= 1
+            nu_b - nu_a == 1 and (p, q) == (fb.q, fb.p) and p >= 1 and q >= 1
         )
     if not shape_ok:
         fail("case_shape", f"{case} data out of shape for target {target}")
@@ -308,8 +300,8 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
         fiber=fiber,
         pa=p,
         qa=q,
-        pb=bwd.p,
-        qb=bwd.q,
+        pb=fb.p,
+        qb=fb.q,
         selfint=square,
         canonical_pairing=kf,
         cusp_location=(nu_a, nu_b) if case == "Unicuspidal" else None,
@@ -344,9 +336,9 @@ def ruling_resolution(rp: ResolutionPair, rd: RulingData) -> RulingResolution:
     if rd.violations:
         raise WppError(f"ruling data carries violations {rd.violations}")
     fwd = rd.forward
-    if fwd.sign_change is None:
+    if fwd.fiber is None:
         raise LemmaViolated("Unicuspidal ruling has no forward sign change")
-    rf = resolution_fiber_class(fwd.config, fwd.sign_change)
+    rf = resolution_fiber_class(fwd.config, fwd.fiber)
     if rd.pa is None or rd.qa is None:
         raise MissingClasses("Unicuspidal ruling has no cusp fraction")
     if rf.multiplicities != weight_sequence(rd.pa, rd.qa):

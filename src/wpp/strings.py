@@ -410,27 +410,31 @@ class FiberData:
     q: int  # delta_upto
 
 
-def fiber_class(cfg: DivisorConfig, upto: int) -> FiberData:
+def fiber_class(cfg: DivisorConfig, deltas: tuple[int, ...], upto: int) -> FiberData:
     """Weighted partial sum F = sum_{i<=upto} delta_i [S_i] along a chain.
 
-    The square is checked against -delta_upto * delta_{upto+1} exactly.
+    deltas is the chain's delta sequence, computed by the caller from the
+    self-intersections it already holds (len(cfg) + 1 entries). The square of
+    F is checked against -delta_upto * delta_{upto+1} in the lattice, which
+    ties the supplied deltas to the component classes.
     """
     n = len(cfg.components)
+    if len(deltas) != n + 1:
+        raise RankMismatch(f"{len(deltas)} deltas for a chain of {n} components")
     if not 1 <= upto <= n:
         raise BadIndex(f"upto = {upto} outside 1..{n}")
-    ds = delta_sequence(cfg.selfints()).deltas
     rank = cfg.lattice.rank
     f = [0] * rank
     for idx in range(upto):
-        d = ds[idx]
+        d = deltas[idx]
         cls = cfg.components[idx].cls
         for r in range(rank):
             if cls[r]:
                 f[r] += d * cls[r]
     fv = tuple(f)
-    if cfg.lattice.sq(fv) != -ds[upto - 1] * ds[upto]:
+    if cfg.lattice.sq(fv) != -deltas[upto - 1] * deltas[upto]:
         raise LemmaViolated("fiber class square disagrees with the minor product")
-    return FiberData(fv, ds, upto, -ds[upto], ds[upto - 1])
+    return FiberData(fv, deltas, upto, -deltas[upto], deltas[upto - 1])
 
 
 def fiber_profile(cfg: DivisorConfig, fd: FiberData) -> tuple[int, ...]:
@@ -449,8 +453,8 @@ class ResolvedFiber:
     last_meeting: int | None  # index of the one component the fiber meets, if any
 
 
-def resolution_fiber_class(cfg: DivisorConfig, upto: int) -> ResolvedFiber:
-    """Resolve the fiber at a determinant sign change into a square-zero class.
+def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
+    """Resolve fd, the fiber_class of cfg at a sign change, into a square-zero class.
 
     Repeated blowups at the chain node, following the subtraction pattern
     of the multiplicity sequence of (p, q), make the fiber class disjoint from
@@ -459,10 +463,9 @@ def resolution_fiber_class(cfg: DivisorConfig, upto: int) -> ResolvedFiber:
     spheres it created, so the blowups run on those two alone and the rest of
     the chain is padded into the final lattice once.
     """
-    fd = fiber_class(cfg, upto)
-    p, q = fd.p, fd.q
+    upto, p, q = fd.upto, fd.p, fd.q
     if not (q > 0 and p >= 0):
-        raise NotAtSignChange(f"minors ({fd.deltas[upto-1]}, {fd.deltas[upto]}) at position {upto}")
+        raise NotAtSignChange(f"minors ({q}, {-p}) at position {upto}")
     # canonical pairing of F by adjunction on the chain components:
     # sum_{i<upto} d_i (b_i - 2) telescopes through b_i d_i = d_{i+1} + d_{i-1}
     # to d_upto - d_{upto-1} - d_0 = -p - q - 1

@@ -22,6 +22,7 @@ from wpp.strings import (
     adjacent_ones_check,
     blowdown,
     delta_sequence,
+    fiber_class,
     half_toric_blowup,
     resolution_fiber_class,
     selfint_blowdown_moves,
@@ -130,8 +131,9 @@ def test_criterion_2_large_golden(acceptance_line):
 
 def test_criterion_3_fiber_resolution_replay(acceptance_line):
     def body():
-        cfg = abstract_chain((-3, -2, -1, -1, -2))
-        rf = resolution_fiber_class(cfg, 4)
+        s = (-3, -2, -1, -1, -2)
+        cfg = abstract_chain(s)
+        rf = resolution_fiber_class(cfg, fiber_class(cfg, delta_sequence(s).deltas, 4))
         # fiber class: components v1..v5 weighted (1,3,5,2,0), then the three
         # new exceptional directions with coefficients (-2,-1,-1)
         assert rf.fclass == (1, 3, 5, 2, 0, -2, -1, -1)

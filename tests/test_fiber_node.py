@@ -3,8 +3,10 @@
 `resolution_fiber_class` runs its toric blowups on the two node spheres alone
 and splices the result into the chain once. `_reference` is the earlier
 version, which blew up the whole chain each time and tracked every exceptional
-sphere's position and basis index; both must give the same configuration,
-fiber class, multiplicities and last meeting sphere.
+sphere's position and basis index. `_reference` also recomputes the fiber
+from the lattice squares of the chain (`cfg.selfints()`), while the product
+takes it from the caller's delta sequence; both must give the same
+configuration, fiber class, multiplicities and last meeting sphere.
 """
 
 import random
@@ -31,7 +33,7 @@ def _pad(x, rank):
 
 def _reference(cfg, upto):
     """The full-chain blowup loop: (config, fiber, multiplicities, last meeting)."""
-    fd = fiber_class(cfg, upto)
+    fd = fiber_class(cfg, delta_sequence(cfg.selfints()).deltas, upto)
     p, q = fd.p, fd.q
     if not (q > 0 and p >= 0):
         raise NotAtSignChange(f"minors at position {upto}")
@@ -72,9 +74,9 @@ def _reference(cfg, upto):
     return cur, tuple(f), tuple(mults), exc_positions[-1]
 
 
-def _assert_same(cfg, upto):
-    rf = resolution_fiber_class(cfg, upto)
-    config, fclass, mults, last = _reference(cfg, upto)
+def _assert_same(cfg, fd):
+    rf = resolution_fiber_class(cfg, fd)
+    config, fclass, mults, last = _reference(cfg, fd.upto)
     # DivisorConfig equality covers labels, classes, lattice rank and canonical
     assert rf.config == config
     assert rf.fclass == fclass
@@ -104,7 +106,7 @@ def _forward_chains(triples):
 def test_every_unicuspidal_ruling_up_to_c20():
     count = 0
     for fwd in _forward_chains(coprime_triples(20)):
-        rf = _assert_same(fwd.config, fwd.sign_change)
+        rf = _assert_same(fwd.config, fwd.fiber)
         assert rf.multiplicities
         assert _assert_telescoping(fwd.config.selfints()) >= 1
         count += 1
@@ -122,7 +124,7 @@ def test_rank_at_least_100(triple, pq):
     rd = ruling(rp, "c")
     assert rd.case == "Unicuspidal" and (rd.pa, rd.qa) == pq
     fwd = rd.forward
-    rf = _assert_same(fwd.config, fwd.sign_change)
+    rf = _assert_same(fwd.config, fwd.fiber)
     assert len(rf.multiplicities) >= 30
     _assert_telescoping(fwd.config.selfints())
 
@@ -137,13 +139,14 @@ def test_seeded_abstract_chains():
         if big_k is None:
             continue
         cfg = abstract_chain(s)
+        fd = fiber_class(cfg, delta_sequence(s).deltas, big_k)
         try:
             _reference(cfg, big_k)
         except BadIndex:
             with pytest.raises(BadIndex):
-                resolution_fiber_class(cfg, big_k)
+                resolution_fiber_class(cfg, fd)
             raised += 1
         else:
-            _assert_same(cfg, big_k)
+            _assert_same(cfg, fd)
             resolved += 1
     assert resolved > 150 and raised > 0

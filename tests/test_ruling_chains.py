@@ -1,17 +1,21 @@
 """Differential tests: approach chains cut from one boundary cycle against the
-two directional walks they replaced, and the number of cycle constructions
-per ruling.
+two directional walks they replaced, and the work done per ruling.
 
 The reference functions below are copies of the earlier implementation, which
 rebuilt the boundary cycle for each walk, walked it forward and backward from
-the opposite connector with two separate loops, and cross-checked the
-sign-change indices by truncating each chain at every stored index of the
-target string.
+the opposite connector with two separate loops, read each chain's deltas from
+the lattice squares of its classes, and cross-checked the sign-change indices
+by truncating each chain at every stored index of the target string.
+`wpp.rulings` reads the deltas once from the stored self-intersections and
+takes the indices from one delta sequence per chain, so these tests pit the
+stored self-intersections against the lattice and the prefix rescan against
+the linear scan.
 """
 
 import pytest
 
 import wpp.rulings as rulings
+import wpp.strings as strings
 from wpp.errors import LemmaViolated, MissingClasses, NoSignChange
 from wpp.resolution import build_resolution
 from wpp.rulings import (
@@ -25,7 +29,14 @@ from wpp.rulings import (
     ruling,
     ruling_resolution,
 )
-from wpp.strings import chain_config, delta_sequence, fiber_class, is_negative_definite
+from wpp.scan import coprime_triples
+from wpp.strings import (
+    DivisorConfig,
+    chain_config,
+    delta_sequence,
+    fiber_class,
+    is_negative_definite,
+)
 
 TRIPLES = ((2, 3, 5), (3, 4, 5), (11, 13, 14), (7, 8, 15), (2, 39, 41), (5, 33, 49), (13, 17, 19))
 
@@ -92,10 +103,10 @@ def ref_nu_indices(rp, target):
 def ref_approach(rp, cs):
     cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
                        validate=False)
-    ds = delta_sequence(cs.selfints)
+    ds = delta_sequence(cfg.selfints())
     big_k = ds.first_sign_change()
     if big_k is None:
-        return ApproachData(cs, cfg, ds.deltas, None, None, False, None, None, None)
+        return ApproachData(cs, cfg, ds.deltas, None, None, False, None)
     node = cs.elements[big_k - 1]
     nu = node.stored_index if node.role == cs.target else None
     in_range = (
@@ -103,8 +114,8 @@ def ref_approach(rp, cs):
         and big_k < len(cs.elements)
         and cs.elements[big_k].role == cs.target
     )
-    fd = fiber_class(cfg, big_k)
-    return ApproachData(cs, cfg, ds.deltas, big_k, nu, in_range, fd.fclass, fd.p, fd.q)
+    fd = fiber_class(cfg, ds.deltas, big_k)
+    return ApproachData(cs, cfg, ds.deltas, big_k, nu, in_range, fd)
 
 
 def ref_ruling(rp, target):
@@ -126,25 +137,26 @@ def ref_ruling(rp, target):
         return RulingData(target, opp, s_opp, "NoSignChange", fwd.nu, bwd.nu,
                           None, None, None, None, None, None, None, None, None,
                           fwd, bwd, ("no_sign_change",))
+    fa, fb = fwd.fiber, bwd.fiber
+    if fa is None or fb is None:
+        raise MissingClasses("no fiber data")
     if not (fwd.in_range and bwd.in_range):
         fail("out_of_range", f"sign change lands outside string {target}")
         return RulingData(target, opp, s_opp, "OutOfRange", fwd.nu, bwd.nu,
-                          None, fwd.p, fwd.q, bwd.p, bwd.q, None, None, None,
+                          None, fa.p, fa.q, fb.p, fb.q, None, None, None,
                           None, fwd, bwd, tuple(violations))
     nu_a, nu_b = fwd.nu, bwd.nu
     if (nu_a, nu_b) != ref_nu_indices(rp, target):
         fail("nu_scan", "truncation scan disagrees with the sign-change indices")
-    if fwd.fiber != bwd.fiber:
+    if fa.fclass != fb.fclass:
         fail("fiber_mismatch", "forward and backward fibers differ")
-    fiber, p, q = fwd.fiber, fwd.p, fwd.q
-    if fiber is None:
-        raise MissingClasses("no fiber data")
+    fiber, p, q = fa.fclass, fa.p, fa.q
     if s_opp >= 0:
         case = "EmbeddedFiber"
-        shape_ok = nu_b - nu_a == 2 and (p, q) == (0, 1) and (bwd.p, bwd.q) == (0, 1)
+        shape_ok = nu_b - nu_a == 2 and (p, q) == (0, 1) and (fb.p, fb.q) == (0, 1)
     else:
         case = "Unicuspidal"
-        shape_ok = nu_b - nu_a == 1 and (p, q) == (bwd.q, bwd.p) and p >= 1 and q >= 1
+        shape_ok = nu_b - nu_a == 1 and (p, q) == (fb.q, fb.p) and p >= 1 and q >= 1
     if not shape_ok:
         fail("case_shape", f"{case} data out of shape for target {target}")
     lat = rp.lattice
@@ -172,7 +184,7 @@ def ref_ruling(rp, target):
     if not profile_ok:
         fail("profile", "fiber meets the cycle outside the expected components")
     return RulingData(
-        target, opp, s_opp, case, nu_a, nu_b, fiber, p, q, bwd.p, bwd.q, square, kf,
+        target, opp, s_opp, case, nu_a, nu_b, fiber, p, q, fb.p, fb.q, square, kf,
         (nu_a, nu_b) if case == "Unicuspidal" else None,
         nu_a + 1 if case == "EmbeddedFiber" else None,
         fwd, bwd, tuple(violations),
@@ -204,11 +216,12 @@ def test_chains_match_reference_walks(triple):
                 assert cs.selfints == ref.selfints
                 assert cs.classes() == ref.classes()
                 assert cs == ref
-            assert _outcome(nu_indices, rp, target) == _outcome(ref_nu_indices, rp, target)
 
 
-@pytest.mark.parametrize("triple", TRIPLES)
-def test_ruling_matches_reference(triple):
+def _assert_rulings_match(triple):
+    """ruling and nu_indices against the references on every presentation and
+    target; returns the number of rulings compared."""
+    count = 0
     for idx in range(1, 7):
         rp = build_resolution(*triple, presentation=idx)
         for target in ("a", "b", "c"):
@@ -216,14 +229,26 @@ def test_ruling_matches_reference(triple):
             assert got == _outcome(ref_ruling, rp, target)
             if target == "c":
                 assert isinstance(got, RulingData) and got.violations == ()
+            assert _outcome(nu_indices, rp, target) == _outcome(ref_nu_indices, rp, target)
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("triple", TRIPLES)
+def test_ruling_matches_reference(triple):
+    _assert_rulings_match(triple)
+
+
+def test_every_ruling_up_to_c16_matches_reference():
+    assert sum(_assert_rulings_match(t) for t in coprime_triples(16)) == 2142
 
 
 def test_scan_without_sign_change_raises():
     rp = build_resolution(2, 3, 5)
-    fwd, bwd = combined_strings(rp, "c")
+    fwd, _bwd = combined_strings(rp, "c")
     lone = CombinedString("forward", "c", fwd.elements[-1:])  # one sphere of square <= -2
-    with pytest.raises(NoSignChange):
-        rulings._nu_scan((lone, bwd))
+    with pytest.raises(NoSignChange, match="^every truncation toward c is negative definite$"):
+        rulings._chain_nu(lone)
 
 
 # --- cycle constructions per build -------------------------------------------------
@@ -252,6 +277,35 @@ def test_one_cycle_per_ruling(triple, cycle_calls):
         if rd.case == "Unicuspidal":
             ruling_resolution(rp, rd)
         assert len(cycle_calls) <= 2
+
+
+@pytest.mark.parametrize("triple", ((11, 13, 14), (2, 39, 41)))
+def test_deltas_read_once_per_chain(triple, monkeypatch):
+    """One fiber_class per approach chain, none in the resolution, and no
+    self-intersection read back from the lattice."""
+    fiber_calls, selfint_calls = [], []
+    original_fiber = strings.fiber_class
+    original_selfints = DivisorConfig.selfints
+
+    def counted_fiber(*args):
+        fiber_calls.append(args)
+        return original_fiber(*args)
+
+    def counted_selfints(cfg):
+        selfint_calls.append(cfg)
+        return original_selfints(cfg)
+
+    monkeypatch.setattr(strings, "fiber_class", counted_fiber)
+    monkeypatch.setattr(rulings, "fiber_class", counted_fiber)
+    monkeypatch.setattr(DivisorConfig, "selfints", counted_selfints)
+    for idx in range(1, 7):
+        rp = build_resolution(*triple, presentation=idx)
+        del fiber_calls[:], selfint_calls[:]
+        rd = ruling(rp)
+        if rd.case == "Unicuspidal":
+            ruling_resolution(rp, rd)
+        assert len(fiber_calls) == 2
+        assert selfint_calls == []
 
 
 def test_resolution_reuses_forward_config(cycle_calls):

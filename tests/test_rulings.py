@@ -69,14 +69,14 @@ class TestApproachData:
         assert rd.forward.sign_change == 6
         assert rd.forward.nu == 1
         assert rd.forward.in_range
-        assert (rd.forward.p, rd.forward.q) == (2, 3)
+        assert (rd.forward.fiber.p, rd.forward.fiber.q) == (2, 3)
 
     def test_backward_deltas(self, rp11):
         rd = ruling(rp11)
         assert rd.backward.deltas[:9] == (1, 3, 5, 7, 9, 11, 13, 2, -3)
         assert rd.backward.sign_change == 8
         assert rd.backward.nu == 2
-        assert (rd.backward.p, rd.backward.q) == (3, 2)
+        assert (rd.backward.fiber.p, rd.backward.fiber.q) == (3, 2)
 
     def test_nu_indices(self, rp11, rp235):
         assert nu_indices(rp11) == (1, 2)

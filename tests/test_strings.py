@@ -13,6 +13,7 @@ from wpp.errors import (
     NotAdjacent,
     NotAtSignChange,
     NotBlowdownable,
+    RankMismatch,
     WppError,
 )
 from wpp.homlat import cp2_lattice, hirz_lattice
@@ -282,10 +283,16 @@ class TestBlowdown:
             assert delta_sequence(grown).det == delta_sequence(tuple(s)).det
 
 
+def _chain_fiber(selfints, upto):
+    """abstract_chain(selfints) with its fiber class at upto, computed from the
+    delta sequence of the given self-intersections."""
+    cfg = abstract_chain(selfints)
+    return cfg, fiber_class(cfg, delta_sequence(selfints).deltas, upto)
+
+
 class TestFiberClasses:
     def test_golden_sign_change(self):
-        cfg = abstract_chain((-3, -2, -1, -1, -2))
-        fd = fiber_class(cfg, 4)
+        cfg, fd = _chain_fiber((-3, -2, -1, -1, -2), 4)
         assert fd.fclass == (1, 3, 5, 2, 0)
         assert (fd.p, fd.q) == (3, 2)
         assert cfg.lattice.sq(fd.fclass) == 6
@@ -293,24 +300,32 @@ class TestFiberClasses:
 
     def test_profile_structure(self):
         # sign change at the very end of the chain: only p shows up
-        cfg = abstract_chain((-2, -3, -2, -2, -1, -3))
-        fd = fiber_class(cfg, 6)
+        cfg, fd = _chain_fiber((-2, -3, -2, -2, -1, -3), 6)
         assert (fd.p, fd.q) == (2, 3)
         assert fiber_profile(cfg, fd) == (0, 0, 0, 0, 0, 2)
         # interior sign change: p on the last summed component, q on the next
-        cfg2 = abstract_chain((-2, -3, -2, -2, -1, -3, -5))
-        fd2 = fiber_class(cfg2, 6)
+        cfg2, fd2 = _chain_fiber((-2, -3, -2, -2, -1, -3, -5), 6)
         assert (fd2.p, fd2.q) == (2, 3)
         assert fiber_profile(cfg2, fd2) == (0, 0, 0, 0, 0, 2, 3)
 
     def test_bad_index(self):
         cfg = abstract_chain((-2, -2))
         with pytest.raises(BadIndex):
-            fiber_class(cfg, 0)
+            fiber_class(cfg, delta_sequence((-2, -2)).deltas, 0)
+
+    def test_deltas_length_checked(self):
+        s = (-3, -2, -1, -1, -2)
+        cfg = abstract_chain(s)
+        ds = delta_sequence(s).deltas
+        # deltas of a shorter or longer chain: the wrong length is refused
+        # before any entry is read, never an IndexError or a silent sum
+        for bad in (ds[:-1], ds[:-2], ds + (1,), ()):
+            for upto in (4, 5):
+                with pytest.raises(RankMismatch):
+                    fiber_class(cfg, bad, upto)
 
     def test_resolution_golden(self):
-        cfg = abstract_chain((-3, -2, -1, -1, -2))
-        rf = resolution_fiber_class(cfg, 4)
+        rf = resolution_fiber_class(*_chain_fiber((-3, -2, -1, -1, -2), 4))
         assert [c.label for c in rf.config.components] == [
             "v1", "v2", "v3", "v4", "C2", "C3", "C1", "v5",
         ]
@@ -321,8 +336,7 @@ class TestFiberClasses:
         assert rf.config.components[rf.last_meeting].label == "C3"
 
     def test_resolution_swapped_pq(self):
-        cfg = abstract_chain((-2, -3, -2, -2, -1, -3, -5))
-        rf = resolution_fiber_class(cfg, 6)
+        rf = resolution_fiber_class(*_chain_fiber((-2, -3, -2, -2, -1, -3, -5), 6))
         assert rf.base.p == 2 and rf.base.q == 3
         assert rf.multiplicities == (2, 1, 1)
         lat = rf.config.lattice
@@ -331,22 +345,20 @@ class TestFiberClasses:
             assert lat.pair(rf.fclass, comp.cls) == want
 
     def test_zero_one_short_path(self):
-        cfg = abstract_chain((-1, -1))
-        rf = resolution_fiber_class(cfg, 2)
+        rf = resolution_fiber_class(*_chain_fiber((-1, -1), 2))
         assert rf.multiplicities == ()
         assert rf.last_meeting is None
         assert rf.fclass == (1, 1)
 
     def test_zero_one_mid_chain(self):
-        cfg = abstract_chain((-1, -1, -2))
-        rf = resolution_fiber_class(cfg, 2)
+        rf = resolution_fiber_class(*_chain_fiber((-1, -1, -2), 2))
         assert rf.multiplicities == ()
         assert rf.last_meeting == 2
 
     def test_not_at_sign_change(self):
-        cfg = abstract_chain((-2, -2, -2))
+        cfg, fd = _chain_fiber((-2, -2, -2), 2)
         with pytest.raises(NotAtSignChange):
-            resolution_fiber_class(cfg, 2)
+            resolution_fiber_class(cfg, fd)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-5, -1), min_size=2, max_size=8))
@@ -361,7 +373,7 @@ class TestFiberClasses:
         cfg = abstract_chain(tuple(s))
         if p > 0 and big_k >= len(s):
             return
-        rf = resolution_fiber_class(cfg, big_k)
+        rf = resolution_fiber_class(cfg, fiber_class(cfg, ds.deltas, big_k))
         lat = rf.config.lattice
         assert lat.sq(rf.fclass) == 0
         for pos, comp in enumerate(rf.config.components):
