@@ -132,14 +132,6 @@ class Lattice:
             return -2 * x[0] - sum(x)
         return self.pair(self.canonical, x)
 
-    def adjunction_defect(self, x: Vec) -> int:
-        """x.x + K.x + 2; zero exactly for embedded rational curve classes."""
-        return self.sq(x) + self.k_pair(x) + 2
-
-    def sw_index(self, x: Vec) -> int:
-        """x.x - K.x; equals 2 for fiber classes of rational ruled surfaces."""
-        return self.sq(x) - self.k_pair(x)
-
     def is_exceptional_class(self, x: Vec) -> bool:
         return self.sq(x) == -1 and self.k_pair(x) == -1
 
@@ -680,6 +672,11 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     For a ruled-surface lattice T is a shear making B.B even or odd small,
     then the standard elementary transformation; the even case consumes one
     exceptional basis vector and so needs rank >= 3.
+
+    The conversion is certified once, on the block: T e_i . T e_j must equal
+    e_i . e_j for i, j < b, else LemmaViolated. Past the block T is the
+    identity and both forms are -1 on the diagonal and orthogonal to the
+    block, so the certificate makes T an isometry on every class.
     """
     r = lat.rank
     b = min(3, r)
@@ -715,6 +712,12 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
         raise WppError("basis conversion inverse check failed")
     out = cp2_lattice(r - 1)
+    heads = [unit(r, i) for i in range(b)]
+    images = [mat_vec(t, x) for x in heads]
+    for i in range(b):
+        for j in range(i, b):
+            if out.pair(images[i], images[j]) != lat.pair(heads[i], heads[j]):
+                raise LemmaViolated(f"basis conversion changes the pairing of e_{i}, e_{j}")
     if lat.canonical is not None:
         if mat_vec(t, lat.canonical) != out.canonical:
             raise WppError("canonical class does not convert to the standard one")

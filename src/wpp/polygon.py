@@ -489,7 +489,9 @@ def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses
     for i in range(m):
         if lat.sq(cls[i]) != sels[i]:
             raise LemmaViolated(f"edge {i}: square {lat.sq(cls[i])} != {sels[i]}")
-        if lat.adjunction_defect(cls[i]) != 0:
+        # the square was just checked to be sels[i], so adjunction
+        # x.x + K.x + 2 = 0 needs only K.x
+        if lat.k_pair(cls[i]) != -2 - sels[i]:
             raise LemmaViolated(f"edge {i}: adjunction defect nonzero")
         if area.area_scaled(cls[i]) * p.den != p.length_scaled(i) * area.denominator:
             raise LemmaViolated(f"edge {i}: area does not match edge length")

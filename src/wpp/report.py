@@ -113,7 +113,7 @@ def make_report(rp: ResolutionPair) -> dict:
     rows = check_two_minus2(rp)
     conns = connector_selfints(rp)
     rd = ruling(rp, "c")
-    rres = ruling_resolution(rp, rd) if rd.case == "Unicuspidal" else None
+    rres = ruling_resolution(rd) if rd.case == "Unicuspidal" else None
     w = rp.weights
     lat, area, poly = rp.lattice, rp.area, rp.polygon
     if lat.canonical is None:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import weight_sequence
-from .errors import LemmaViolated, MissingClasses, NoSignChange, WppError
+from .errors import LemmaViolated, NoSignChange, WppError
 from .homlat import Vec
 from .resolution import ResolutionPair
 from .strings import (
@@ -208,9 +207,10 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     For the default target (the largest weight) every structural claim is
     asserted: matching fibers, the case split against the opposite connector
     square, the index gap, the normal forms of the local types, the canonical
-    and square identities, and the full intersection profile along the cycle.
-    For the permuted targets the same data is computed and any failed claim is
-    recorded in violations instead of raised.
+    identity, a positive area, and the full intersection profile along the
+    cycle. The square identity F.F = p * q is fiber_class's own check, which
+    raises for every target. For the permuted targets the same data is
+    computed and any failed claim is recorded in violations instead of raised.
     """
     cycle = boundary_elements(rp)
     fwd, bwd = (_approach(rp, cs) for cs in _chains(cycle, target))
@@ -265,14 +265,10 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
         fail("case_shape", f"{case} data out of shape for target {target}")
 
     lat = rp.lattice
-    square = lat.sq(fiber)
     kf = lat.k_pair(fiber)
-    if square != p * q:
-        fail("square", f"fiber square {square} differs from {p * q}")
+    # the index F.F - K.F = (p+1)(q+1) holds exactly when this one does
     if kf != -p - q - 1:
         fail("canonical", f"canonical pairing {kf} differs from {-p - q - 1}")
-    if lat.sw_index(fiber) != (p + 1) * (q + 1):
-        fail("sw_index", "fiber index differs from (p+1)(q+1)")
     if rp.area.area(fiber) <= 0:
         fail("area", "fiber class has nonpositive area")
 
@@ -302,7 +298,8 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
         qa=q,
         pb=fb.p,
         qb=fb.q,
-        selfint=square,
+        # fiber_class raised unless F.F = -delta_{k-1} * delta_k, which is p * q
+        selfint=p * q,
         canonical_pairing=kf,
         cusp_location=(nu_a, nu_b) if case == "Unicuspidal" else None,
         meet_component=nu_a + 1 if case == "EmbeddedFiber" else None,
@@ -323,13 +320,19 @@ class RulingResolution:
     final_rank: int
 
 
-def ruling_resolution(rp: ResolutionPair, rd: RulingData) -> RulingResolution:
+def ruling_resolution(rd: RulingData) -> RulingResolution:
     """Blow up the cusp node along the multiplicity sequence of (p, q).
 
     Requires a Unicuspidal ruling with clean data. The resolved class has
     square zero and canonical pairing -2, meets the last exceptional sphere
     once, keeps its single intersection with the opposite connector, and
     stays disjoint from every other cycle sphere.
+
+    resolution_fiber_class checks the pairings with the transformed forward
+    chain. The other cycle spheres (the opposite connector and those past the
+    target string) are zero on the new exceptional slots, so the resolved
+    fiber pairs with each of them as the fiber did, and ruling's profile check
+    found 1 with the opposite connector and 0 with the rest.
     """
     if rd.case != "Unicuspidal":
         raise WppError(f"ruling resolution needs a Unicuspidal ruling, got {rd.case}")
@@ -338,21 +341,9 @@ def ruling_resolution(rp: ResolutionPair, rd: RulingData) -> RulingResolution:
     fwd = rd.forward
     if fwd.fiber is None:
         raise LemmaViolated("Unicuspidal ruling has no forward sign change")
+    # implied, so not re-checked: the multiplicities are weight_sequence(pa,
+    # qa) by resolution_fiber_class's subtraction-pair check on the forward
+    # (p, q); pa and qa are set on every Unicuspidal ruling; the pairings off
+    # the chain are ruling's profile check (see the docstring)
     rf = resolution_fiber_class(fwd.config, fwd.fiber)
-    if rd.pa is None or rd.qa is None:
-        raise MissingClasses("Unicuspidal ruling has no cusp fraction")
-    if rf.multiplicities != weight_sequence(rd.pa, rd.qa):
-        raise LemmaViolated("resolution multiplicities differ from the weight sequence")
-    lat2 = rf.config.lattice
-    chain_names = {el.name for el in fwd.combined.elements}
-    for el in boundary_elements(rp):
-        if el.name in chain_names:
-            continue
-        padded = el.cls + (0,) * (lat2.rank - len(el.cls))
-        want = 1 if el.name == rd.opposite else 0
-        got = lat2.pair(rf.fclass, padded)
-        if got != want:
-            raise LemmaViolated(
-                f"resolved fiber pairs {got} with {el.name}, expected {want}"
-            )
-    return RulingResolution(rd, rf.config, rf, rf.multiplicities, lat2.rank)
+    return RulingResolution(rd, rf.config, rf, rf.multiplicities, rf.config.lattice.rank)

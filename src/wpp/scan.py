@@ -102,7 +102,7 @@ def check_triple(
             if "prop51" in do:
                 rd = ruling(rp, "c")
                 if rd.case == "Unicuspidal":
-                    ruling_resolution(rp, rd)
+                    ruling_resolution(rd)
                 if pres == 1:
                     row.update(
                         case=rd.case,

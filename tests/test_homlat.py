@@ -77,12 +77,13 @@ class TestLatticePairings:
         lat = cp2_lattice(2)
         line = (1, 0, 0)
         conic = (2, 0, 0)
-        assert lat.adjunction_defect(line) == 0
-        assert lat.adjunction_defect(conic) == 0
+        # adjunction x.x + K.x + 2 = 0 and the index x.x - K.x
+        assert lat.sq(line) + lat.k_pair(line) + 2 == 0
+        assert lat.sq(conic) + lat.k_pair(conic) + 2 == 0
         exc = (0, 1, 0)
         assert lat.is_exceptional_class(exc)
         assert not lat.is_exceptional_class(line)
-        assert lat.sw_index(line) == 4
+        assert lat.sq(line) - lat.k_pair(line) == 4
 
     def test_generic_without_gram(self):
         lat = Lattice("generic", 2)

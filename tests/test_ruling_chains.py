@@ -166,7 +166,7 @@ def ref_ruling(rp, target):
         fail("square", f"fiber square {square} differs from {p * q}")
     if kf != -p - q - 1:
         fail("canonical", f"canonical pairing {kf} differs from {-p - q - 1}")
-    if lat.sw_index(fiber) != (p + 1) * (q + 1):
+    if lat.sq(fiber) - lat.k_pair(fiber) != (p + 1) * (q + 1):
         fail("sw_index", "fiber index differs from (p+1)(q+1)")
     if rp.area.area(fiber) <= 0:
         fail("area", "fiber class has nonpositive area")
@@ -275,8 +275,8 @@ def test_one_cycle_per_ruling(triple, cycle_calls):
         rd = ruling(rp)
         assert len(cycle_calls) == 1
         if rd.case == "Unicuspidal":
-            ruling_resolution(rp, rd)
-        assert len(cycle_calls) <= 2
+            ruling_resolution(rd)
+        assert len(cycle_calls) == 1
 
 
 @pytest.mark.parametrize("triple", ((11, 13, 14), (2, 39, 41)))
@@ -303,7 +303,7 @@ def test_deltas_read_once_per_chain(triple, monkeypatch):
         del fiber_calls[:], selfint_calls[:]
         rd = ruling(rp)
         if rd.case == "Unicuspidal":
-            ruling_resolution(rp, rd)
+            ruling_resolution(rd)
         assert len(fiber_calls) == 2
         assert selfint_calls == []
 
@@ -314,5 +314,5 @@ def test_resolution_reuses_forward_config(cycle_calls):
     cs = rd.forward.combined
     assert rd.forward.config == chain_config(rp.lattice, list(cs.classes()),
                                              labels=list(cs.labels()), validate=False)
-    ruling_resolution(rp, rd)
-    assert len(cycle_calls) == 2
+    ruling_resolution(rd)
+    assert len(cycle_calls) == 1

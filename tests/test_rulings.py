@@ -136,7 +136,7 @@ class TestRulingCases:
 class TestRulingResolution:
     def test_golden(self, rp11):
         rd = ruling(rp11)
-        rr = ruling_resolution(rp11, rd)
+        rr = ruling_resolution(rd)
         assert rr.multiplicities == (2, 1, 1)
         assert rr.final_rank == 16
         assert [c.label for c in rr.config.components] == [
@@ -152,7 +152,7 @@ class TestRulingResolution:
 
     def test_resolved_fiber_is_zero_sphere_section(self, rp11):
         rd = ruling(rp11)
-        rr = ruling_resolution(rp11, rd)
+        rr = ruling_resolution(rd)
         lat = rr.config.lattice
         assert lat.sq(rr.resolved.fclass) == 0
         for pos, comp in enumerate(rr.config.components):
@@ -164,7 +164,7 @@ class TestRulingResolution:
         rd = ruling(rp)
         assert rd.case == "Unicuspidal"
         assert rd.cusp_location == (1, 2)
-        rr = ruling_resolution(rp, rd)
+        rr = ruling_resolution(rd)
         assert rr.multiplicities == (1,)
         assert rr.final_rank == 9
         assert rr.resolved.last_meeting == 4
@@ -173,11 +173,11 @@ class TestRulingResolution:
     def test_requires_unicuspidal(self, rp235):
         rd = ruling(rp235)
         with pytest.raises(WppError):
-            ruling_resolution(rp235, rd)
+            ruling_resolution(rd)
 
     def test_blowup_count_matches_rank_growth(self, rp11):
         rd = ruling(rp11)
-        rr = ruling_resolution(rp11, rd)
+        rr = ruling_resolution(rd)
         assert rr.final_rank == rp11.lattice.rank + len(rr.multiplicities)
         # fiber multiplicity data: gcd pattern of a (p, q) cusp
         assert sum(m * m for m in rr.multiplicities) == rd.pa * rd.qa
