@@ -1,13 +1,26 @@
 """Integral lattices with distinguished bases, canonical classes, area forms.
 
-Homology classes are plain int tuples of coefficients in the lattice's
-distinguished basis. Three basis conventions are supported:
+A homology class is a sparse Vec: a dict from basis slot to its coefficient
+in the lattice's distinguished basis, holding only the nonzero coefficients,
+so dict equality is class equality. A boundary class touches a handful of
+the rank slots, so pairings, areas and blowups cost O(nonzeros), not
+O(rank). The rank is not carried by the class: it is checked where classes
+are made, by sparse(x, rank), dense(x, rank) and DivisorConfig, and the
+pairings trust it. Classes are shared between results and never mutated
+once made.
+
+Dense int tuples remain only at the doors: the report's class vectors,
+ResolutionPair.string_classes / connector_class, and the exceptional search,
+which takes and returns dense tuples (enumerate_exceptional and its
+callers). dense and sparse convert between the two.
+
+Three basis conventions are supported:
 
   cp2:  basis (H, e_1, ..., e_n), gram diag(1, -1, ..., -1)
   hirz: basis (F, B, e_1, ..., e_m), F.F = 0, F.B = 1, B.B = -k, e_i.e_i = -1
   generic: explicit gram matrix
 
-The canonical class, when known, is stored as a coefficient vector; abstract
+The canonical class, when known, is stored as a sparse class; abstract
 sphere configurations carry canonical = None and recover canonical pairings
 from adjunction componentwise instead.
 """
@@ -17,9 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arith import ext_gcd
 from .errors import (
@@ -33,6 +47,7 @@ from .errors import (
 
 __all__ = [
     "Vec",
+    "Dense",
     "Lattice",
     "cp2_lattice",
     "hirz_lattice",
@@ -40,6 +55,9 @@ __all__ = [
     "AreaForm",
     "ExcSearch",
     "GapResult",
+    "sparse",
+    "dense",
+    "class_sum",
     "vadd",
     "vsub",
     "vneg",
@@ -56,28 +74,58 @@ __all__ = [
     "NEG_INF",
 ]
 
-Vec = tuple[int, ...]
+Vec = dict[int, int]  # sparse class: slot -> nonzero coefficient
+Dense = tuple[int, ...]  # dense coefficient vector, one entry per slot
 
 NEG_INF = float("-inf")
 
 
+def sparse(x: Sequence[int], rank: int | None = None) -> Vec:
+    """The sparse class of the dense vector x; RankMismatch unless x has
+    rank entries, when rank is given."""
+    if rank is not None and len(x) != rank:
+        raise RankMismatch(f"vector of length {len(x)} in rank {rank}")
+    return {i: v for i, v in enumerate(x) if v}
+
+
+def dense(x: Vec, rank: int) -> Dense:
+    """The dense vector of the sparse class x; RankMismatch for a slot
+    outside 0..rank-1."""
+    out = [0] * rank
+    for i, v in x.items():
+        if not 0 <= i < rank:
+            raise RankMismatch(f"slot {i} outside rank {rank}")
+        out[i] = v
+    return tuple(out)
+
+
+def class_sum(xs: Iterable[Vec]) -> Vec:
+    """Sum of sparse classes in O(total nonzeros), zero coefficients dropped."""
+    out: dict[int, int] = {}
+    for x in xs:
+        for i, v in x.items():
+            out[i] = out.get(i, 0) + v
+    return {i: v for i, v in out.items() if v}
+
+
 def vadd(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vsub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
+    return class_sum((x, y))
 
 
 def vneg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
+    return {i: -v for i, v in x.items()}
 
 
-def unit(rank: int, i: int) -> Vec:
+def vsub(x: Vec, y: Vec) -> Vec:
+    return vadd(x, vneg(y))
+
+
+def unit(rank: int, i: int) -> Dense:
+    """The dense i-th basis vector of length rank."""
     return (0,) * i + (1,) + (0,) * (rank - i - 1)
 
 
-def zero(rank: int) -> Vec:
+def zero(rank: int) -> Dense:
     return (0,) * rank
 
 
@@ -85,39 +133,51 @@ def dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(mul, x, y))
 
 
+def _sdot(x: Vec, y: Vec) -> int:
+    """Sum of x_i y_i over the slots of x, the sparser operand by choice."""
+    if len(x) > len(y):
+        x, y = y, x
+    return sum(map(mul, x.values(), map(y.get, x, repeat(0))))
+
+
 @dataclass(frozen=True)
 class Lattice:
     tag: str  # "cp2" | "hirz" | "generic"
     rank: int
     k_hirz: int = 0
-    gram: tuple[Vec, ...] | None = None
+    gram: tuple[Dense, ...] | None = None
     canonical: Vec | None = None
     _std_k: bool = field(init=False, compare=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
         if self.tag not in ("cp2", "hirz", "generic"):
             raise WppError(f"unknown lattice tag {self.tag!r}")
-        if self.canonical is not None and len(self.canonical) != self.rank:
-            raise RankMismatch("canonical class has wrong length")
+        k = self.canonical
+        if k and not (min(k) >= 0 and max(k) < self.rank):
+            raise RankMismatch("canonical class has a slot outside the rank")
+        # (-3, 1, ..., 1): slot 0 is -3 and the other rank - 1 slots hold 1
         std = (
             self.tag == "cp2"
-            and self.canonical is not None
-            and self.canonical[0] == -3
-            and all(c == 1 for c in self.canonical[1:])
+            and k is not None
+            and len(k) == self.rank
+            and k.get(0) == -3
+            and list(k.values()).count(1) == self.rank - 1
         )
         object.__setattr__(self, "_std_k", std)
 
     def pair(self, x: Vec, y: Vec) -> int:
-        if len(x) != self.rank or len(y) != self.rank:
-            raise RankMismatch(f"vectors of length {len(x)},{len(y)} in rank {self.rank}")
+        """x.y in O(min nonzeros); the slots are trusted to lie in the rank."""
         if self.tag == "cp2":
-            return 2 * x[0] * y[0] - dot(x, y)
+            return 2 * x.get(0, 0) * y.get(0, 0) - _sdot(x, y)
         if self.tag == "hirz":
-            s = x[0] * y[1] + x[1] * y[0] - self.k_hirz * x[1] * y[1]
-            return s - dot(x[2:], y[2:])
+            x0, x1, y0, y1 = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
+            # the head form on slots 0, 1, minus the diagonal -1 part past them
+            s = x0 * y1 + x1 * y0 - self.k_hirz * x1 * y1
+            return s - (_sdot(x, y) - x0 * y0 - x1 * y1)
         if self.gram is None:
             raise MissingClasses("generic lattice has no gram matrix")
-        return sum(x[i] * dot(self.gram[i], y) for i in range(self.rank) if x[i])
+        g = self.gram
+        return sum(v * sum(g[i][j] * w for j, w in y.items()) for i, v in x.items())
 
     def sq(self, x: Vec) -> int:
         return self.pair(x, x)
@@ -127,26 +187,24 @@ class Lattice:
         if self.canonical is None:
             raise MissingClasses("lattice has no canonical class")
         if self._std_k:
-            if len(x) != self.rank:
-                raise RankMismatch(f"vector of length {len(x)} in rank {self.rank}")
-            return -2 * x[0] - sum(x)
+            return -2 * x.get(0, 0) - sum(x.values())
         return self.pair(self.canonical, x)
 
     def is_exceptional_class(self, x: Vec) -> bool:
         return self.sq(x) == -1 and self.k_pair(x) == -1
 
-    def gram_rows(self) -> tuple[Vec, ...]:
+    def gram_rows(self) -> tuple[Dense, ...]:
         """Materialise the gram matrix in the distinguished basis."""
         if self.gram is not None:
             return self.gram
         return tuple(
-            tuple(self.pair(unit(self.rank, i), unit(self.rank, j)) for j in range(self.rank))
+            tuple(self.pair({i: 1}, {j: 1}) for j in range(self.rank))
             for i in range(self.rank)
         )
 
     def blowup(self) -> "Lattice":
         """Extend by one (-1) basis vector; canonical gains coefficient +1 there."""
-        k = None if self.canonical is None else self.canonical + (1,)
+        k = None if self.canonical is None else {**self.canonical, self.rank: 1}
         if self.tag == "generic":
             if self.gram is None:
                 raise MissingClasses("generic lattice has no gram matrix")
@@ -158,13 +216,14 @@ class Lattice:
 
 def cp2_lattice(n_exceptional: int) -> Lattice:
     """Blowup of the projective plane: basis (H, e_1, ..., e_n)."""
-    k = (-3,) + (1,) * n_exceptional
+    k = dict.fromkeys(range(n_exceptional + 1), 1)
+    k[0] = -3
     return Lattice("cp2", n_exceptional + 1, canonical=k)
 
 
 def hirz_lattice(k: int, n_exceptional: int = 0) -> Lattice:
     """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k."""
-    kv = (-(k + 2), -2) + (1,) * n_exceptional
+    kv = sparse((-(k + 2), -2) + (1,) * n_exceptional)
     return Lattice("hirz", n_exceptional + 2, k_hirz=k, canonical=kv)
 
 
@@ -214,15 +273,12 @@ class AreaForm:
         return len(self._ints)
 
     def area(self, x: Vec) -> Fraction:
-        if len(x) != len(self._ints):
-            raise RankMismatch("class has wrong length for area form")
-        return Fraction(dot(self._ints, x), self._den)
+        return Fraction(self.area_scaled(x), self._den)
 
     def area_scaled(self, x: Vec) -> int:
-        """Integer area in units of 1/denominator; orders match .area exactly."""
-        if len(x) != len(self._ints):
-            raise RankMismatch("class has wrong length for area form")
-        return dot(self._ints, x)
+        """Integer area in units of 1/denominator, in O(nonzeros); orders
+        match .area exactly."""
+        return sum(map(mul, x.values(), map(self._ints.__getitem__, x)))
 
     @property
     def denominator(self) -> int:
@@ -267,7 +323,7 @@ class ExcSearch:
     v < 0). _cp2_exceptional_raw derives this bound.
     """
 
-    classes: tuple[Vec, ...]
+    classes: tuple[Dense, ...]
     complete: bool
     nodes: int = field(compare=False)
 
@@ -276,7 +332,7 @@ class ExcSearch:
 class GapResult:
     value: Fraction
     certified: bool
-    witness: Vec | None
+    witness: Dense | None
 
 
 _FEASIBLE_CACHE: dict[int, list[dict[int, int]]] = {}
@@ -326,7 +382,7 @@ def _cp2_exceptional_raw(
     n: int,
     coeff_bound: int,
     funcs: Sequence[tuple[int, Sequence[int]]] = (),
-) -> tuple[list[Vec], bool, int]:
+) -> tuple[list[Dense], bool, int]:
     """All (d, c_1..c_n) with d^2 - sum c^2 = -1 and -3d - sum c = -1, |coeffs| <= bound.
 
     funcs are (offset, g) pairs; every solution x satisfies offset + g.x >= 0.
@@ -352,7 +408,7 @@ def _cp2_exceptional_raw(
     its own. Past the end of a functional's support G1 = G2 = 0 and the test
     is v < 0 as well, exactly.
     """
-    found: list[Vec] = []
+    found: list[Dense] = []
     feasible_d: list[int] = []
     # (1-3d)^2 <= n (d^2+1) is necessary; scan a window comfortably containing
     # every integer solution that could also satisfy |d| <= coeff_bound
@@ -484,7 +540,7 @@ def _cp2_exceptional_raw(
     return found, complete, nodes
 
 
-def _pairing_functional(f: Vec) -> Vec:
+def _pairing_functional(f: Dense) -> Dense:
     """g with g.x = f.x in the cp2 form: d slot positive, the others negated."""
     return (f[0],) + tuple(-v for v in f[1:])
 
@@ -494,8 +550,8 @@ def enumerate_exceptional(
     area: AreaForm | None = None,
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
-    constraints: Sequence[Vec] | None = None,
-    meets: Sequence[Vec] | None = None,
+    constraints: Sequence[Dense] | None = None,
+    meets: Sequence[Dense] | None = None,
 ) -> ExcSearch:
     """Bounded enumeration of classes with square -1 and canonical pairing -1.
 
@@ -505,20 +561,22 @@ def enumerate_exceptional(
     nonnegatively with each class in `constraints` and at least 1 with each
     class in `meets`. Both go into the search as functionals instead of
     filters applied afterwards, so it prunes on them, which matters above
-    rank 9.
+    rank 9. The search is dense: constraints, meets and the returned classes
+    are dense tuples of length rank.
     """
     if area is None and area_cap is not None:
         raise UserInputError("area_cap needs an area form")
     _check_key_bounds(lat.rank - 1, coeff_bound)
     if lat.tag != "cp2":
         lat2, t_mat, t_inv = to_cp2(lat)
+        r = lat.rank
         area2 = transport_area(area, t_inv) if area is not None else None
         cons2, meets2 = (
-            tuple(mat_vec(t_mat, f) for f in fs) if fs else None
+            tuple(dense(mat_vec(t_mat, sparse(f, r)), r) for f in fs) if fs else None
             for fs in (constraints, meets)
         )
         inner = enumerate_exceptional(lat2, area2, area_cap, coeff_bound, cons2, meets2)
-        back = tuple(mat_vec(t_inv, x) for x in inner.classes)
+        back = tuple(dense(mat_vec(t_inv, sparse(x)), r) for x in inner.classes)
         return ExcSearch(tuple(sorted(back)), inner.complete, inner.nodes)
     if lat.canonical is None or not lat._std_k:
         raise MissingClasses("enumeration needs the standard canonical class")
@@ -535,25 +593,34 @@ def enumerate_exceptional(
     if area is not None:
         kept = []
         for x in raw:
-            a = area.area_scaled(x)
+            a = dot(area._ints, x)
             if a <= 0:
                 continue
-            if area_cap is not None and area.area(x) > area_cap:
+            if area_cap is not None and Fraction(a, area.denominator) > area_cap:
                 continue
             kept.append(x)
         raw = kept
     return ExcSearch(tuple(raw), complete, nodes)
 
 
-def _check_log(lat: Lattice, classes: Sequence[Vec], component_classes: Sequence[Vec]) -> None:
-    if not all(lat.pair(x, c) >= 0 for x in classes for c in component_classes):
-        raise LemmaViolated("constrained search returned a non-log class")
+def _check_log(
+    lat: Lattice, classes: Sequence[Dense], component_classes: Sequence[Dense]
+) -> list[Vec]:
+    """Re-check that the dense search results pair nonnegatively with every
+    component; returns them sparse. Each class is made sparse once per call,
+    and only when the search found something."""
+    found = [sparse(x) for x in classes]
+    if found:
+        comps = [sparse(c) for c in component_classes]
+        if not all(lat.pair(x, c) >= 0 for x in found for c in comps):
+            raise LemmaViolated("constrained search returned a non-log class")
+    return found
 
 
 def log_exceptional(
     lat: Lattice,
     area: AreaForm | None,
-    component_classes: Sequence[Vec],
+    component_classes: Sequence[Dense],
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
 ) -> ExcSearch:
@@ -568,9 +635,9 @@ def log_exceptional(
 def connecting_log_exceptional(
     lat: Lattice,
     area: AreaForm | None,
-    component_classes: Sequence[Vec],
-    group_i: Sequence[Vec],
-    group_j: Sequence[Vec],
+    component_classes: Sequence[Dense],
+    group_i: Sequence[Dense],
+    group_j: Sequence[Dense],
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
 ) -> ExcSearch:
@@ -586,13 +653,15 @@ def connecting_log_exceptional(
     is enumerated only to be filtered out. Both conditions are re-checked on
     the result, and a class failing either raises LemmaViolated.
     """
-    groups = (group_i, group_j)
-    sums = tuple(reduce(vadd, group, zero(lat.rank)) for group in groups)
+    sums = tuple(
+        tuple(map(sum, zip(zero(lat.rank), *group, strict=True))) for group in (group_i, group_j)
+    )
     base = enumerate_exceptional(
         lat, area, area_cap, coeff_bound, constraints=component_classes, meets=sums
     )
-    _check_log(lat, base.classes, component_classes)
-    for x in base.classes:
+    found = _check_log(lat, base.classes, component_classes)
+    groups = [[sparse(c) for c in group] for group in (group_i, group_j)] if found else []
+    for x in found:
         if not all(sum(lat.pair(x, c) for c in group) >= 1 for group in groups):
             raise LemmaViolated("connecting search returned a class missing a group")
     return base
@@ -601,9 +670,9 @@ def connecting_log_exceptional(
 def exceptional_gap(
     lat: Lattice,
     area: AreaForm,
-    component_classes: Sequence[Vec],
-    group_i: Sequence[Vec],
-    group_j: Sequence[Vec],
+    component_classes: Sequence[Dense],
+    group_i: Sequence[Dense],
+    group_j: Sequence[Dense],
     area_cap: Fraction | None = None,
     coeff_bound: int = 12,
 ) -> GapResult:
@@ -617,21 +686,28 @@ def exceptional_gap(
     )
     if not search.classes:
         return GapResult(Fraction(0), search.complete, None)
-    best = max(search.classes, key=area.area_scaled)
-    return GapResult(area.area(best), search.complete, best)
+    best = max(search.classes, key=lambda x: dot(area._ints, x))
+    return GapResult(Fraction(dot(area._ints, best), area.denominator), search.complete, best)
 
 
 # --- basis conversions --------------------------------------------------------
 
-Mat = tuple[Vec, ...]
+Mat = tuple[Dense, ...]
 
 
 def mat_vec(blk: Mat, x: Vec) -> Vec:
     """Apply the matrix whose leading b x b block is blk and which is the
-    identity beyond it: blk . x[:b] followed by x[b:] unchanged, in O(rank)."""
-    b = len(blk)
-    head = x[:b]
-    return tuple(dot(row, head) for row in blk) + x[b:]
+    identity beyond it to the sparse class x: slots 0..b-1 are rewritten,
+    the others kept, in O(nonzeros)."""
+    out = dict(x)
+    head = [x.get(j, 0) for j in range(len(blk))]
+    for i, row in enumerate(blk):
+        v = dot(row, head)
+        if v:
+            out[i] = v
+        else:
+            out.pop(i, None)
+    return out
 
 
 def _block_mul(a: Mat, b: Mat) -> Mat:
@@ -712,7 +788,7 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
         raise WppError("basis conversion inverse check failed")
     out = cp2_lattice(r - 1)
-    heads = [unit(r, i) for i in range(b)]
+    heads = [{i: 1} for i in range(b)]
     images = [mat_vec(t, x) for x in heads]
     for i in range(b):
         for j in range(i, b):
@@ -739,14 +815,14 @@ def transport_area(area: AreaForm, t_inv: Mat) -> AreaForm:
 # --- integer kernel of a primitive functional ---------------------------------
 
 
-def functional_kernel_basis(g: Vec) -> tuple[tuple[Vec, ...], Vec]:
+def functional_kernel_basis(g: Dense) -> tuple[tuple[Dense, ...], Dense]:
     """Unimodular splitting of Z^n along an integer functional of content 1.
 
     Returns (kernel_rows, witness): kernel_rows span {x : g.x = 0} and witness
     satisfies g.witness = 1; together they form a basis of Z^n.
     """
     n = len(g)
-    rows: list[Vec] = [unit(n, i) for i in range(n)]
+    rows: list[Dense] = [unit(n, i) for i in range(n)]
     h = list(g)
     piv = next((i for i in range(n) if h[i] != 0), None)
     if piv is None:
@@ -761,7 +837,7 @@ def functional_kernel_basis(g: Vec) -> tuple[tuple[Vec, ...], Vec]:
         rows[j] = tuple(-b * x + a * y for x, y in zip(r_p, r_j))
         h[piv], h[j] = d, 0
     if h[piv] == -1:
-        rows[piv] = vneg(rows[piv])
+        rows[piv] = tuple(-v for v in rows[piv])
         h[piv] = 1
     if h[piv] != 1:
         raise WppError(f"functional has content {abs(h[piv])}, expected 1")

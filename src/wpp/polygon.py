@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Sequence
 
 from .arith import WeightTriple, ext_gcd, hj_expand
@@ -32,7 +32,7 @@ from .errors import (
     UserInputError,
     WppError,
 )
-from .homlat import AreaForm, Lattice, Vec, cp2_lattice, hirz_lattice
+from .homlat import AreaForm, Lattice, Vec, class_sum, cp2_lattice, hirz_lattice, vneg
 
 __all__ = [
     "Point",
@@ -446,34 +446,34 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
     n_steps = len(steps)
     rank0 = 1 if terminal == "cp2" else 2
     rank = rank0 + n_steps
-    classes: dict[int, list[int]] = {}
+    classes: dict[int, Vec] = {}
     area_vals = [0] * rank
     if terminal == "cp2":
         for e in entries:
-            classes[e["id"]] = [1] + [0] * (rank - 1)
+            classes[e["id"]] = {0: 1}
         area_vals[0] = entries[0]["len"]
         lat = cp2_lattice(n_steps)
     else:
         f0, top, f1, bot = entries
-        classes[f0["id"]] = [1, 0] + [0] * (rank - 2)
-        classes[f1["id"]] = [1, 0] + [0] * (rank - 2)
-        classes[top["id"]] = [terminal_k, 1] + [0] * (rank - 2)
-        classes[bot["id"]] = [0, 1] + [0] * (rank - 2)
+        classes[f0["id"]] = {0: 1}
+        classes[f1["id"]] = {0: 1}
+        classes[top["id"]] = {0: terminal_k, 1: 1} if terminal_k else {1: 1}
+        classes[bot["id"]] = {1: 1}
         area_vals[0] = f0["len"]
         area_vals[1] = bot["len"]
         lat = hirz_lattice(terminal_k, n_steps)
 
+    # each replayed blowup opens a fresh slot: the restored edge is that basis
+    # vector, and its two neighbours lose it, so their coefficient there is -1
     for t in range(n_steps - 1, -1, -1):
         eid, lid, rid, ln = steps[t]
         b_idx = rank0 + (n_steps - 1 - t)
-        vec = [0] * rank
-        vec[b_idx] = 1
-        classes[eid] = vec
-        classes[lid][b_idx] -= 1
-        classes[rid][b_idx] -= 1
+        classes[eid] = {b_idx: 1}
+        classes[lid][b_idx] = -1
+        classes[rid][b_idx] = -1
         area_vals[b_idx] = ln
 
-    edge_classes = tuple(tuple(classes[i]) for i in range(m))
+    edge_classes = tuple(classes[i] for i in range(m))
     area = AreaForm.from_scaled(tuple(area_vals), p.den)
     pc = PolygonClasses(lat, area, edge_classes, terminal, terminal_k,
                         tuple(s[0] for s in steps))
@@ -499,7 +499,7 @@ def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses
             raise LemmaViolated(f"edges {i},{(i + 1) % m}: not adjacent in homology")
     if lat.canonical is None:
         raise MissingClasses("ledger lattice has no canonical class")
-    if tuple(map(sum, zip(*cls))) != tuple(-c for c in lat.canonical):
+    if class_sum(cls) != vneg(lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
     if lat.sq(lat.canonical) != 9 - (lat.rank - 1):
         raise LemmaViolated("canonical square does not match the rank")
@@ -529,9 +529,8 @@ def linked_pairs(lat: Lattice, cls: Sequence[Vec]) -> set[tuple[int, int]]:
     if lat.tag not in ("cp2", "hirz"):
         raise WppError(f"no sparse pairing structure for a {lat.tag} lattice")
     by_slot: dict[int, list[int]] = {}
-    slots = range(lat.rank)
     for i, x in enumerate(cls):
-        for s in compress(slots, x):
+        for s in x:
             by_slot.setdefault(s, []).append(i)
     linked = {pair for bucket in by_slot.values() for pair in combinations(bucket, 2)}
     if lat.tag == "hirz":

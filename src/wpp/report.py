@@ -10,7 +10,9 @@ rather than by that call because CPython 3.10 and 3.11 encode in C only when
 indent is None: with indent=2 the json module falls back to a pure-Python
 encoder that yields one chunk per token. dumps_indented walks dicts and lists
 in Python and hands each flat list of scalars (the class vectors, most of a
-high-rank report) and each scalar to the C encoder in one call.
+high-rank report) and each scalar to the C encoder in one call. Strings, lists
+of strings and ints are written directly, by the C string escaper and
+int.__repr__, which is what json itself calls for them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import MissingClasses
-from .homlat import NEG_INF
+from .homlat import NEG_INF, dense
 from .resolution import (
     ResolutionPair,
     check_divisor_predicates,
@@ -63,7 +65,7 @@ def _kodaira_json(k):
     return int(k)
 
 
-def _ruling_json(rd: RulingData) -> dict:
+def _ruling_json(rd: RulingData, rank: int) -> dict:
     return {
         "target": rd.target,
         "opposite": rd.opposite,
@@ -71,7 +73,7 @@ def _ruling_json(rd: RulingData) -> dict:
         "case": rd.case,
         "nu_a": rd.nu_a,
         "nu_b": rd.nu_b,
-        "fiber": None if rd.fiber is None else list(rd.fiber),
+        "fiber": None if rd.fiber is None else list(dense(rd.fiber, rank)),
         "pa": rd.pa,
         "qa": rd.qa,
         "pb": rd.pb,
@@ -99,7 +101,7 @@ def _ruling_resolution_json(rr: RulingResolution) -> dict:
         "multiplicities": list(rr.multiplicities),
         "blowups": len(rr.multiplicities),
         "final_rank": rr.final_rank,
-        "fiber": list(rr.resolved.fclass),
+        "fiber": list(dense(rr.resolved.fclass, rr.final_rank)),
         "chain_labels": [c.label for c in rr.config.components],
         "chain_selfints": list(rr.config.selfints()),
         "last_meeting": rr.resolved.last_meeting,
@@ -115,12 +117,13 @@ def make_report(rp: ResolutionPair) -> dict:
     rd = ruling(rp, "c")
     rres = ruling_resolution(rd) if rd.case == "Unicuspidal" else None
     w = rp.weights
-    lat, area, poly = rp.lattice, rp.area, rp.polygon
+    lat, poly = rp.lattice, rp.polygon
     if lat.canonical is None:
         raise MissingClasses("resolution lattice has no canonical class")
-
-    def area_str(edge_id: int) -> str:
-        return ratio_str(area.area_scaled(rp.edge_classes[edge_id]), area.denominator)
+    r = lat.rank
+    # the ledger proved every edge class's area equal to its edge length, and
+    # the certified conversion keeps areas, so the lengths are the areas
+    edge_lengths = [ratio_str(poly.length_scaled(i), poly.den) for i in range(poly.n)]
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -134,7 +137,7 @@ def make_report(rp: ResolutionPair) -> dict:
         "polygon": {
             "vertices": [[ratio_str(x, poly.den), ratio_str(y, poly.den)] for x, y in poly.ipts],
             "edge_selfints": list(rp.edge_sels),
-            "edge_lengths": [ratio_str(poly.length_scaled(i), poly.den) for i in range(poly.n)],
+            "edge_lengths": edge_lengths,
         },
         "strings": {
             role: {
@@ -142,8 +145,8 @@ def make_report(rp: ResolutionPair) -> dict:
                 "residue": sd.residue,
                 "selfints": list(sd.selfints),
                 "edge_ids": list(sd.edge_ids),
-                "classes": [list(rp.edge_classes[i]) for i in sd.edge_ids],
-                "areas": [area_str(i) for i in sd.edge_ids],
+                "classes": [list(dense(rp.edge_classes[i], r)) for i in sd.edge_ids],
+                "areas": [edge_lengths[i] for i in sd.edge_ids],
             }
             for role, sd in sorted(rp.strings.items())
         },
@@ -151,8 +154,8 @@ def make_report(rp: ResolutionPair) -> dict:
             name: {
                 "selfint": cd.selfint,
                 "edge_id": cd.edge_id,
-                "class": list(rp.edge_classes[cd.edge_id]),
-                "area": area_str(cd.edge_id),
+                "class": list(dense(rp.edge_classes[cd.edge_id], r)),
+                "area": edge_lengths[cd.edge_id],
             }
             for name, cd in sorted(rp.connectors.items())
         },
@@ -189,7 +192,7 @@ def make_report(rp: ResolutionPair) -> dict:
                 for r in rows
             ],
         },
-        "ruling": _ruling_json(rd),
+        "ruling": _ruling_json(rd, r),
         "ruling_resolution": None if rres is None else _ruling_resolution_json(rres),
     }
     return report
@@ -209,7 +212,12 @@ def dumps_indented(obj) -> str:
 
 def _write(obj, nl: str, out: list[str]) -> None:
     """Append the indented text of obj; nl is a newline plus obj's indent."""
-    if isinstance(obj, dict):
+    # exact types only: bool, an int subclass, and any other subclass go to json
+    if type(obj) is str:
+        out.append(encode_basestring_ascii(obj))
+    elif type(obj) is int:
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -225,6 +233,10 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + _INDENT
+        if all(type(x) is str for x in obj):
+            items = map(encode_basestring_ascii, obj)
+            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+            return
         # a list that starts with a container is not flat: skip encoding it
         if not isinstance(obj[0], (dict, list, tuple)):
             text = _encode(obj)

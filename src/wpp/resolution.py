@@ -28,14 +28,17 @@ from .errors import (
 )
 from .homlat import (
     AreaForm,
+    Dense,
     Lattice,
     NEG_INF,
     Vec,
+    class_sum,
+    dense,
     log_kodaira,
     mat_vec,
     to_cp2,
     transport_area,
-    vadd,
+    vneg,
 )
 from .polygon import (
     CORNER_CYCLE,
@@ -101,7 +104,7 @@ class ResolutionPair:
     polygon: LatticePolygon
     lattice: Lattice  # always cp2 form
     area: AreaForm
-    edge_classes: tuple[Vec, ...]
+    edge_classes: tuple[Vec, ...]  # sparse, one per polygon edge
     edge_sels: tuple[int, ...]
     strings: dict  # role -> StringData
     connectors: dict  # label -> ConnectorData
@@ -113,12 +116,14 @@ class ResolutionPair:
         """Number of exceptional curves in the resolution."""
         return self.lattice.rank - 1
 
-    def string_classes(self, role: str) -> tuple[Vec, ...]:
-        sd = self.strings[role]
-        return tuple(self.edge_classes[i] for i in sd.edge_ids)
+    def string_classes(self, role: str) -> tuple[Dense, ...]:
+        """The string's classes as dense tuples of length rank."""
+        r = self.lattice.rank
+        return tuple(dense(self.edge_classes[i], r) for i in self.strings[role].edge_ids)
 
-    def connector_class(self, label: str) -> Vec:
-        return self.edge_classes[self.connectors[label].edge_id]
+    def connector_class(self, label: str) -> Dense:
+        """The connector's class as a dense tuple of length rank."""
+        return dense(self.edge_classes[self.connectors[label].edge_id], self.lattice.rank)
 
 
 def parse_schedule(text: str) -> tuple[Fraction, Fraction]:
@@ -329,15 +334,16 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
     )
     abc_type = _abc_type(rp)
 
-    lat, area = rp.lattice, rp.area
+    lat, area, cls = rp.lattice, rp.area, rp.edge_classes
     if lat.canonical is None:
         raise MissingClasses("resolution lattice has no canonical class")
-    string_classes = [x for role in rp.strings for x in rp.string_classes(role)]
-    adjoint = vadd(lat.canonical, tuple(map(sum, zip(*string_classes))))
+    adjoint = class_sum(
+        [lat.canonical] + [cls[i] for sd in rp.strings.values() for i in sd.edge_ids]
+    )
     adjoint_area = area.area(adjoint)
     adjoint_square = lat.sq(adjoint)
     conn_area = {
-        name: area.area(rp.connector_class(name)) for name in ("N_a", "N_b", "N_c")
+        name: area.area(cls[rp.connectors[name].edge_id]) for name in ("N_a", "N_b", "N_c")
     }
     area_identity = adjoint_area == -(
         conn_area["N_a"] + conn_area["N_b"] + conn_area["N_c"]
@@ -485,10 +491,11 @@ def torelli_compare(r1: ResolutionPair, r2: ResolutionPair) -> bool:
 
 def _labelled_data(rp: ResolutionPair) -> tuple[dict, tuple[Fraction, ...]]:
     """Nonzero labelled gram entries and the labelled areas."""
-    cls = [x for role in "abc" for x in rp.string_classes(role)]
-    cls += [rp.connector_class(name) for name in ("N_a", "N_b", "N_c")]
+    ids = [i for role in "abc" for i in rp.strings[role].edge_ids]
+    ids += [rp.connectors[name].edge_id for name in ("N_a", "N_b", "N_c")]
+    cls = [rp.edge_classes[i] for i in ids]
     lat = rp.lattice
-    if tuple(map(sum, zip(*cls))) != tuple(-k for k in lat.canonical):
+    if class_sum(cls) != vneg(lat.canonical):
         raise LemmaViolated("labelled boundary classes do not sum to -K")
     pairs = linked_pairs(lat, cls) | {(i, i) for i in range(len(cls))}
     gram = {(i, j): g for i, j in pairs if (g := lat.pair(cls[i], cls[j]))}

@@ -50,7 +50,7 @@ class CycleElement:
     role: str | None  # string role, None for connectors
     stored_index: int | None  # 1-based position within its string
     edge_id: int
-    cls: Vec
+    cls: Vec  # sparse, shared with ResolutionPair.edge_classes
     selfint: int
 
 

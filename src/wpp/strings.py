@@ -27,11 +27,13 @@ from .homlat import (
     Lattice,
     Vec,
     cp2_lattice,
+    dense,
     dot,
     functional_kernel_basis,
     generic_lattice,
     mat_inverse_int,
-    unit,
+    sparse,
+    vadd,
     vsub,
 )
 
@@ -149,20 +151,22 @@ class Component:
 
 @dataclass(frozen=True)
 class DivisorConfig:
-    """Ordered components with homology classes in a common lattice.
+    """Ordered components with sparse homology classes in a common lattice.
 
     canonical = None on the lattice marks an abstract configuration; canonical
     pairings with components are then recovered from adjunction, each
-    component being an embedded sphere.
+    component being an embedded sphere. Every class slot must lie in the
+    lattice's rank (RankMismatch otherwise); the pairings trust that.
     """
 
     lattice: Lattice
     components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
+        rank = self.lattice.rank
         for comp in self.components:
-            if len(comp.cls) != self.lattice.rank:
-                raise RankMismatch(f"component {comp.label} has wrong class length")
+            if comp.cls and not (0 <= min(comp.cls) and max(comp.cls) < rank):
+                raise RankMismatch(f"component {comp.label} has a slot outside rank {rank}")
 
     def __len__(self) -> int:
         return len(self.components)
@@ -200,7 +204,7 @@ def chain_config(lattice: Lattice, classes: list[Vec], labels: list[str] | None 
                  validate: bool = True) -> DivisorConfig:
     if labels is None:
         labels = [f"v{i+1}" for i in range(len(classes))]
-    cfg = DivisorConfig(lattice, tuple(Component(l, tuple(c)) for l, c in zip(labels, classes, strict=True)))
+    cfg = DivisorConfig(lattice, tuple(Component(l, c) for l, c in zip(labels, classes, strict=True)))
     if validate:
         cfg.validate_chain()
     return cfg
@@ -218,7 +222,7 @@ def abstract_chain(selfints: tuple[int, ...] | list[int],
     lat = generic_lattice(gram, canonical=None)
     if labels is None:
         labels = [f"v{i+1}" for i in range(n)]
-    comps = tuple(Component(labels[i], unit(n, i)) for i in range(n))
+    comps = tuple(Component(labels[i], {i: 1}) for i in range(n))
     return DivisorConfig(lat, comps)
 
 
@@ -239,24 +243,20 @@ class BlowdownResult:
     kind: str  # "toric" | "half_toric" | "exterior"
 
 
-def _pad(x: Vec, rank: int) -> Vec:
-    return x + (0,) * (rank - len(x))
-
-
 def _blowup(cfg: DivisorConfig, hit: tuple[int, ...], pos: int | None,
             label: str | None) -> MoveResult:
-    """Grow the lattice by a fresh (-1) vector e as its last basis vector, pad
-    every component, subtract e from the hit components and, unless pos is
-    None, insert a sphere of class e at pos, labelled e<index> when no label
-    is given."""
+    """Grow the lattice by a fresh (-1) vector e as its last basis vector,
+    subtract e from the hit components and, unless pos is None, insert a
+    sphere of class e at pos, labelled e<index> when no label is given. The
+    slot of e is new, so the other classes are kept as they are and each hit
+    class gains the key with coefficient -1."""
     lat2 = cfg.lattice.blowup()
     t = lat2.rank - 1
-    e = unit(lat2.rank, t)
-    comps = [Component(c.label, _pad(c.cls, lat2.rank)) for c in cfg.components]
+    comps = list(cfg.components)
     for i in hit:
-        comps[i] = Component(comps[i].label, vsub(comps[i].cls, e))
+        comps[i] = Component(comps[i].label, {**comps[i].cls, t: -1})
     if pos is not None:
-        comps.insert(pos, Component(f"e{t}" if label is None else label, e))
+        comps.insert(pos, Component(f"e{t}" if label is None else label, {t: 1}))
     return MoveResult(DivisorConfig(lat2, tuple(comps)), pos)
 
 
@@ -308,7 +308,7 @@ def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Ve
     is split along the pairing functional of e.
     """
     rank = lat.rank
-    t = e.index(1) if (sum(abs(c) for c in e) == 1 and 1 in e) else None
+    t = next(iter(e)) if len(e) == 1 and 1 in e.values() else None
     if t is not None:
         if lat.tag == "generic":
             ok = lat.gram_rows()[t][t] == -1
@@ -317,7 +317,7 @@ def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Ve
         if ok:
 
             def drop(x: Vec, _t: int = t) -> Vec:
-                return x[:_t] + x[_t + 1:]
+                return {(i - 1 if i > _t else i): v for i, v in x.items() if i != _t}
 
             k2 = None if lat.canonical is None else drop(lat.canonical)
             if lat.tag == "cp2":
@@ -334,28 +334,34 @@ def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Ve
                 )
                 lat2 = generic_lattice(g2, canonical=k2)
             return lat2, drop
-    # general path: split Z^rank along the pairing functional of e
-    g_rows = lat.gram_rows()
-    func = tuple(dot(g_rows[i], e) for i in range(rank))
+    # general path: split Z^rank along the pairing functional of e, densely
+    g_rows, ed = lat.gram_rows(), dense(e, rank)
+    func = tuple(dot(row, ed) for row in g_rows)
     kernel, _witness = functional_kernel_basis(func)
     full = kernel + (_witness,)
     inv = mat_inverse_int(full)
     inv_t = tuple(zip(*inv))
 
     def to_new(x: Vec) -> Vec:
-        xe = lat.pair(x, e)
-        x_perp = tuple(a + xe * b for a, b in zip(x, e))
+        x_perp = dense(_project(lat, x, e), rank)
         coords = tuple(dot(inv_t[i], x_perp) for i in range(rank))
         if coords[-1] != 0:
             raise WppError("projection left the orthogonal complement")
-        return coords[:-1]
+        return sparse(coords[:-1])
 
+    kern = [sparse(k) for k in kernel]
     gram2 = tuple(
-        tuple(lat.pair(kernel[i], kernel[j]) for j in range(rank - 1))
+        tuple(lat.pair(kern[i], kern[j]) for j in range(rank - 1))
         for i in range(rank - 1)
     )
     k2 = None if lat.canonical is None else to_new(vsub(lat.canonical, e))
     return generic_lattice(gram2, canonical=k2), to_new
+
+
+def _project(lat: Lattice, x: Vec, e: Vec) -> Vec:
+    """x + (x.e) e: the projection of x orthogonal to the (-1) class e."""
+    xe = lat.pair(x, e)
+    return vadd(x, {i: xe * v for i, v in e.items()}) if xe else x
 
 
 def blowdown(cfg: DivisorConfig, i: int) -> BlowdownResult:
@@ -391,9 +397,7 @@ def blowdown(cfg: DivisorConfig, i: int) -> BlowdownResult:
     for j in range(n):
         if j == i:
             continue
-        x = cfg.components[j].cls
-        xe = cfg.lattice.pair(x, e)
-        x_perp = tuple(a + xe * b for a, b in zip(x, e))
+        x_perp = _project(cfg.lattice, cfg.components[j].cls, e)
         comps.append(Component(cfg.components[j].label, to_new(x_perp)))
     return BlowdownResult(DivisorConfig(lat2, tuple(comps)), kind)
 
@@ -423,15 +427,11 @@ def fiber_class(cfg: DivisorConfig, deltas: tuple[int, ...], upto: int) -> Fiber
         raise RankMismatch(f"{len(deltas)} deltas for a chain of {n} components")
     if not 1 <= upto <= n:
         raise BadIndex(f"upto = {upto} outside 1..{n}")
-    rank = cfg.lattice.rank
-    f = [0] * rank
-    for idx in range(upto):
-        d = deltas[idx]
-        cls = cfg.components[idx].cls
-        for r in range(rank):
-            if cls[r]:
-                f[r] += d * cls[r]
-    fv = tuple(f)
+    f: dict[int, int] = {}
+    for d, comp in zip(deltas, cfg.components[:upto]):
+        for r, v in comp.cls.items():
+            f[r] = f.get(r, 0) + d * v
+    fv = {r: v for r, v in f.items() if v}
     if cfg.lattice.sq(fv) != -deltas[upto - 1] * deltas[upto]:
         raise LemmaViolated("fiber class square disagrees with the minor product")
     return FiberData(fv, deltas, upto, -deltas[upto], deltas[upto - 1])
@@ -460,8 +460,8 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
     of the multiplicity sequence of (p, q), make the fiber class disjoint from
     the transformed chain except for a single transverse point on the last
     exceptional sphere. Every blowup lies on the two node spheres or on the
-    spheres it created, so the blowups run on those two alone and the rest of
-    the chain is padded into the final lattice once.
+    spheres it created, so the blowups run on those two alone; the rest of
+    the chain is zero on the new slots and is kept as it is.
     """
     upto, p, q = fd.upto, fd.p, fd.q
     if not (q > 0 and p >= 0):
@@ -495,13 +495,12 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
     for i, (a, b) in enumerate(pairs[:-1], start=2):
         left = res.position - 1 if a > b else res.position
         res = toric_blowup(res.config, left, left + 1, label=f"C{i}")
-    lat2 = res.config.lattice
-    padded = [Component(x.label, _pad(x.cls, lat2.rank)) for x in cfg.components]
-    spliced = (*padded[:upto - 1], *res.config.components, *padded[upto + 1:])
-    f = list(_pad(fd.fclass, lat2.rank))
+    comps = cfg.components
+    spliced = (*comps[:upto - 1], *res.config.components, *comps[upto + 1:])
+    f = dict(fd.fclass)
     for t, m in enumerate(mults, start=cfg.lattice.rank):
-        f[t] -= m  # each blowup appends its (-1) vector to the basis
-    rf = ResolvedFiber(DivisorConfig(lat2, spliced), tuple(f), fd, mults,
+        f[t] = -m  # each blowup appends its (-1) vector to the basis
+    rf = ResolvedFiber(DivisorConfig(res.config.lattice, spliced), f, fd, mults,
                        upto - 1 + res.position)
     _verify_resolved_fiber(rf, kf_base + sum(mults))
     return rf

@@ -13,7 +13,7 @@ import random
 import time
 
 from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
-from wpp.homlat import connecting_log_exceptional, log_exceptional
+from wpp.homlat import connecting_log_exceptional, dense, log_exceptional, sparse
 from wpp.resolution import build_resolution
 from wpp.rulings import ruling
 from wpp.scan import coprime_triples, run_scan
@@ -136,8 +136,8 @@ def test_criterion_3_fiber_resolution_replay(acceptance_line):
         rf = resolution_fiber_class(cfg, fiber_class(cfg, delta_sequence(s).deltas, 4))
         # fiber class: components v1..v5 weighted (1,3,5,2,0), then the three
         # new exceptional directions with coefficients (-2,-1,-1)
-        assert rf.fclass == (1, 3, 5, 2, 0, -2, -1, -1)
-        by_label = {c.label: c.cls for c in rf.config.components}
+        assert dense(rf.fclass, 8) == (1, 3, 5, 2, 0, -2, -1, -1)
+        by_label = {c.label: dense(c.cls, 8) for c in rf.config.components}
         assert by_label["C1"] == (0, 0, 0, 0, 0, 1, -1, -1)
         assert by_label["C2"] == (0, 0, 0, 0, 0, 0, 1, -1)
         assert by_label["C3"] == (0, 0, 0, 0, 0, 0, 0, 1)
@@ -201,15 +201,16 @@ def _connecting_sets_match(w, require_complete: bool) -> None:
     if require_complete:
         assert base.complete, f"{w}: bounded search not certified complete"
     opposite = {"N_a": ("b", "c"), "N_b": ("a", "c"), "N_c": ("a", "b")}
+    sgroups = {r: [sparse(cls) for cls in g] for r, g in groups.items()}
     for label, (ri, rj) in opposite.items():
         kept = tuple(
             x
             for x in base.classes
-            if sum(lat.pair(x, cls) for cls in groups[ri]) >= 1
-            and sum(lat.pair(x, cls) for cls in groups[rj]) >= 1
+            if sum(lat.pair(sparse(x), cls) for cls in sgroups[ri]) >= 1
+            and sum(lat.pair(sparse(x), cls) for cls in sgroups[rj]) >= 1
         )
         ncls = rp.connector_class(label)
-        expected = (ncls,) if lat.sq(ncls) == -1 else ()
+        expected = (ncls,) if lat.sq(sparse(ncls)) == -1 else ()
         assert kept == expected, (w, label, kept, expected)
         # the search that prunes on the connecting conditions finds the same set
         conn = connecting_log_exceptional(lat, area, comp, groups[ri], groups[rj])

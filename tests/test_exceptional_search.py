@@ -27,8 +27,11 @@ from wpp.homlat import (
     enumerate_exceptional,
     exceptional_gap,
     hirz_lattice,
+    dense,
+    dot,
     log_exceptional,
     mat_vec,
+    sparse,
     to_cp2,
     transport_area,
 )
@@ -37,6 +40,24 @@ from wpp.resolution import build_resolution
 from wpp.scan import coprime_triples
 
 CONNECTOR_ENDS = {"N_a": ("b", "c"), "N_b": ("a", "c"), "N_c": ("a", "b")}
+
+
+# the search takes and returns dense tuples; these give the reference its
+# dense pairing, area and conversion on top of the sparse class operations
+def _pair(lat, x, y):
+    return lat.pair(sparse(x), sparse(y))
+
+
+def _area_scaled(area, x):
+    return dot(area._ints, x)
+
+
+def _area(area, x):
+    return Fraction(_area_scaled(area, x), area.denominator)
+
+
+def _mat_vec(blk, x):
+    return dense(mat_vec(blk, sparse(x)), len(x))
 
 
 # --- reference: plain Cauchy-Schwarz, connecting filter after the search -------
@@ -185,9 +206,9 @@ def ref_enumerate(lat, area=None, area_cap=None, coeff_bound=12, constraints=Non
     if lat.tag != "cp2":
         lat2, t_mat, t_inv = to_cp2(lat)
         area2 = transport_area(area, t_inv) if area is not None else None
-        cons2 = tuple(mat_vec(t_mat, f) for f in constraints) if constraints else None
+        cons2 = tuple(_mat_vec(t_mat, f) for f in constraints) if constraints else None
         classes, complete, nodes = ref_enumerate(lat2, area2, area_cap, coeff_bound, cons2)
-        back = tuple(mat_vec(t_inv, x) for x in classes)
+        back = tuple(_mat_vec(t_inv, x) for x in classes)
         return tuple(sorted(back)), complete, nodes
     raw_funcs = []
     if area is not None:
@@ -200,14 +221,14 @@ def ref_enumerate(lat, area=None, area_cap=None, coeff_bound=12, constraints=Non
         raw = [
             x
             for x in raw
-            if area.area_scaled(x) > 0 and (area_cap is None or area.area(x) <= area_cap)
+            if _area_scaled(area, x) > 0 and (area_cap is None or _area(area, x) <= area_cap)
         ]
     return tuple(raw), complete, nodes
 
 
 def ref_log(lat, area, comps, area_cap=None, coeff_bound=12):
     classes, complete, nodes = ref_enumerate(lat, area, area_cap, coeff_bound, comps)
-    assert all(lat.pair(x, c) >= 0 for x in classes for c in comps)
+    assert all(_pair(lat, x, c) >= 0 for x in classes for c in comps)
     return classes, complete, nodes
 
 
@@ -216,7 +237,7 @@ def ref_connecting(lat, area, comps, gi, gj, area_cap=None, coeff_bound=12):
     kept = tuple(
         x
         for x in classes
-        if sum(lat.pair(x, c) for c in gi) >= 1 and sum(lat.pair(x, c) for c in gj) >= 1
+        if sum(_pair(lat, x, c) for c in gi) >= 1 and sum(_pair(lat, x, c) for c in gj) >= 1
     )
     return kept, complete, nodes
 
@@ -225,21 +246,25 @@ def ref_gap(lat, area, comps, gi, gj, area_cap=None, coeff_bound=12):
     kept, complete, _nodes = ref_connecting(lat, area, comps, gi, gj, area_cap, coeff_bound)
     if not kept:
         return Fraction(0), complete, None
-    best = max(kept, key=area.area_scaled)
-    return area.area(best), complete, best
+    best = max(kept, key=lambda x: _area_scaled(area, x))
+    return _area(area, best), complete, best
 
 
 # --- the forms a build is searched in ---------------------------------------------
 
 
 def lattice_forms(rp):
-    """(lattice, area, edge classes) of a build: its cp2 form, and its
+    """(lattice, area, dense edge classes) of a build: its cp2 form, and its
     ruled-surface form as assigned before conversion when it has one."""
-    forms = [(rp.lattice, rp.area, rp.edge_classes)]
+    forms = [(rp.lattice, rp.area, dense_classes(rp.lattice, rp.edge_classes))]
     if rp.terminal == "hirz":
         pc = assign_classes(rp.polygon)
-        forms.append((pc.lattice, pc.area, pc.edge_classes))
+        forms.append((pc.lattice, pc.area, dense_classes(pc.lattice, pc.edge_classes)))
     return forms
+
+
+def dense_classes(lat, classes):
+    return tuple(dense(x, lat.rank) for x in classes)
 
 
 def searches(rp, lat, area, classes):
@@ -247,7 +272,7 @@ def searches(rp, lat, area, classes):
     the two groups it must meet, in the given form."""
     groups = {r: tuple(classes[i] for i in rp.strings[r].edge_ids) for r in "abc"}
     comps = tuple(x for r in "abc" for x in groups[r])
-    cap = max(area.area(classes[rp.connectors[lab].edge_id]) for lab in CONNECTOR_ENDS)
+    cap = max(_area(area, classes[rp.connectors[lab].edge_id]) for lab in CONNECTOR_ENDS)
     ends = [(lab, groups[ri], groups[rj]) for lab, (ri, rj) in CONNECTOR_ENDS.items()]
     return comps, cap, ends
 
@@ -395,7 +420,7 @@ def mid_triples():
 
 def test_node_count_is_deterministic(monkeypatch):
     rp = build_resolution(11, 13, 14)
-    comps, cap, ends = searches(rp, rp.lattice, rp.area, rp.edge_classes)
+    comps, cap, ends = searches(rp, rp.lattice, rp.area, dense_classes(rp.lattice, rp.edge_classes))
 
     def counts():
         return [
@@ -418,7 +443,7 @@ def test_fewer_nodes_than_reference_on_mid_triples():
     assert len(mid) == 19
     for w in mid:
         rp = build_resolution(*w)
-        comps, cap, ends = searches(rp, rp.lattice, rp.area, rp.edge_classes)
+        comps, cap, ends = searches(rp, rp.lattice, rp.area, dense_classes(rp.lattice, rp.edge_classes))
         # the reference needs up to 23 s per uncapped search above n = 11
         caps = (None, cap) if rp.n <= 11 or w == (11, 13, 14) else (cap,)
         for ac in caps:

@@ -15,6 +15,7 @@ import pytest
 
 from wpp.arith import weight_sequence
 from wpp.errors import BadIndex, LemmaViolated, NotAtSignChange
+from wpp.homlat import dense, sparse
 from wpp.resolution import build_resolution
 from wpp.rulings import ruling
 from wpp.scan import coprime_triples
@@ -25,10 +26,6 @@ from wpp.strings import (
     resolution_fiber_class,
     toric_blowup,
 )
-
-
-def _pad(x, rank):
-    return x + (0,) * (rank - len(x))
 
 
 def _reference(cfg, upto):
@@ -68,10 +65,10 @@ def _reference(cfg, upto):
         exc_positions.append(new_pos)
         exc_basis.append(cur.lattice.rank - 1)
         c_pos = new_pos
-    f = list(_pad(fd.fclass, cur.lattice.rank))
+    f = list(dense(fd.fclass, cur.lattice.rank))
     for m, eb in zip(mults, exc_basis):
         f[eb] -= m
-    return cur, tuple(f), tuple(mults), exc_positions[-1]
+    return cur, sparse(f), tuple(mults), exc_positions[-1]
 
 
 def _assert_same(cfg, fd):

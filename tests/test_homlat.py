@@ -20,6 +20,7 @@ from wpp.homlat import (
     _check_key_bounds,
     cp2_lattice,
     connecting_log_exceptional,
+    dense,
     enumerate_exceptional,
     exceptional_gap,
     functional_kernel_basis,
@@ -29,6 +30,7 @@ from wpp.homlat import (
     log_kodaira,
     mat_inverse_int,
     mat_vec,
+    sparse,
     to_cp2,
     transport_area,
     unit,
@@ -38,9 +40,9 @@ from wpp.homlat import (
 class TestLatticePairings:
     def test_cp2_diagonal(self):
         lat = cp2_lattice(3)
-        h = (1, 0, 0, 0)
-        e1 = (0, 1, 0, 0)
-        e2 = (0, 0, 1, 0)
+        h = sparse((1, 0, 0, 0))
+        e1 = sparse((0, 1, 0, 0))
+        e2 = sparse((0, 0, 1, 0))
         assert lat.sq(h) == 1
         assert lat.sq(e1) == -1
         assert lat.pair(h, e1) == 0
@@ -52,8 +54,8 @@ class TestLatticePairings:
     def test_hirz_pairings(self):
         for k in range(0, 5):
             lat = hirz_lattice(k)
-            f = (1, 0)
-            b = (0, 1)
+            f = sparse((1, 0))
+            b = sparse((0, 1))
             assert lat.sq(f) == 0
             assert lat.sq(b) == -k
             assert lat.pair(f, b) == 1
@@ -63,24 +65,33 @@ class TestLatticePairings:
 
     def test_generic_matches_gram(self):
         g = ((-2, 1), (1, -3))
-        lat = generic_lattice(g, canonical=(0, 1))
-        assert lat.sq((1, 0)) == -2
-        assert lat.pair((1, 0), (0, 1)) == 1
+        lat = generic_lattice(g, canonical=sparse((0, 1)))
+        assert lat.sq(sparse((1, 0))) == -2
+        assert lat.pair(sparse((1, 0)), sparse((0, 1))) == 1
+        assert lat.pair(sparse((1, 1)), sparse((2, 1))) == -4  # (1, 1) . (-3, -1)
         assert lat.gram_rows() == g
 
     def test_rank_mismatch(self):
-        lat = cp2_lattice(2)
+        # the rank is checked where a class is made, not on every pairing
         with pytest.raises(RankMismatch):
-            lat.pair((1, 0), (1, 0, 0))
+            sparse((1, 0, 0), 2)
+        with pytest.raises(RankMismatch):
+            dense({0: 1, 3: -1}, 3)
+        with pytest.raises(RankMismatch):
+            dense({-1: 1}, 3)
+        with pytest.raises(RankMismatch):
+            generic_lattice(((-2,),), canonical={1: 1})
+        assert dense(sparse((0, 4, 0, -2)), 4) == (0, 4, 0, -2)
+        assert sparse((0, 4, 0, -2), 4) == {1: 4, 3: -2}
 
     def test_adjunction_and_index(self):
         lat = cp2_lattice(2)
-        line = (1, 0, 0)
-        conic = (2, 0, 0)
+        line = sparse((1, 0, 0))
+        conic = sparse((2, 0, 0))
         # adjunction x.x + K.x + 2 = 0 and the index x.x - K.x
         assert lat.sq(line) + lat.k_pair(line) + 2 == 0
         assert lat.sq(conic) + lat.k_pair(conic) + 2 == 0
-        exc = (0, 1, 0)
+        exc = sparse((0, 1, 0))
         assert lat.is_exceptional_class(exc)
         assert not lat.is_exceptional_class(line)
         assert lat.sq(line) - lat.k_pair(line) == 4
@@ -88,7 +99,7 @@ class TestLatticePairings:
     def test_generic_without_gram(self):
         lat = Lattice("generic", 2)
         with pytest.raises(MissingClasses):
-            lat.pair((1, 0), (0, 1))
+            lat.pair({0: 1}, {1: 1})
         with pytest.raises(MissingClasses):
             lat.blowup()
 
@@ -96,10 +107,11 @@ class TestLatticePairings:
         lat = cp2_lattice(1)
         lat2 = lat.blowup()
         assert lat2.rank == 3
-        assert lat2.canonical == (-3, 1, 1)
-        gen = generic_lattice(((-2,),), canonical=(0,)).blowup()
-        assert gen.sq((0, 1)) == -1
-        assert gen.pair((1, 0), (0, 1)) == 0
+        assert lat2.canonical == {0: -3, 1: 1, 2: 1}
+        gen = generic_lattice(((-2,),), canonical={}).blowup()
+        assert gen.canonical == {1: 1}
+        assert gen.sq({1: 1}) == -1
+        assert gen.pair({0: 1}, {1: 1}) == 0
 
 
 # reference copy of the full r x r conversion that the leading-block path
@@ -158,7 +170,7 @@ def _ref_to_cp2(lat):
 def _ref_transport_area(area, t_inv):
     r = len(t_inv)
     return AreaForm(
-        tuple(area.area(tuple(t_inv[i][j] for i in range(r))) for j in range(r))
+        tuple(area.area(sparse(tuple(t_inv[i][j] for i in range(r)))) for j in range(r))
     )
 
 
@@ -179,7 +191,7 @@ class TestConversions:
         b = min(3, r)
         assert len(t) == len(t_inv) == b
         assert all(len(row) == b for row in t + t_inv)
-        ident = tuple(unit(r, i) for i in range(r))
+        ident = tuple({i: 1} for i in range(r))
         for i in range(r):
             for j in range(r):
                 x, y = ident[i], ident[j]
@@ -198,16 +210,19 @@ class TestConversions:
         out, t, t_inv = to_cp2(lat)
         assert out is lat
         assert t == t_inv == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        x = (3, -1, 2, 5, 7)
+        x = sparse((3, -1, 2, 5, 7))
         assert mat_vec(t, x) == x
         with pytest.raises(WppError):
             to_cp2(generic_lattice(((-2,),)))
 
     def test_mat_vec_applies_the_block_only(self):
         blk = ((1, 2), (3, 4))
-        assert mat_vec(blk, (1, 1, 5, 6)) == (3, 7, 5, 6)
-        assert mat_vec(blk, (1, 1)) == (3, 7)
-        assert mat_vec((), (5, 6)) == (5, 6)
+        assert mat_vec(blk, sparse((1, 1, 5, 6))) == sparse((3, 7, 5, 6))
+        assert mat_vec(blk, sparse((1, 1))) == sparse((3, 7))
+        assert mat_vec((), sparse((5, 6))) == sparse((5, 6))
+        # a head slot that becomes zero is dropped, one that was absent appears
+        assert mat_vec(((1, -1), (0, 1)), {0: 1, 1: 1, 7: 2}) == {1: 1, 7: 2}
+        assert mat_vec(((1, 0), (1, 1)), {0: 2}) == {0: 2, 1: 2}
 
     def test_transport_area(self):
         lat = hirz_lattice(1, 1)
@@ -215,7 +230,7 @@ class TestConversions:
         out, t, t_inv = to_cp2(lat)
         moved = transport_area(area, t_inv)
         for x in ((1, 0, 0), (0, 1, 0), (1, 1, 1)):
-            assert area.area(x) == moved.area(mat_vec(t, x))
+            assert area.area(sparse(x)) == moved.area(mat_vec(t, sparse(x)))
 
     @pytest.mark.parametrize("k", range(10))
     def test_blocks_match_full_matrices(self, k):
@@ -232,11 +247,11 @@ class TestConversions:
             out, t, t_inv = to_cp2(lat)
             assert out == ref_out
             classes = [unit(r, i) for i in range(r)]
-            classes.append(lat.canonical)
+            classes.append(dense(lat.canonical, r))
             classes.append(tuple((3 * i + k) % 7 - 3 for i in range(r)))
             for x in classes:
-                assert mat_vec(t, x) == _ref_mat_vec(ref_t, x)
-                assert mat_vec(t_inv, x) == _ref_mat_vec(ref_inv, x)
+                assert mat_vec(t, sparse(x)) == sparse(_ref_mat_vec(ref_t, x))
+                assert mat_vec(t_inv, sparse(x)) == sparse(_ref_mat_vec(ref_inv, x))
             assert mat_vec(t, lat.canonical) == out.canonical
             area = AreaForm(tuple(Fraction(i + 1, (i % 4) + 2) for i in range(r)))
             moved = transport_area(area, t_inv)
@@ -244,21 +259,24 @@ class TestConversions:
             assert moved == ref_moved
             assert moved.denominator == ref_moved.denominator
             for x in classes:
-                assert area.area(x) == moved.area(mat_vec(t, x))
+                assert area.area(sparse(x)) == moved.area(mat_vec(t, sparse(x)))
 
 
 class TestAreaForm:
     def test_basic(self):
         a = AreaForm((Fraction(1, 2), Fraction(1, 3)))
         assert a.denominator == 6
-        assert a.area((2, 3)) == 2
-        assert a.area_scaled((2, 3)) == 12
+        assert a.area(sparse((2, 3))) == 2
+        assert a.area_scaled(sparse((2, 3))) == 12
+        assert a.area_scaled({1: -3}) == -6
+        assert a.area({}) == 0
         assert a.rank == 2
 
     def test_rank_check(self):
+        # a class of the wrong length is refused where it is made sparse
         a = AreaForm((Fraction(1),))
         with pytest.raises(RankMismatch):
-            a.area((1, 2))
+            a.area(sparse((1, 2), a.rank))
 
     @given(st.lists(st.integers(-500, 500), max_size=6), st.integers(1, 360))
     def test_from_scaled_matches_fraction_values(self, ints, den):
@@ -270,7 +288,7 @@ class TestAreaForm:
     @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=5))
     def test_scaled_orders_match(self, vals):
         a = AreaForm(tuple(vals))
-        xs = [unit(len(vals), i) for i in range(len(vals))]
+        xs = [{i: 1} for i in range(len(vals))]
         for i in range(len(vals)):
             for j in range(len(vals)):
                 lhs = a.area(xs[i]) < a.area(xs[j])
@@ -311,7 +329,7 @@ class TestExceptionalEnumeration:
             found = enumerate_exceptional(lat)
             assert found.complete
             for x in found.classes:
-                assert lat.is_exceptional_class(x)
+                assert lat.is_exceptional_class(sparse(x))
 
     def test_count_grows_with_points(self):
         # classical counts of exceptional curves on del Pezzo blowups
@@ -370,7 +388,7 @@ class TestExceptionalEnumeration:
             found = enumerate_exceptional(lat)
             assert found.complete
             assert len(found.classes) == 27
-            assert all(lat.is_exceptional_class(x) for x in found.classes)
+            assert all(lat.is_exceptional_class(sparse(x)) for x in found.classes)
             assert list(found.classes) == sorted(found.classes)
 
     def test_packed_key_bounds(self):

@@ -79,6 +79,21 @@ EDGE_CASES = [
     None,
     [[1, [2, [3, []]]]],
     {"z": 1, "a": {"y": [1, 2], "b": [{"c": None}]}},
+    # lists of strings only, written in one join
+    ["a, b", ", ", ",", " ,"],
+    ['"', 'say "hi", twice', '\\"', "\\"],
+    ["café", "☃", "\U0001f600", "\x7f\x00\x1f"],
+    [""],
+    ["", "", "x"],
+    ["1/2", "-3", "5"],
+    [["a, b", "c"], {"k": ["", '"']}],
+    ("tuple", "of, strings"),
+    # ints mixed with bools and the other scalars
+    [1, True, 0, False],
+    [True, 1, False, 0],
+    [False],
+    [0, -1, 2**70, True, None, 1.0],
+    {"n": 0, "b": True, "m": -2**65, "l": [True, 0, "s"]},
 ]
 
 
@@ -140,3 +155,23 @@ def test_ratio_str():
     cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(2000)]
     for num, den in cases:
         assert ratio_str(num, den) == str(Fraction(num, den)), (num, den)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    [_Str("a"), "b"],
+    ["a", _Str('x, "y"')],
+    _Str("solo"),
+    [_Int(3), 4],
+    {"k": _Int(-7)},
+    [True, _Int(1)],
+])
+def test_subclasses_take_the_encoder_like_json(obj):
+    assert dumps_indented(obj) == oracle(obj)

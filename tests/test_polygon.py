@@ -180,7 +180,7 @@ class TestAssignClasses:
         pc = assign_classes(polygon([(0, 0), (1, 0), (0, 1)]))
         assert pc.lattice.tag == "cp2"
         assert pc.lattice.rank == 1
-        assert pc.edge_classes == ((1,), (1,), (1,))
+        assert pc.edge_classes == ({0: 1}, {0: 1}, {0: 1})
         assert pc.terminal == "cp2"
         assert pc.terminal_k == 0
         assert pc.contraction_ids == ()
@@ -189,7 +189,7 @@ class TestAssignClasses:
         pc = assign_classes(polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
         assert pc.lattice.tag == "hirz"
         assert pc.lattice.rank == 2
-        assert pc.edge_classes == ((1, 0), (0, 1), (1, 0), (0, 1))
+        assert pc.edge_classes == ({0: 1}, {1: 1}, {0: 1}, {1: 1})
         assert pc.terminal == "hirz"
 
     def test_one_point_blowup(self):

@@ -17,7 +17,7 @@ from itertools import combinations
 import pytest
 
 from wpp.errors import LemmaViolated, WppError
-from wpp.homlat import AreaForm, unit
+from wpp.homlat import AreaForm, dense, sparse, unit, vadd, vsub
 from wpp.resolution import build_resolution, torelli_compare
 from wpp.scan import coprime_triples
 
@@ -25,8 +25,17 @@ THIRD_FIFTH = (Fraction(1, 3), Fraction(1, 5))
 
 
 def labelled(rp):
+    """The labelled classes as dense tuples, read through the dense doors."""
     out = [x for role in "abc" for x in rp.string_classes(role)]
     return out + [rp.connector_class(name) for name in ("N_a", "N_b", "N_c")]
+
+
+def dense_pair(lat, x, y):
+    return lat.pair(sparse(x), sparse(y))
+
+
+def dense_area(area, x):
+    return area.area(sparse(x))
 
 
 # --- reference: dense solve ---------------------------------------------------------
@@ -70,11 +79,12 @@ def dense_properties(r1, r2):
     cols = [apply(m, unit(r, i)) for i in range(r)]
     integral = all(v.denominator == 1 for row in m for v in row)
     isometry = all(
-        lat.pair(cols[i], cols[j]) == lat.pair(unit(r, i), unit(r, j))
+        dense_pair(lat, cols[i], cols[j]) == dense_pair(lat, unit(r, i), unit(r, j))
         for i in range(r) for j in range(i, r)
     )
-    fixes_k = apply(m, lat.canonical) == lat.canonical
-    area = all(r2.area.area(cols[i]) == r1.area.values[i] for i in range(r))
+    k = dense(lat.canonical, r)
+    fixes_k = apply(m, k) == k
+    area = all(dense_area(r2.area, cols[i]) == r1.area.values[i] for i in range(r))
     return (True, integral, isometry, fixes_k, area)
 
 
@@ -178,16 +188,16 @@ def test_sum_and_area_preserving_class_corruption(triple):
     """Moving an area-zero class v from one labelled class to another keeps
     -K = sum of the classes and every labelled area; only the gram sees it."""
     rp = build_resolution(*triple)
-    a1, a2 = (rp.area.area_scaled(unit(rp.lattice.rank, s)) for s in (1, 2))
-    v = (0, a2, -a1) + (0,) * (rp.lattice.rank - 3)
+    a1, a2 = (rp.area.area_scaled({s: 1}) for s in (1, 2))
+    v = {1: a2, 2: -a1}
     ids = [i for role in "abc" for i in rp.strings[role].edge_ids]
     for i, j in combinations(ids[:4], 2):
         cls = list(rp.edge_classes)
-        cls[i] = tuple(x + y for x, y in zip(cls[i], v))
-        cls[j] = tuple(x - y for x, y in zip(cls[j], v))
+        cls[i] = vadd(cls[i], v)
+        cls[j] = vsub(cls[j], v)
         bad = dataclasses.replace(rp, edge_classes=tuple(cls))
-        assert [rp.area.area(x) for x in labelled(bad)] == [
-            rp.area.area(x) for x in labelled(rp)
+        assert [dense_area(rp.area, x) for x in labelled(bad)] == [
+            dense_area(rp.area, x) for x in labelled(rp)
         ]
         assert not torelli_compare(rp, bad)
         assert not torelli_compare(bad, rp)
@@ -216,9 +226,10 @@ def test_squares_alone_tell_a_reflected_labelling_apart():
     lat, x, y = rp.lattice, labelled(plain), labelled(mirrored)
     m = len(x)
     assert all(
-        lat.pair(x[i], x[j]) == lat.pair(y[i], y[j]) for i in range(m) for j in range(m) if i != j
+        dense_pair(lat, x[i], x[j]) == dense_pair(lat, y[i], y[j])
+        for i in range(m) for j in range(m) if i != j
     )
-    assert [lat.sq(v) for v in x] != [lat.sq(v) for v in y]
+    assert [dense_pair(lat, v, v) for v in x] != [dense_pair(lat, v, v) for v in y]
     assert torelli_compare(plain, plain)
     assert not torelli_compare(plain, mirrored)
 
@@ -237,7 +248,7 @@ def test_class_sum_off_minus_k_raises():
     rp = build_resolution(5, 7, 9)
     eid = rp.strings["b"].edge_ids[0]
     cls = list(rp.edge_classes)
-    cls[eid] = (cls[eid][0] + 1,) + cls[eid][1:]
+    cls[eid] = vadd(cls[eid], {0: 1})
     bad = dataclasses.replace(rp, edge_classes=tuple(cls))
     with pytest.raises(LemmaViolated, match="do not sum to -K"):
         torelli_compare(rp, bad)
