@@ -337,6 +337,7 @@ class GapResult:
 
 _FEASIBLE_CACHE: dict[int, list[dict[int, int]]] = {}
 _CANDIDATE_CACHE: dict[int, dict[int, tuple[tuple[int, int, int, int], ...]]] = {}
+_DEGREE_CACHE: dict[tuple[int, int], tuple[tuple[tuple[int, int, int, int], ...], bool]] = {}
 
 
 def _check_key_bounds(n: int, coeff_bound: int) -> None:
@@ -378,14 +379,74 @@ def _feasible_states(coeff_bound: int, max_slots: int) -> list[dict[int, int]]:
     return layers
 
 
+def _degrees(n: int, coeff_bound: int) -> tuple[tuple[tuple[int, int, int, int], ...], bool]:
+    """The degree level of a search over n exceptional slots: (d, s, q, n q -
+    s^2) for each degree d the recursion starts at, s = 1 - 3d and q = d^2 + 1
+    being the sum and square-sum its slots must reach, and the complete flag.
+    Cached per (n, coeff_bound): it depends on nothing else."""
+    key = (n, coeff_bound)
+    cached = _DEGREE_CACHE.get(key)
+    if cached is not None:
+        return cached
+    # (1-3d)^2 <= n (d^2+1) is necessary; scan a window comfortably containing
+    # every integer solution that could also satisfy |d| <= coeff_bound
+    feasible_d = [
+        d for d in range(-coeff_bound - 8, coeff_bound + 9) if (1 - 3 * d) ** 2 <= n * (d * d + 1)
+    ]
+    complete = n <= 8 and all(abs(d) <= coeff_bound for d in feasible_d)
+    if complete:
+        cmax = max((math.isqrt(d * d + 1) for d in feasible_d), default=0)
+        complete = cmax <= coeff_bound
+    top = _feasible_states(coeff_bound, n)[n]
+    starts = []
+    for d in feasible_d:
+        s0, q0 = 1 - 3 * d, d * d + 1
+        # n >= 1 past this test: with no exceptional slot 1 - 3d would be 0
+        if abs(d) <= coeff_bound and (top.get(s0, 0) >> q0) & 1:
+            starts.append((d, s0, q0, n * q0 - s0 * s0))
+    out = _DEGREE_CACHE[key] = (tuple(starts), complete)
+    return out
+
+
+def _slot_order(n: int, supports: list[set[int]]) -> list[int]:
+    """The exceptional slots 1..n in the order the search assigns them.
+
+    Greedily take the condition with the fewest unplaced slots (the first one
+    on a tie) and place its support next, in increasing order, so its exact
+    end-of-support rejection fires high in the tree; the slots no condition
+    touches come last. supports are the conditions' exceptional supports,
+    emptied as their slots are placed; holders[p] lists those holding slot
+    p, so placing p touches only them. A support holding all n slots is left
+    out: when it has the fewest unplaced slots, every other open support
+    holds all of them too, and any choice places them in increasing order,
+    as the tail does.
+    """
+    supports = [r for r in supports if len(r) < n]
+    holders: dict[int, list[set[int]]] = {}
+    for r in supports:
+        for p in r:
+            holders.setdefault(p, []).append(r)
+    order: list[int] = []
+    while supports := [r for r in supports if r]:
+        for p in sorted(min(supports, key=len)):
+            order.append(p)
+            for r in holders[p]:
+                r.discard(p)
+    placed = set(order)
+    order.extend(p for p in range(1, n + 1) if p not in placed)
+    return order
+
+
 def _cp2_exceptional_raw(
     n: int,
     coeff_bound: int,
-    funcs: Sequence[tuple[int, Sequence[int]]] = (),
+    conds: Sequence[tuple[int, Vec]] = (),
 ) -> tuple[list[Dense], bool, int]:
     """All (d, c_1..c_n) with d^2 - sum c^2 = -1 and -3d - sum c = -1, |coeffs| <= bound.
 
-    funcs are (offset, g) pairs; every solution x satisfies offset + g.x >= 0.
+    conds are (offset, f) pairs, f a sparse class on the slots 0..n (slot 0
+    is H); every solution x satisfies offset + f.x >= 0 in the cp2 form, that
+    is offset + g.x >= 0 for the functional g with g_0 = f_0 and g_i = -f_i.
     They are enforced inside the recursion, which drops a node as soon as no
     completion of its prefix can satisfy one of them. Returns the sorted
     solutions, the complete flag and the number of nodes visited.
@@ -408,59 +469,38 @@ def _cp2_exceptional_raw(
     its own. Past the end of a functional's support G1 = G2 = 0 and the test
     is v < 0 as well, exactly.
     """
-    found: list[Dense] = []
-    feasible_d: list[int] = []
-    # (1-3d)^2 <= n (d^2+1) is necessary; scan a window comfortably containing
-    # every integer solution that could also satisfy |d| <= coeff_bound
-    for d in range(-coeff_bound - 8, coeff_bound + 9):
-        if (1 - 3 * d) ** 2 <= n * (d * d + 1):
-            feasible_d.append(d)
-    complete = n <= 8 and all(abs(d) <= coeff_bound for d in feasible_d)
-    if complete:
-        cmax = max((math.isqrt(d * d + 1) for d in feasible_d), default=0)
-        complete = cmax <= coeff_bound
-
-    offsets = [off for off, _g in funcs]
-    gs = [tuple(g) for _off, g in funcs]
-    # assign slots in an order that closes constraint supports early: greedily
-    # take the functional with the fewest unplaced slots and place its support
-    # next, so its exact end-of-support rejection fires high in the tree
-    order = list(range(1, n + 1))
-    if gs:
-        remaining = [set(p for p in range(1, n + 1) if g[p]) for g in gs]
-        placed: list[int] = []
-        placed_set: set[int] = set()
-        while True:
-            open_funcs = [r for r in remaining if r]
-            if not open_funcs:
-                break
-            best = min(open_funcs, key=len)
-            for p in sorted(best):
-                placed.append(p)
-                placed_set.add(p)
-                for r in remaining:
-                    r.discard(p)
-        placed.extend(p for p in range(1, n + 1) if p not in placed_set)
-        order = placed
-        gs = [(g[0],) + tuple(g[order[j]] for j in range(n)) for g in gs]
-    # active[pos]: (index, coefficient, G1, m G2 - G1^2) for each functional
-    # with a nonzero coefficient at slot pos, the tails taken over the m = n -
-    # pos slots after it; heads: the same tails over all n slots, for the d
-    # level. A functional is tested only where its coefficient is nonzero:
-    # its value moves only there, and its last nonzero slot carries the exact
-    # end-of-support test
+    found: list[list[int]] = []
+    starts, complete = _degrees(n, coeff_bound)
+    order = _slot_order(n, [f.keys() - {0} for _off, f in conds])
+    # at_slot[p]: (index, g_p) for each condition touching exceptional slot p
+    at_slot: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for fi, (_off, f) in enumerate(conds):
+        for p, v in f.items():
+            if p:
+                at_slot[p].append((fi, -v))
+    # active[j]: (index, g coefficient, G1, m G2 - G1^2) for each condition
+    # touching the slot assigned at depth j (order[j - 1]), the tails taken
+    # over the m = n - j depths after it; heads: (offset, g_0, and the same
+    # tails over all n depths) for the d level. A condition is tested only
+    # where its coefficient is nonzero: its value moves only there, and its
+    # last nonzero depth carries the exact end-of-support test
+    g1s = [0] * len(conds)
+    g2s = [0] * len(conds)
     active: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n + 2)]
-    heads: list[tuple[int, int]] = []
-    for fi, g in enumerate(gs):
-        g1 = g2 = 0
-        for pos in range(n, 0, -1):
-            gv = g[pos]
-            if gv:
-                active[pos].append((fi, gv, g1, (n - pos) * g2 - g1 * g1))
-                g1 += gv
-                g2 += gv * gv
-        heads.append((g1, n * g2 - g1 * g1))
-    partial = [0] * len(gs)
+    for j in range(n, 0, -1):
+        m = n - j
+        for fi, gv in at_slot[order[j - 1]]:
+            g1, g2 = g1s[fi], g2s[fi]
+            active[j].append((fi, gv, g1, m * g2 - g1 * g1))
+            g1s[fi] = g1 + gv
+            g2s[fi] = g2 + gv * gv
+    # the d level tests the conditions last to first: the meets and area
+    # conditions, listed last, drop most degrees, and the components rarely do
+    heads = [
+        (fi, off, f.get(0, 0), g1s[fi], n * g2s[fi] - g1s[fi] * g1s[fi])
+        for fi, (off, f) in enumerate(conds)
+    ][::-1]
+    partial = [0] * len(conds)
     nodes = 0
 
     layers = _feasible_states(coeff_bound, n)
@@ -474,7 +514,7 @@ def _cp2_exceptional_raw(
         nodes += 1
         if i == n:
             if srem == 0 and qrem == 0:
-                found.append(tuple(prefix))
+                found.append(list(prefix))
             return
         slots = n - i
         m = slots - 1
@@ -491,7 +531,7 @@ def _cp2_exceptional_raw(
                     out.append((c, s2, q2, m * q2 - s2 * s2))
             cands = tuple(out)
             cand_cache[key] = cands
-        touched = active[i + 1]  # slot being assigned
+        touched = active[i + 1]  # depth being assigned
         for c, s2, q2, w in cands:
             ok = True
             for fi, gv, g1, disc in touched:
@@ -510,39 +550,21 @@ def _cp2_exceptional_raw(
             for fi, gv, _g1, _disc in touched:
                 partial[fi] -= gv * c
 
-    for d in feasible_d:
-        if abs(d) > coeff_bound:
-            continue
-        s0, q0 = 1 - 3 * d, d * d + 1
-        # n >= 1 past this test: with no exceptional slot 1 - 3d would be 0
-        if not (layers[n].get(s0, 0) >> q0) & 1:
-            continue
-        w0 = n * q0 - s0 * s0
-        skip = False
-        for fi, g in enumerate(gs):
-            value = offsets[fi] + g[0] * d
-            partial[fi] = value
-            g1, disc = heads[fi]
+    for d, s0, q0, w0 in starts:
+        for fi, off, gd, g1, disc in heads:
+            value = off + gd * d
             lin = n * value + g1 * s0
             if lin < 0 and lin * lin > disc * w0:
-                skip = True
-        if not skip:
+                break
+            partial[fi] = value
+        else:
             rec(0, s0, q0, [d])
-    if order != list(range(1, n + 1)):
-        remapped = []
-        for x in found:
-            y = [x[0]] + [0] * n
-            for j in range(n):
-                y[order[j]] = x[j + 1]
-            remapped.append(tuple(y))
-        found = remapped
-    found.sort()
-    return found, complete, nodes
-
-
-def _pairing_functional(f: Dense) -> Dense:
-    """g with g.x = f.x in the cp2 form: d slot positive, the others negated."""
-    return (f[0],) + tuple(-v for v in f[1:])
+    # back from depth order to slot order; pos[p] is the depth of slot p, and
+    # pos[0] = 0 keeps d in front
+    pos = [0] * (n + 1)
+    for j, p in enumerate(order, 1):
+        pos[p] = j
+    return sorted(tuple(x[j] for j in pos) for x in found), complete, nodes
 
 
 def enumerate_exceptional(
@@ -561,35 +583,39 @@ def enumerate_exceptional(
     nonnegatively with each class in `constraints` and at least 1 with each
     class in `meets`. Both go into the search as functionals instead of
     filters applied afterwards, so it prunes on them, which matters above
-    rank 9. The search is dense: constraints, meets and the returned classes
-    are dense tuples of length rank.
+    rank 9. The search is dense at its doors: constraints, meets and the
+    returned classes are dense tuples of length rank. Each class is made
+    sparse and converted to the cp2 basis once.
     """
     if area is None and area_cap is not None:
         raise UserInputError("area_cap needs an area form")
-    _check_key_bounds(lat.rank - 1, coeff_bound)
-    if lat.tag != "cp2":
-        lat2, t_mat, t_inv = to_cp2(lat)
-        r = lat.rank
-        area2 = transport_area(area, t_inv) if area is not None else None
-        cons2, meets2 = (
-            tuple(dense(mat_vec(t_mat, sparse(f, r)), r) for f in fs) if fs else None
-            for fs in (constraints, meets)
-        )
-        inner = enumerate_exceptional(lat2, area2, area_cap, coeff_bound, cons2, meets2)
-        back = tuple(dense(mat_vec(t_inv, sparse(x)), r) for x in inner.classes)
-        return ExcSearch(tuple(sorted(back)), inner.complete, inner.nodes)
+    r = lat.rank
+    _check_key_bounds(r - 1, coeff_bound)
+    converted = lat.tag != "cp2"
+    if converted:
+        lat, t_mat, t_inv = to_cp2(lat)
+        area = transport_area(area, t_inv) if area is not None else None
     if lat.canonical is None or not lat._std_k:
         raise MissingClasses("enumeration needs the standard canonical class")
-    funcs = [(0, _pairing_functional(f)) for f in constraints or ()]
-    funcs += [(-1, _pairing_functional(f)) for f in meets or ()]
+
+    def cp2_class(f: Dense) -> Vec:
+        x = sparse(f, r)
+        return mat_vec(t_mat, x) if converted else x
+
+    conds = [(0, cp2_class(f)) for f in constraints or ()]
+    conds += [(-1, cp2_class(f)) for f in meets or ()]
     if area is not None:
-        # positive area, and the cap when given, in scaled integer units; the
-        # same conditions are re-checked below, these only steer the search
-        funcs.append((-1, area._ints))
+        # positive area, and the cap when given, in scaled integer units, as
+        # pairings with the area class W (W.x = area of x): W_0 = a_0 and W_i
+        # = -a_i. The same conditions are re-checked below; these only steer
+        # the search
+        w = {i: -v for i, v in enumerate(area._ints) if v}
+        if 0 in w:
+            w[0] = area._ints[0]
+        conds.append((-1, w))
         if area_cap is not None:
-            cap_scaled = math.floor(area_cap * area.denominator)
-            funcs.append((cap_scaled, tuple(-v for v in area._ints)))
-    raw, complete, nodes = _cp2_exceptional_raw(lat.rank - 1, coeff_bound, funcs)
+            conds.append((math.floor(area_cap * area.denominator), vneg(w)))
+    raw, complete, nodes = _cp2_exceptional_raw(r - 1, coeff_bound, conds)
     if area is not None:
         kept = []
         for x in raw:
@@ -600,21 +626,28 @@ def enumerate_exceptional(
                 continue
             kept.append(x)
         raw = kept
+    if converted:
+        raw = sorted(dense(mat_vec(t_inv, sparse(x)), r) for x in raw)
     return ExcSearch(tuple(raw), complete, nodes)
 
 
-def _check_log(
-    lat: Lattice, classes: Sequence[Dense], component_classes: Sequence[Dense]
-) -> list[Vec]:
-    """Re-check that the dense search results pair nonnegatively with every
-    component; returns them sparse. Each class is made sparse once per call,
-    and only when the search found something."""
-    found = [sparse(x) for x in classes]
-    if found:
-        comps = [sparse(c) for c in component_classes]
-        if not all(lat.pair(x, c) >= 0 for x in found for c in comps):
+def _recheck(
+    lat: Lattice,
+    classes: Sequence[Dense],
+    component_classes: Sequence[Dense],
+    groups: Sequence[Sequence[Dense]] = (),
+) -> None:
+    """Re-check the dense search results: each pairs nonnegatively with every
+    component and at least 1 with the sum of each group, else LemmaViolated.
+    Each found class x is paired once with every basis vector; its pairing
+    with a dense class is then one dot product with that row."""
+    for x in classes:
+        xs = sparse(x)
+        row = [lat.pair(xs, {j: 1}) for j in range(lat.rank)]
+        if any(dot(row, c) < 0 for c in component_classes):
             raise LemmaViolated("constrained search returned a non-log class")
-    return found
+        if any(sum(dot(row, c) for c in g) < 1 for g in groups):
+            raise LemmaViolated("connecting search returned a class missing a group")
 
 
 def log_exceptional(
@@ -628,7 +661,7 @@ def log_exceptional(
     base = enumerate_exceptional(
         lat, area, area_cap, coeff_bound, constraints=component_classes
     )
-    _check_log(lat, base.classes, component_classes)
+    _recheck(lat, base.classes, component_classes)
     return base
 
 
@@ -645,25 +678,47 @@ def connecting_log_exceptional(
 
     A class meets a group when its pairings with the group's classes sum to
     at least 1, that is, when it pairs at least 1 with the sum of the group.
-    The two sums go into the search as `meets` classes, functionals with
-    offset -1, beside the components as `constraints` with offset 0. So the
-    search prunes on them as on the components, with the bound derived in
-    _cp2_exceptional_raw: a node is dropped once m v + G1 s < 0 and
-    (m v + G1 s)^2 > (m G2 - G1^2)(m q - s^2) for one of them, and no class
-    is enumerated only to be filtered out. Both conditions are re-checked on
-    the result, and a class failing either raises LemmaViolated.
+    The search takes three `meets` classes, functionals with offset -1, beside
+    the components as `constraints` with offset 0: the two group sums, and
+    the connector bound
+
+        D = K + sum group_i + sum group_j + sum R,
+
+    R being the multiset of components left after taking away one copy of
+    each class of either group, where the components hold it. Every class E
+    the search may return has E.D >= 1:
+      - E.K = -1, which the search's two equations fix;
+      - E.(sum group) >= 1 for each group, the meets conditions;
+      - E.c >= 0 for each c in R, since each is a component;
+    so E.D >= -1 + 1 + 1 + 0 = 1. This holds for any arguments, so there is
+    one code path. When the groups are disjoint strings among the components
+    and K = -(sum of the boundary classes), as for the boundary of a
+    resolution, D = -(N_a + N_b + N_c): every connecting class pairs
+    negatively with the connectors, E.(N_a + N_b + N_c) <= -1. The condition
+    is implied, but the search prunes one functional at a time, so handing it
+    over prunes far more than the group sums alone, or than K + sum group_i
+    + sum group_j without R.
+
+    The search prunes on all of them with the bound derived in
+    _cp2_exceptional_raw. The components and both groups are re-checked on
+    the result, and a class failing either raises LemmaViolated. E.D >= 1
+    is not re-checked: the two re-checks and E.K = -1 imply it.
     """
+    if lat.canonical is None:
+        raise MissingClasses("enumeration needs the standard canonical class")
+    rank = lat.rank
     sums = tuple(
-        tuple(map(sum, zip(zero(lat.rank), *group, strict=True))) for group in (group_i, group_j)
+        tuple(map(sum, zip(zero(rank), *group, strict=True))) for group in (group_i, group_j)
     )
+    rest = list(component_classes)
+    for c in (*group_i, *group_j):
+        if c in rest:
+            rest.remove(c)
+    bound = tuple(map(sum, zip(dense(lat.canonical, rank), *sums, *rest, strict=True)))
     base = enumerate_exceptional(
-        lat, area, area_cap, coeff_bound, constraints=component_classes, meets=sums
+        lat, area, area_cap, coeff_bound, constraints=component_classes, meets=(*sums, bound)
     )
-    found = _check_log(lat, base.classes, component_classes)
-    groups = [[sparse(c) for c in group] for group in (group_i, group_j)] if found else []
-    for x in found:
-        if not all(sum(lat.pair(x, c) for c in group) >= 1 for group in groups):
-            raise LemmaViolated("connecting search returned a class missing a group")
+    _recheck(lat, base.classes, component_classes, (group_i, group_j))
     return base
 
 
@@ -678,8 +733,14 @@ def exceptional_gap(
 ) -> GapResult:
     """Supremum of areas of connecting log exceptional classes (0 when none).
 
-    certified is False when the enumeration was bounded, in which case the
-    value is only a lower bound for the true supremum.
+    The classes are those connecting_log_exceptional returns. Each pairs at
+    least 1 with the connector bound D = K + sum group_i + sum group_j + sum
+    R (see there), since E.K = -1, E meets both groups and pairs
+    nonnegatively with every component; on the boundary of a resolution D =
+    -(N_a + N_b + N_c). The search prunes on D as well, which changes its
+    work but not its classes, so the value is the one without D. certified
+    is False when the enumeration was bounded, in which case the value is
+    only a lower bound for the true supremum.
     """
     search = connecting_log_exceptional(
         lat, area, component_classes, group_i, group_j, area_cap, coeff_bound

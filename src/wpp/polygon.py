@@ -14,6 +14,7 @@ homology class and exact area to every edge.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -389,59 +390,68 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
     ruled quadrilateral; each replayed blowup restores one edge as a basis
     (-1) vector and corrects its two neighbours. Lengths are carried as
     integers over p.den throughout.
+
+    The contraction runs in O(n log n): the remaining edges form a ring of
+    prev/next links, and a min-heap holds the ids of (-1) edges. An edge's
+    self-intersection only rises (by 1 per contracted neighbour), so it
+    enters the heap once, when it reaches -1, and an id whose edge has since
+    risen past -1 is dropped when it comes to the top.
     """
     sels = edge_selfints(p)
     m = p.n
-    entries = [
-        {"id": i, "s": sels[i], "len": p.length_scaled(i)} for i in range(m)
-    ]
+    sel = list(sels)  # current self-intersections
+    ln = [p.length_scaled(i) for i in range(m)]  # current lengths
+    prev = [(i - 1) % m for i in range(m)]
+    nxt = [(i + 1) % m for i in range(m)]
+    minus_one = [i for i in range(m) if sel[i] == -1]  # ascending, so a heap
     steps: list[tuple[int, int, int, int]] = []
-    terminal = ""
-    terminal_k = 0
+    cur = m
     while True:
-        cur = len(entries)
-        if cur == 3:
-            if any(e["s"] != 1 for e in entries):
-                raise LemmaViolated("terminal triangle is not the projective plane")
-            if len({e["len"] for e in entries}) != 1:
-                raise LemmaViolated("terminal triangle has unequal edges")
-            terminal = "cp2"
+        while minus_one and sel[minus_one[0]] != -1:
+            heapq.heappop(minus_one)
+        if cur == 3 or (cur == 4 and not minus_one):
             break
-        if cur == 4 and all(e["s"] != -1 for e in entries):
-            ok_rot = None
-            for i0 in range(4):
-                s0 = entries[i0]["s"]
-                s1 = entries[(i0 + 1) % 4]["s"]
-                s2 = entries[(i0 + 2) % 4]["s"]
-                s3 = entries[(i0 + 3) % 4]["s"]
-                if s0 == 0 and s2 == 0 and s1 == -s3 and s1 >= 0:
-                    ok_rot = i0
-                    break
-            if ok_rot is None:
-                raise LemmaViolated("terminal quadrilateral is not a ruled surface")
-            terminal = "hirz"
-            terminal_k = entries[(ok_rot + 1) % 4]["s"]
-            f0, top = entries[ok_rot], entries[(ok_rot + 1) % 4]
-            f1, bot = entries[(ok_rot + 2) % 4], entries[(ok_rot + 3) % 4]
-            if f0["len"] != f1["len"]:
-                raise LemmaViolated("ruled terminal model has unequal fibers")
-            if top["len"] != bot["len"] + terminal_k * f0["len"]:
-                raise LemmaViolated("ruled terminal model has inconsistent sections")
-            entries = [f0, top, f1, bot]  # fixed rotation for seeding below
-            break
-        candidates = [e for e in entries if e["s"] == -1]
-        if not candidates:
+        if not minus_one:
             raise NoMinusOneEdge(f"no (-1) edge among {cur} edges")
-        chosen = min(candidates, key=lambda e: e["id"])
-        pos = entries.index(chosen)
-        left = entries[(pos - 1) % cur]
-        right = entries[(pos + 1) % cur]
-        steps.append((chosen["id"], left["id"], right["id"], chosen["len"]))
-        left["s"] += 1
-        right["s"] += 1
-        left["len"] += chosen["len"]
-        right["len"] += chosen["len"]
-        entries.pop(pos)
+        e = heapq.heappop(minus_one)
+        left, right = prev[e], nxt[e]
+        steps.append((e, left, right, ln[e]))
+        for x in (left, right):
+            sel[x] += 1
+            ln[x] += ln[e]
+            if sel[x] == -1:
+                heapq.heappush(minus_one, x)
+        nxt[left], prev[right] = right, left
+        cur -= 1
+    # the remaining edges in cyclic order from the smallest id
+    removed = {st[0] for st in steps}
+    ring = [next(i for i in range(m) if i not in removed)]
+    while len(ring) < cur:
+        ring.append(nxt[ring[-1]])
+    terminal_k = 0
+    if cur == 3:
+        if any(sel[e] != 1 for e in ring):
+            raise LemmaViolated("terminal triangle is not the projective plane")
+        if len({ln[e] for e in ring}) != 1:
+            raise LemmaViolated("terminal triangle has unequal edges")
+        terminal = "cp2"
+    else:
+        ok_rot = None
+        for i0 in range(4):
+            s0, s1, s2, s3 = (sel[ring[(i0 + j) % 4]] for j in range(4))
+            if s0 == 0 and s2 == 0 and s1 == -s3 and s1 >= 0:
+                ok_rot = i0
+                break
+        if ok_rot is None:
+            raise LemmaViolated("terminal quadrilateral is not a ruled surface")
+        terminal = "hirz"
+        terminal_k = sel[ring[(ok_rot + 1) % 4]]
+        ring = ring[ok_rot:] + ring[:ok_rot]  # fixed rotation for seeding below
+        f0, top, f1, bot = ring
+        if ln[f0] != ln[f1]:
+            raise LemmaViolated("ruled terminal model has unequal fibers")
+        if ln[top] != ln[bot] + terminal_k * ln[f0]:
+            raise LemmaViolated("ruled terminal model has inconsistent sections")
 
     n_steps = len(steps)
     rank0 = 1 if terminal == "cp2" else 2
@@ -449,18 +459,18 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
     classes: dict[int, Vec] = {}
     area_vals = [0] * rank
     if terminal == "cp2":
-        for e in entries:
-            classes[e["id"]] = {0: 1}
-        area_vals[0] = entries[0]["len"]
+        for e in ring:
+            classes[e] = {0: 1}
+        area_vals[0] = ln[ring[0]]
         lat = cp2_lattice(n_steps)
     else:
-        f0, top, f1, bot = entries
-        classes[f0["id"]] = {0: 1}
-        classes[f1["id"]] = {0: 1}
-        classes[top["id"]] = {0: terminal_k, 1: 1} if terminal_k else {1: 1}
-        classes[bot["id"]] = {1: 1}
-        area_vals[0] = f0["len"]
-        area_vals[1] = bot["len"]
+        f0, top, f1, bot = ring
+        classes[f0] = {0: 1}
+        classes[f1] = {0: 1}
+        classes[top] = {0: terminal_k, 1: 1} if terminal_k else {1: 1}
+        classes[bot] = {1: 1}
+        area_vals[0] = ln[f0]
+        area_vals[1] = ln[bot]
         lat = hirz_lattice(terminal_k, n_steps)
 
     # each replayed blowup opens a fresh slot: the restored edge is that basis

@@ -9,7 +9,9 @@ counter is added to the copy so the two searches' work can be compared.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from wpp.homlat import (
     AreaForm,
     ExcSearch,
     _cp2_exceptional_raw,
+    class_sum,
     connecting_log_exceptional,
     cp2_lattice,
     enumerate_exceptional,
@@ -34,6 +37,7 @@ from wpp.homlat import (
     sparse,
     to_cp2,
     transport_area,
+    vneg,
 )
 from wpp.polygon import assign_classes
 from wpp.resolution import build_resolution
@@ -361,7 +365,10 @@ def functionals(draw):
 @example((5, 12, [(-1, (0, 1, 0, 0, 0, 0)), (0, (1, 0, -1, -1, -1, -1))]))
 def test_raw_search_matches_reference(case):
     n, bound, funcs = case
-    found, complete, _nodes = _cp2_exceptional_raw(n, bound, funcs)
+    # the search takes each condition as the sparse class f with f.x = g.x in
+    # the cp2 form: f_0 = g_0 and f_i = -g_i
+    conds = [(off, sparse((g[0],) + tuple(-v for v in g[1:]))) for off, g in funcs]
+    found, complete, _nodes = _cp2_exceptional_raw(n, bound, conds)
     ref_found, ref_complete, _ref_nodes = ref_raw(n, bound, None, funcs)
     assert found == ref_found
     assert complete == ref_complete
@@ -453,3 +460,122 @@ def test_fewer_nodes_than_reference_on_mid_triples():
                     rp.lattice, rp.area, comps, gi, gj, ac
                 )
                 assert got.nodes < ref_nodes, (w, label, ac, got.nodes, ref_nodes)
+
+
+# --- the connector bound: against the search without it ---------------------------
+#
+# connecting_log_exceptional hands the search one more meets class, D = K +
+# sum group_i + sum group_j + sum R (R: the components left after taking away
+# one copy of each group class). The reference below is the search without
+# it: enumerate_exceptional with the components as constraints and the two
+# group sums as meets, the call connecting_log_exceptional made before D.
+
+
+def group_sums(gi, gj):
+    return tuple(tuple(map(sum, zip(*g))) for g in (gi, gj))
+
+
+def connector_bound(lat, comps, gi, gj):
+    """D, computed here from a Counter difference of the dense classes."""
+    rest = Counter(comps) - Counter(gi) - Counter(gj)
+    return class_sum([lat.canonical, *map(sparse, (*gi, *gj, *rest.elements()))])
+
+
+def a12_cap(area):
+    """A_12, the area below which coefficient bound 12 holds for every
+    exceptional class, on the area form's grid. With W the area class (W.x =
+    area of x) and N(x) = 2 (W.x)^2 / W^2 - x.x, |x.y| <= sqrt(N(x) N(y)) for
+    all x, y. An exceptional class E of area A has N(E) = 2 A^2 / W^2 + 1,
+    and its coefficients are +-E.t for the basis vectors t, so they stay
+    within 12 while N(E) N(t) < 13^2 for every t."""
+    ints, den = area._ints, area.denominator
+    w2 = ints[0] ** 2 - sum(v * v for v in ints[1:])  # W^2 in units of 1/den^2
+    # N(t) = 2 area(t)^2 / W^2 - t.t, with H.H = 1 and e_i.e_i = -1
+    widest = max(2 * v * v / w2 - (1 if t == 0 else -1) for t, v in enumerate(ints))
+    return Fraction(math.floor(math.sqrt(w2 * (169 / widest - 1) / 2)), den)
+
+
+def rank_searches(n):
+    """Per rank-n triple of coprime_triples(60): the build, its dense
+    components and, per connector, the label and the two groups it joins."""
+    for w in coprime_triples(60):
+        if _string_length_sum(w) != n:
+            continue
+        rp = build_resolution(*w)
+        groups = {r: rp.string_classes(r) for r in "abc"}
+        comps = tuple(x for r in "abc" for x in groups[r])
+        yield w, rp, comps, [(lab, groups[ri], groups[rj]) for lab, (ri, rj) in CONNECTOR_ENDS.items()]
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_connector_bound_matches_search_without_it(n):
+    """Every connector of every rank-n triple, uncapped and capped at A_12:
+    the same classes and complete flag as the search without D, never more
+    nodes, and below rank 9 the same as the filtering reference."""
+    fewer = 0
+    for w, rp, comps, ends in rank_searches(n):
+        lat, area = rp.lattice, rp.area
+        for ac in (None, a12_cap(area)):
+            for label, gi, gj in ends:
+                want = enumerate_exceptional(lat, area, ac, constraints=comps, meets=group_sums(gi, gj))
+                got = connecting_log_exceptional(lat, area, comps, gi, gj, ac)
+                assert (got.classes, got.complete) == (want.classes, want.complete), (w, label, ac)
+                assert got.nodes <= want.nodes, (w, label, ac, got.nodes, want.nodes)
+                fewer += got.nodes < want.nodes
+                if n <= 8:
+                    assert (got.classes, got.complete) == ref_connecting(lat, area, comps, gi, gj, ac)[:2]
+    assert fewer
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_connector_bound_is_implied(n):
+    """Every returned class pairs at least 1 with D, and D is minus the sum of
+    the three connectors, so E.(N_a + N_b + N_c) <= -1: the components' and
+    groups' re-checks, with E.K = -1, imply the bound, and it is not
+    re-checked."""
+    checked = 0
+    for w, rp, comps, ends in rank_searches(n):
+        lat, area = rp.lattice, rp.area
+        connectors = class_sum(sparse(rp.connector_class(lab)) for lab in CONNECTOR_ENDS)
+        for ac in (None, a12_cap(area)):
+            for label, gi, gj in ends:
+                bound = connector_bound(lat, comps, gi, gj)
+                assert bound == vneg(connectors), (w, label)
+                for x in connecting_log_exceptional(lat, area, comps, gi, gj, ac).classes:
+                    assert lat.pair(sparse(x), bound) >= 1, (w, label, x)
+                    assert lat.pair(sparse(x), connectors) <= -1, (w, label, x)
+                    checked += 1
+    assert checked
+
+
+# classes of the blown-up plane at three points: e_1, e_2, e_3, the lines
+# through two of the points, and H
+CP2_3 = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, -1, -1, 0), (1, -1, 0, -1), (1, 0, -1, -1), (1, 0, 0, 0))
+
+
+def small_cases():
+    """Components and groups in cp2_lattice(3) that need not be boundary
+    strings: groups outside the components, shared between the two groups,
+    or repeated, and components that no group holds."""
+    e1, e2, e3, l12, l13, l23, h = CP2_3
+    comp_sets = ((), (l12,), (l12, e3), (e1, e2, e3), (l12, l13, l23), (h, e1))
+    group_sets = ((e1,), (e2,), (e1, e2), (l12,), (e3, l12), (e1, e1))
+    return [(c, gi, gj) for c, gi, gj in product(comp_sets, group_sets, group_sets)]
+
+
+def test_connector_bound_outside_the_boundary():
+    lat = cp2_lattice(3)
+    area = AreaForm((Fraction(4), Fraction(1), Fraction(3, 2), Fraction(1, 2)))
+    returned = 0
+    for comps, gi, gj in small_cases():
+        bound = connector_bound(lat, comps, gi, gj)
+        for ac in (None, Fraction(2)):
+            want = enumerate_exceptional(lat, area, ac, constraints=comps, meets=group_sums(gi, gj))
+            got = connecting_log_exceptional(lat, area, comps, gi, gj, ac)
+            assert (got.classes, got.complete) == (want.classes, want.complete), (comps, gi, gj, ac)
+            assert (got.classes, got.complete) == ref_connecting(lat, area, comps, gi, gj, ac)[:2]
+            assert got.nodes <= want.nodes, (comps, gi, gj, ac)
+            for x in got.classes:
+                assert lat.pair(sparse(x), bound) >= 1, (comps, gi, gj, x)
+                returned += 1
+    assert returned

@@ -13,7 +13,9 @@ from wpp.errors import (
     NotDelzantNeighborhood,
     UserInputError,
 )
+from wpp.homlat import AreaForm, cp2_lattice, hirz_lattice
 from wpp.polygon import (
+    PolygonClasses,
     assign_classes,
     chop_corner,
     corner_type,
@@ -24,6 +26,7 @@ from wpp.polygon import (
     presentation,
     presentations,
 )
+from wpp.resolution import build_resolution
 
 W235 = weight_triple(2, 3, 5)
 W11 = weight_triple(11, 13, 14)
@@ -265,3 +268,97 @@ class TestPresentations:
             p, _ = corner_type(pres.polygon, vi)
             got.add(p)
         assert got == {w.a, w.b, w.c}
+
+
+# --- the contraction ledger against the list loop it replaced ------------------
+
+
+def ref_assign_classes(p):
+    """The earlier assign_classes, without its verification: each step scans
+    every remaining entry for (-1) edges and walks the list to remove the
+    chosen one, O(n^2) in all."""
+    sels = edge_selfints(p)
+    m = p.n
+    entries = [{"id": i, "s": sels[i], "len": p.length_scaled(i)} for i in range(m)]
+    steps = []
+    terminal_k = 0
+    while True:
+        cur = len(entries)
+        if cur == 3:
+            assert all(e["s"] == 1 for e in entries)
+            assert len({e["len"] for e in entries}) == 1
+            terminal = "cp2"
+            break
+        if cur == 4 and all(e["s"] != -1 for e in entries):
+            ok_rot = next(
+                i0
+                for i0 in range(4)
+                if entries[i0]["s"] == 0
+                and entries[(i0 + 2) % 4]["s"] == 0
+                and entries[(i0 + 1) % 4]["s"] == -entries[(i0 + 3) % 4]["s"] >= 0
+            )
+            terminal = "hirz"
+            terminal_k = entries[(ok_rot + 1) % 4]["s"]
+            entries = entries[ok_rot:] + entries[:ok_rot]
+            break
+        chosen = min((e for e in entries if e["s"] == -1), key=lambda e: e["id"])
+        pos = entries.index(chosen)
+        left = entries[(pos - 1) % cur]
+        right = entries[(pos + 1) % cur]
+        steps.append((chosen["id"], left["id"], right["id"], chosen["len"]))
+        for e in (left, right):
+            e["s"] += 1
+            e["len"] += chosen["len"]
+        entries.pop(pos)
+    n_steps = len(steps)
+    rank0 = 1 if terminal == "cp2" else 2
+    classes = {}
+    area_vals = [0] * (rank0 + n_steps)
+    if terminal == "cp2":
+        for e in entries:
+            classes[e["id"]] = {0: 1}
+        area_vals[0] = entries[0]["len"]
+        lat = cp2_lattice(n_steps)
+    else:
+        f0, top, f1, bot = entries
+        classes[f0["id"]] = {0: 1}
+        classes[f1["id"]] = {0: 1}
+        classes[top["id"]] = {0: terminal_k, 1: 1} if terminal_k else {1: 1}
+        classes[bot["id"]] = {1: 1}
+        area_vals[0] = f0["len"]
+        area_vals[1] = bot["len"]
+        lat = hirz_lattice(terminal_k, n_steps)
+    for t in range(n_steps - 1, -1, -1):
+        eid, lid, rid, ln = steps[t]
+        b_idx = rank0 + (n_steps - 1 - t)
+        classes[eid] = {b_idx: 1}
+        classes[lid][b_idx] = -1
+        classes[rid][b_idx] = -1
+        area_vals[b_idx] = ln
+    return PolygonClasses(
+        lat,
+        AreaForm.from_scaled(tuple(area_vals), p.den),
+        tuple(classes[i] for i in range(m)),
+        terminal,
+        terminal_k,
+        tuple(st[0] for st in steps),
+    )
+
+
+# the triples of the golden report digests, and the top of the resolve ladder
+GOLDEN_TRIPLES = (
+    (2, 3, 5), (2, 3, 7), (3, 4, 5), (2, 5, 7), (3, 5, 7), (5, 7, 9), (4, 9, 11),
+    (7, 8, 15), (11, 13, 14), (2, 9, 19), (13, 17, 19), (2, 39, 41), (5, 33, 49),
+)
+
+
+@pytest.mark.parametrize("w", GOLDEN_TRIPLES + ((2, 999, 1001),))
+def test_ledger_matches_list_loop(w):
+    terminals = set()
+    for pres in range(1, 7):
+        polygon_ = build_resolution(*w, presentation=pres).polygon
+        got = assign_classes(polygon_)
+        assert got == ref_assign_classes(polygon_), (w, pres)
+        terminals.add(got.terminal)
+    if w == (2, 3, 5):
+        assert terminals == {"cp2", "hirz"}
