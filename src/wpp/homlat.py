@@ -182,6 +182,44 @@ class Lattice:
     def sq(self, x: Vec) -> int:
         return self.pair(x, x)
 
+    def sparse_gram(self, xs: Sequence[Vec]) -> dict[tuple[int, int], int]:
+        """Every nonzero gram entry (i, j): xs[i].xs[j], i <= j, in one pass.
+
+        The classes are bucketed by slot. The cp2 and ruled-surface grams are
+        diagonal except that the latter links slot 0 with slot 1 (F.B = 1),
+        so only classes sharing a slot, or holding slots 0 and 1, can meet.
+        Each bucket adds its slot's diagonal entry times the two coefficients
+        to every pair it holds, in O(sum of squared bucket sizes): O(total
+        nonzeros) when each slot is held by a bounded number of classes, as
+        on the boundary cycle. A generic lattice raises WppError.
+        """
+        if self.tag not in ("cp2", "hirz"):
+            raise WppError(f"no sparse pairing structure for a {self.tag} lattice")
+        by_slot: dict[int, list[tuple[int, int]]] = {}
+        for i, x in enumerate(xs):
+            for s, v in x.items():
+                by_slot.setdefault(s, []).append((i, v))
+        hirz = self.tag == "hirz"
+        # the diagonal entries at slots 0 and 1; every later slot has -1
+        head = (0, -self.k_hirz) if hirz else (1, -1)
+        gram: dict[tuple[int, int], int] = {}
+        get = gram.get
+        for s, bucket in by_slot.items():
+            w = head[s] if s < 2 else -1
+            if not w:
+                continue
+            for a, (i, vi) in enumerate(bucket):
+                wv = w * vi
+                for j, vj in bucket[a:]:
+                    gram[i, j] = get((i, j), 0) + wv * vj
+        if hirz:
+            # x.y gains x_0 y_1 + x_1 y_0, twice x_0 x_1 on the diagonal
+            for i, vi in by_slot.get(0, ()):
+                for j, vj in by_slot.get(1, ()):
+                    key = (i, j) if i <= j else (j, i)
+                    gram[key] = get(key, 0) + (2 if i == j else 1) * vi * vj
+        return {key: g for key, g in gram.items() if g}
+
     def k_pair(self, x: Vec) -> int:
         """Canonical class paired with x; requires an explicit canonical class."""
         if self.canonical is None:
@@ -578,7 +616,7 @@ def enumerate_exceptional(
     """Bounded enumeration of classes with square -1 and canonical pairing -1.
 
     With an area form, only classes of positive area (and area <= area_cap if
-    given) are kept; a cap without an area form is rejected. Non-cp2 lattices
+    given) are returned; a cap without an area form is rejected. Non-cp2 lattices
     are converted first when possible. Every returned class pairs
     nonnegatively with each class in `constraints` and at least 1 with each
     class in `meets`. Both go into the search as functionals instead of
@@ -607,8 +645,9 @@ def enumerate_exceptional(
     if area is not None:
         # positive area, and the cap when given, in scaled integer units, as
         # pairings with the area class W (W.x = area of x): W_0 = a_0 and W_i
-        # = -a_i. The same conditions are re-checked below; these only steer
-        # the search
+        # = -a_i. Every solution meets them exactly: W.x - 1 >= 0 is area >=
+        # 1/den > 0, and floor(cap den) - W.x >= 0 is area <= floor(cap
+        # den)/den <= cap, so no filter follows the search
         w = {i: -v for i, v in enumerate(area._ints) if v}
         if 0 in w:
             w[0] = area._ints[0]
@@ -616,16 +655,6 @@ def enumerate_exceptional(
         if area_cap is not None:
             conds.append((math.floor(area_cap * area.denominator), vneg(w)))
     raw, complete, nodes = _cp2_exceptional_raw(r - 1, coeff_bound, conds)
-    if area is not None:
-        kept = []
-        for x in raw:
-            a = dot(area._ints, x)
-            if a <= 0:
-                continue
-            if area_cap is not None and Fraction(a, area.denominator) > area_cap:
-                continue
-            kept.append(x)
-        raw = kept
     if converted:
         raw = sorted(dense(mat_vec(t_inv, sparse(x)), r) for x in raw)
     return ExcSearch(tuple(raw), complete, nodes)
@@ -759,9 +788,14 @@ Mat = tuple[Dense, ...]
 def mat_vec(blk: Mat, x: Vec) -> Vec:
     """Apply the matrix whose leading b x b block is blk and which is the
     identity beyond it to the sparse class x: slots 0..b-1 are rewritten,
-    the others kept, in O(nonzeros)."""
+    the others kept, in O(nonzeros). A class with no slot in 0..b-1 is
+    returned as it is, not copied: classes are never mutated, so the result
+    may share it."""
+    b = len(blk)
+    if x.keys().isdisjoint(range(b)):
+        return x
     out = dict(x)
-    head = [x.get(j, 0) for j in range(len(blk))]
+    head = [x.get(j, 0) for j in range(b)]
     for i, row in enumerate(blk):
         v = dot(row, head)
         if v:
@@ -800,6 +834,53 @@ def mat_inverse_int(m: Mat) -> Mat:
     return tuple(out)
 
 
+# (T, T^-1, the images T e_i, the head gram entries (i, j, e_i.e_j)) per (k, b)
+HirzBlock = tuple[Mat, Mat, tuple[Vec, ...], tuple[tuple[int, int, int], ...]]
+_BLOCK_CACHE: dict[tuple[int, int], HirzBlock] = {}
+
+
+def _hirz_block(k: int, b: int) -> HirzBlock:
+    """The leading b x b blocks of T and T^-1 for the ruled-surface form of
+    degree k, the images T e_i of the block's basis vectors, and the head
+    gram entries (i, j, e_i.e_j), i <= j < b, of the ruled-surface form.
+
+    T is a shear (x, y) -> (x - fl y, y), fl = k // 2, making B.B equal
+    -(k mod 2), then the standard elementary transformation: for odd k H' =
+    F + B', slot 1 becoming the section class; for even k a map that
+    consumes the first exceptional vector, so b = 3. The inverse is
+    checked. All of it depends on (k, b) alone, so it is derived once per
+    process and cached; to_cp2 runs the pairing certificate on every call.
+    """
+    key = (k, b)
+    cached = _BLOCK_CACHE.get(key)
+    if cached is not None:
+        return cached
+    fl = k // 2
+    shear: Mat = ((1, -fl, 0), (0, 1, 0), (0, 0, 1))
+    unshear: Mat = ((1, fl, 0), (0, 1, 0), (0, 0, 1))
+    if k % 2 == 1:
+        m1: Mat = ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
+        m1_inv: Mat = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    else:
+        m1 = ((1, 1, 1), (0, -1, -1), (-1, 0, -1))
+        m1_inv = ((1, 1, 0), (1, 0, 1), (-1, -1, -1))
+
+    def lead(m: Mat) -> Mat:
+        return tuple(row[:b] for row in m[:b])
+
+    t = _block_mul(lead(m1), lead(shear))
+    t_inv = _block_mul(lead(unshear), lead(m1_inv))
+    if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
+        raise WppError("basis conversion inverse check failed")
+    src = Lattice("hirz", b, k_hirz=k)
+    heads = [{i: 1} for i in range(b)]
+    gram = tuple(
+        (i, j, src.pair(heads[i], heads[j])) for i in range(b) for j in range(i, b)
+    )
+    out = _BLOCK_CACHE[key] = (t, t_inv, tuple(mat_vec(t, x) for x in heads), gram)
+    return out
+
+
 def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     """Isometry onto a cp2-form lattice: returns (lattice, T, T^-1).
 
@@ -810,10 +891,13 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     then the standard elementary transformation; the even case consumes one
     exceptional basis vector and so needs rank >= 3.
 
-    The conversion is certified once, on the block: T e_i . T e_j must equal
-    e_i . e_j for i, j < b, else LemmaViolated. Past the block T is the
-    identity and both forms are -1 on the diagonal and orthogonal to the
-    block, so the certificate makes T an isometry on every class.
+    The blocks depend on (k, b) alone and are derived once per process
+    (_hirz_block). The conversion is certified on every call against the
+    lattice it returns: T e_i . T e_j must equal e_i . e_j for i, j < b, else
+    LemmaViolated, and T K must be the returned canonical class. Past the
+    block T is the identity and both forms are -1 on the diagonal and
+    orthogonal to the block, so the certificate makes T an isometry on every
+    class.
     """
     r = lat.rank
     b = min(3, r)
@@ -827,34 +911,13 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     k = lat.k_hirz
     if k < 0:
         raise WppError("normalise k >= 0 before converting")
-    fl = k // 2
-    # shear (x, y) -> (x - fl*y, y) so B.B becomes -(k mod 2)
-    shear: Mat = ((1, -fl, 0), (0, 1, 0), (0, 0, 1))
-    unshear: Mat = ((1, fl, 0), (0, 1, 0), (0, 0, 1))
-    if k % 2 == 1:
-        # H' = F + B', slot 1 becomes the section class
-        m1: Mat = ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
-        m1_inv: Mat = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
-    else:
-        if r < 3:
-            raise WppError("even-k conversion needs an exceptional basis vector")
-        m1 = ((1, 1, 1), (0, -1, -1), (-1, 0, -1))
-        m1_inv = ((1, 1, 0), (1, 0, 1), (-1, -1, -1))
-
-    def lead(m: Mat) -> Mat:
-        return tuple(row[:b] for row in m[:b])
-
-    t = _block_mul(lead(m1), lead(shear))
-    t_inv = _block_mul(lead(unshear), lead(m1_inv))
-    if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
-        raise WppError("basis conversion inverse check failed")
+    if k % 2 == 0 and r < 3:
+        raise WppError("even-k conversion needs an exceptional basis vector")
+    t, t_inv, images, gram = _hirz_block(k, b)
     out = cp2_lattice(r - 1)
-    heads = [{i: 1} for i in range(b)]
-    images = [mat_vec(t, x) for x in heads]
-    for i in range(b):
-        for j in range(i, b):
-            if out.pair(images[i], images[j]) != lat.pair(heads[i], heads[j]):
-                raise LemmaViolated(f"basis conversion changes the pairing of e_{i}, e_{j}")
+    for i, j, g in gram:
+        if out.pair(images[i], images[j]) != g:
+            raise LemmaViolated(f"basis conversion changes the pairing of e_{i}, e_{j}")
     if lat.canonical is not None:
         if mat_vec(t, lat.canonical) != out.canonical:
             raise WppError("canonical class does not convert to the standard one")

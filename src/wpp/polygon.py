@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Sequence
 
 from .arith import WeightTriple, ext_gcd, hj_expand
@@ -47,7 +47,6 @@ __all__ = [
     "default_epsilons",
     "edge_selfint",
     "edge_selfints",
-    "linked_pairs",
     "PolygonClasses",
     "assign_classes",
     "Presentation",
@@ -213,20 +212,34 @@ def check_schedule(schedule: tuple[Fraction, Fraction] | None) -> None:
         raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
 
 
+def _chop_depths(p: LatticePolygon, i: int, k: int,
+                 schedule: tuple[Fraction, Fraction] | None = None) -> list[tuple[int, int]]:
+    """The default chop depths at vertex i as (num, den) pairs in lowest
+    terms: the first is the initial ratio (1/4 by default) of the shorter
+    adjacent edge, each next one the shrink ratio (1/3) of the one before.
+    The edge lengths are integers over p.den, so this is integer work."""
+    check_schedule(schedule)
+    (a, b), (c, d) = (
+        ((x.numerator, x.denominator) for x in map(_fr, schedule))
+        if schedule is not None
+        else ((1, 4), (1, 3))
+    )
+    num = min(p.length_scaled(i - 1), p.length_scaled(i)) * a
+    den = p.den * b
+    out = []
+    for _ in range(k):
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        out.append((num, den))
+        num, den = num * c, den * d
+    return out
+
+
 def default_epsilons(p: LatticePolygon, i: int, k: int,
                      schedule: tuple[Fraction, Fraction] | None = None) -> list[Fraction]:
     """Chop depths that provably fit: start at a quarter of the shorter
-    adjacent edge and shrink by thirds."""
-    check_schedule(schedule)
-    init_ratio, ratio = schedule if schedule is not None else (Fraction(1, 4), Fraction(1, 3))
-    shortest = Fraction(min(p.length_scaled(i - 1), p.length_scaled(i)), p.den)
-    eps0 = shortest * init_ratio
-    out = []
-    e = eps0
-    for _ in range(k):
-        out.append(e)
-        e = e * ratio
-    return out
+    adjacent edge and shrink by thirds; the Fractions of _chop_depths."""
+    return [Fraction(num, den) for num, den in _chop_depths(p, i, k, schedule)]
 
 
 @dataclass(frozen=True)
@@ -260,10 +273,11 @@ def chop_corner(
     entries = hj_expand(r, q)
     k = len(entries)
     if epsilons is None:
-        epsilons = default_epsilons(p, i, k, schedule)
-    eps = [_fr(e) for e in epsilons]
-    if len(eps) != k or any(e.numerator <= 0 for e in eps):
-        raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
+        depths = _chop_depths(p, i, k, schedule)
+    else:
+        depths = [(e.numerator, e.denominator) for e in map(_fr, epsilons)]
+        if len(depths) != k or any(num <= 0 for num, _ in depths):
+            raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
 
     # predicted directions: e_0 = -u, e_1 = (w - q u)/r, e_{j+1} = b_j e_j - e_{j-1}
     e1_x, e1_y = w[0] - q * u[0], w[1] - q * u[1]
@@ -290,16 +304,16 @@ def chop_corner(
     # chop j moves eps_j along the u side and eps_j / q_j along w; put the
     # old vertices and every move over one denominator and chain in ints
     steps = []  # eps_j / q_j in lowest terms
-    for e, qj in zip(eps, qs):
-        g = math.gcd(e.numerator, qj)
-        steps.append((e.numerator // g, e.denominator * (qj // g)))
+    for (num, eden), qj in zip(depths, qs):
+        g = math.gcd(num, qj)
+        steps.append((num // g, eden * (qj // g)))
     den = math.lcm(p.den, *(sd for _, sd in steps))
     scale = den // p.den
     vx, vy = p.ipts[i]
     vx, vy = vx * scale, vy * scale
     chain: list[IVec] = []
-    for d, e, (sn, sd) in zip(dirs, eps, steps):
-        ue = e.numerator * (den // e.denominator)
+    for d, (num, eden), (sn, sd) in zip(dirs, depths, steps):
+        ue = num * (den // eden)
         wf = sn * (den // sd)
         chain.append((vx - ue * d[0], vy - ue * d[1]))
         vx, vy = vx + wf * w[0], vy + wf * w[1]
@@ -493,64 +507,54 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
 
 def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses) -> None:
     """Check squares, adjunction, areas, the anticanonical sum and every
-    pairing between edge classes: 1 for adjacent edges, 0 otherwise."""
+    pairing between edge classes: 1 for adjacent edges, 0 otherwise.
+
+    The pairings come from one sparse gram pass (Lattice.sparse_gram): entry
+    (i, i) must be sels[i], adjacent edges must pair to 1, and no other entry
+    may be nonzero."""
     lat, area, cls = pc.lattice, pc.area, pc.edge_classes
     m = p.n
+    gram = lat.sparse_gram(cls)
     for i in range(m):
-        if lat.sq(cls[i]) != sels[i]:
-            raise LemmaViolated(f"edge {i}: square {lat.sq(cls[i])} != {sels[i]}")
+        sq = gram.get((i, i), 0)
+        if sq != sels[i]:
+            raise LemmaViolated(f"edge {i}: square {sq} != {sels[i]}")
         # the square was just checked to be sels[i], so adjunction
         # x.x + K.x + 2 = 0 needs only K.x
         if lat.k_pair(cls[i]) != -2 - sels[i]:
             raise LemmaViolated(f"edge {i}: adjunction defect nonzero")
         if area.area_scaled(cls[i]) * p.den != p.length_scaled(i) * area.denominator:
             raise LemmaViolated(f"edge {i}: area does not match edge length")
-        if lat.pair(cls[i], cls[(i + 1) % m]) != 1:
-            raise LemmaViolated(f"edges {i},{(i + 1) % m}: not adjacent in homology")
+        j = (i + 1) % m
+        if gram.get((i, j) if i < j else (j, i), 0) != 1:
+            raise LemmaViolated(f"edges {i},{j}: not adjacent in homology")
     if lat.canonical is None:
         raise MissingClasses("ledger lattice has no canonical class")
     if class_sum(cls) != vneg(lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
     if lat.sq(lat.canonical) != 9 - (lat.rank - 1):
         raise LemmaViolated("canonical square does not match the rank")
-    _check_nonadjacent(lat, cls)
+    _reject_nonadjacent(gram, m)
 
 
 def _check_nonadjacent(lat: Lattice, cls: Sequence[Vec]) -> None:
     """Classes of nonadjacent edges of the cycle cls pair to zero.
 
-    The cp2 gram is diagonal, so only classes sharing a nonzero slot can
-    meet; the ruled-surface gram also links slot 0 with slot 1. Only those
-    pairs are computed: the ledger touches each exceptional slot from at most
-    three edges, so there are O(rank) of them.
+    The pairings come from Lattice.sparse_gram, which computes only the
+    entries of classes sharing a slot (or, in the ruled-surface form,
+    holding slots 0 and 1): the ledger touches each exceptional slot from at
+    most three edges, so there are O(rank) of them.
     """
-    m = len(cls)
-    for i, j in sorted(linked_pairs(lat, cls)):
-        if (j - i) % m in (1, m - 1):
-            continue
-        if lat.pair(cls[i], cls[j]) != 0:
-            raise LemmaViolated(
-                f"edges {i},{j}: unexpected intersection {lat.pair(cls[i], cls[j])}"
-            )
+    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
-def linked_pairs(lat: Lattice, cls: Sequence[Vec]) -> set[tuple[int, int]]:
-    """Index pairs i < j whose classes the gram matrix can pair nonzero."""
-    if lat.tag not in ("cp2", "hirz"):
-        raise WppError(f"no sparse pairing structure for a {lat.tag} lattice")
-    by_slot: dict[int, list[int]] = {}
-    for i, x in enumerate(cls):
-        for s in x:
-            by_slot.setdefault(s, []).append(i)
-    linked = {pair for bucket in by_slot.values() for pair in combinations(bucket, 2)}
-    if lat.tag == "hirz":
-        linked.update(
-            (min(i, j), max(i, j))
-            for i in by_slot.get(0, ())
-            for j in by_slot.get(1, ())
-            if i != j
-        )
-    return linked
+def _reject_nonadjacent(gram: dict[tuple[int, int], int], m: int) -> None:
+    """LemmaViolated naming the first nonzero entry (i, j), i < j, of the
+    sparse gram of an m-cycle whose edges i and j are not adjacent."""
+    bad = [(i, j) for i, j in gram if i != j and (j - i) % m not in (1, m - 1)]
+    if bad:
+        i, j = min(bad)
+        raise LemmaViolated(f"edges {i},{j}: unexpected intersection {gram[i, j]}")
 
 
 # --- the six weight presentations ----------------------------------------------

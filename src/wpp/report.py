@@ -96,6 +96,29 @@ def _ruling_json(rd: RulingData, rank: int) -> dict:
     }
 
 
+def _chain_selfints(rr: RulingResolution) -> list[int]:
+    """Self-intersections of the resolved forward chain, from the chain's
+    stored ones and the blowup rule, without a pairing in the lattice.
+
+    Each blowup adds a basis vector e_t, e_t.e_t = -1, orthogonal to every
+    earlier class. A sphere it meets gains -e_t and loses 1 from its square,
+    and the new sphere starts as e_t, at -1. So each component's square is
+    its stored one (0 for a new sphere) less the number of new slots in its
+    class; only the two node spheres and the new ones between them hold any.
+    """
+    fwd = rr.ruling.forward
+    stored = fwd.combined.selfints
+    rank0 = fwd.config.lattice.rank
+    lo = fwd.fiber.upto - 1  # the left node sphere; the right one follows C1..CB
+    b = len(rr.multiplicities)
+    base = (stored[lo], *(0,) * b, stored[lo + 1])
+    node = [
+        s - sum(1 for t in c.cls if t >= rank0)
+        for s, c in zip(base, rr.config.components[lo:lo + b + 2], strict=True)
+    ]
+    return [*stored[:lo], *node, *stored[lo + 2:]]
+
+
 def _ruling_resolution_json(rr: RulingResolution) -> dict:
     return {
         "multiplicities": list(rr.multiplicities),
@@ -103,7 +126,7 @@ def _ruling_resolution_json(rr: RulingResolution) -> dict:
         "final_rank": rr.final_rank,
         "fiber": list(dense(rr.resolved.fclass, rr.final_rank)),
         "chain_labels": [c.label for c in rr.config.components],
-        "chain_selfints": list(rr.config.selfints()),
+        "chain_selfints": _chain_selfints(rr),
         "last_meeting": rr.resolved.last_meeting,
     }
 

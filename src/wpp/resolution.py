@@ -7,9 +7,12 @@ in a blown-up projective plane together with its symplectic area. Structural
 facts (connector squares, adjunction, sum rules, adjoint positivity) are
 machine-checked on every build, each once where it is decided: the ledger
 checks the edge classes, and a ruled-surface ledger reaches the projective
-plane through a conversion that to_cp2 certifies as an isometry, so the
-converted classes keep those squares and areas. The predicate reports below
-re-derive the predicates from the stored data without assuming them.
+plane through to_cp2's conversion. Its 3 x 3 block depends on the degree k
+of the ruled surface alone, so it is derived once per k; every call
+certifies it as an isometry onto the lattice it returns, so the converted
+classes keep those squares and areas. Only the classes touching slots 0..2
+are rewritten; the others are shared as they are. The predicate reports
+below re-derive the predicates from the stored data without assuming them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 from .arith import WeightTriple, hj_expand, weight_triple
 from .errors import (
+    InvalidFraction,
     LemmaViolated,
     MissingClasses,
     Unclassified,
@@ -47,10 +52,9 @@ from .polygon import (
     check_schedule,
     chop_corner,
     edge_selfints,
-    linked_pairs,
     presentation as presentation_of,
 )
-from .strings import OrientedString, delta_sequence
+from .strings import DeltaSeq, delta_sequence
 
 __all__ = [
     "StringData",
@@ -301,17 +305,35 @@ class DivisorPredicates:
     kodaira: float | int | None
 
 
-def _abc_type(rp: ResolutionPair) -> bool:
+def _string_values(selfints: tuple[int, ...], forward: DeltaSeq) -> set[tuple[int, int]]:
+    """The values of the string read both ways, [b_1, ..., b_n] and [b_n,
+    ..., b_1] with b = -selfints, as (num, den) pairs in lowest terms with
+    den > 0, from the determinants of its blocks: forward d_n / det(b_2..b_n)
+    and reversed d_n / d_{n-1}, d being the delta sequence forward and
+    det(b_2..b_n) the entry n - 1 of the reversed one. A negative den flips
+    both signs, as in eval_neg_cf; consecutive minors are coprime, so the
+    pairs are in lowest terms. Like eval_neg_cf, raises InvalidFraction when
+    a proper tail of either reading has determinant zero."""
+    n = len(selfints)
+    fwd = forward.deltas
+    bwd = delta_sequence(selfints[::-1]).deltas
+    if 0 in fwd[1:n] or 0 in bwd[1:n]:
+        raise InvalidFraction(f"zero tail convergent in {tuple(-s for s in selfints)}")
+    out = set()
+    for den in (bwd[n - 1], fwd[n - 1]):
+        out.add((fwd[n], den) if den > 0 else (-fwd[n], -den))
+    return out
+
+
+def _abc_type(rp: ResolutionPair, forward: Sequence[DeltaSeq]) -> bool:
     """Does some labelling and orientation of the strings realise the three
-    singularity fractions of the weight triple?"""
+    singularity fractions of the weight triple? forward holds the delta
+    sequences of the strings, in the order of rp.strings."""
     w = rp.weights
-    targets = [
-        Fraction(getattr(w, role), getattr(w, ROLE_RESIDUE[role])) for role in "abc"
+    targets = [(getattr(w, role), getattr(w, ROLE_RESIDUE[role])) for role in "abc"]
+    values = [
+        _string_values(sd.selfints, ds) for sd, ds in zip(rp.strings.values(), forward, strict=True)
     ]
-    values = []
-    for sd in rp.strings.values():
-        s = OrientedString(sd.selfints)
-        values.append({s.value(), s.reversed_().value()})
     if len(values) != len(targets):
         return False
     return any(
@@ -328,11 +350,11 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
     adjoint area against the pairwise gap sums. The adjoint class is the
     canonical class plus the string components only.
     """
+    forward = [delta_sequence(sd.selfints) for sd in rp.strings.values()]
     full = rp.n == sum(len(sd.edge_ids) for sd in rp.strings.values()) and all(
-        delta_sequence(sd.selfints).is_negative_definite
-        for sd in rp.strings.values()
+        ds.is_negative_definite for ds in forward
     )
-    abc_type = _abc_type(rp)
+    abc_type = _abc_type(rp, forward)
 
     lat, area, cls = rp.lattice, rp.area, rp.edge_classes
     if lat.canonical is None:
@@ -497,6 +519,4 @@ def _labelled_data(rp: ResolutionPair) -> tuple[dict, tuple[Fraction, ...]]:
     lat = rp.lattice
     if class_sum(cls) != vneg(lat.canonical):
         raise LemmaViolated("labelled boundary classes do not sum to -K")
-    pairs = linked_pairs(lat, cls) | {(i, i) for i in range(len(cls))}
-    gram = {(i, j): g for i, j in pairs if (g := lat.pair(cls[i], cls[j]))}
-    return gram, tuple(rp.area.area(x) for x in cls)
+    return lat.sparse_gram(cls), tuple(rp.area.area(x) for x in cls)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .arith import eval_neg_cf, weight_sequence
 from .errors import (
@@ -149,6 +149,13 @@ class Component:
     cls: Vec
 
 
+def _check_slots(components: Iterable[Component], rank: int) -> None:
+    """RankMismatch unless every slot of every class lies in 0..rank-1."""
+    for comp in components:
+        if comp.cls and not (0 <= min(comp.cls) and max(comp.cls) < rank):
+            raise RankMismatch(f"component {comp.label} has a slot outside rank {rank}")
+
+
 @dataclass(frozen=True)
 class DivisorConfig:
     """Ordered components with sparse homology classes in a common lattice.
@@ -163,10 +170,20 @@ class DivisorConfig:
     components: tuple[Component, ...]
 
     def __post_init__(self) -> None:
-        rank = self.lattice.rank
-        for comp in self.components:
-            if comp.cls and not (0 <= min(comp.cls) and max(comp.cls) < rank):
-                raise RankMismatch(f"component {comp.label} has a slot outside rank {rank}")
+        _check_slots(self.components, self.lattice.rank)
+
+    @classmethod
+    def _grown(cls, lattice: Lattice, components: tuple[Component, ...],
+               fresh: tuple[Component, ...]) -> "DivisorConfig":
+        """The config of components in lattice, validating only fresh, the
+        components made or changed for it. Every other component must come
+        from a config validated in a lattice of no larger rank, so its slots
+        lie in this one's too."""
+        _check_slots(fresh, lattice.rank)
+        cfg = object.__new__(cls)
+        object.__setattr__(cfg, "lattice", lattice)
+        object.__setattr__(cfg, "components", components)
+        return cfg
 
     def __len__(self) -> int:
         return len(self.components)
@@ -249,15 +266,20 @@ def _blowup(cfg: DivisorConfig, hit: tuple[int, ...], pos: int | None,
     subtract e from the hit components and, unless pos is None, insert a
     sphere of class e at pos, labelled e<index> when no label is given. The
     slot of e is new, so the other classes are kept as they are and each hit
-    class gains the key with coefficient -1."""
+    class gains the key with coefficient -1. Only the hit and the new
+    components are validated: the kept ones were validated in cfg, whose
+    lattice has a smaller rank."""
     lat2 = cfg.lattice.blowup()
     t = lat2.rank - 1
     comps = list(cfg.components)
+    fresh = []
     for i in hit:
         comps[i] = Component(comps[i].label, {**comps[i].cls, t: -1})
+        fresh.append(comps[i])
     if pos is not None:
         comps.insert(pos, Component(f"e{t}" if label is None else label, {t: 1}))
-    return MoveResult(DivisorConfig(lat2, tuple(comps)), pos)
+        fresh.append(comps[pos])
+    return MoveResult(DivisorConfig._grown(lat2, tuple(comps), tuple(fresh)), pos)
 
 
 def toric_blowup(cfg: DivisorConfig, i: int, j: int, label: str | None = None) -> MoveResult:
@@ -490,8 +512,10 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
 
     # C1 goes between the node spheres; after C_i with pair (a, b) the next
     # blowup is at C_i's left node when a > b, else at its right node
-    res = toric_blowup(DivisorConfig(cfg.lattice, cfg.components[upto - 1:upto + 1]),
-                       0, 1, label="C1")
+    # the node piece and the spliced chain hold components of cfg, validated
+    # there, and of the blowups, validated by _blowup: nothing to re-check
+    node = DivisorConfig._grown(cfg.lattice, cfg.components[upto - 1:upto + 1], ())
+    res = toric_blowup(node, 0, 1, label="C1")
     for i, (a, b) in enumerate(pairs[:-1], start=2):
         left = res.position - 1 if a > b else res.position
         res = toric_blowup(res.config, left, left + 1, label=f"C{i}")
@@ -500,7 +524,7 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
     f = dict(fd.fclass)
     for t, m in enumerate(mults, start=cfg.lattice.rank):
         f[t] = -m  # each blowup appends its (-1) vector to the basis
-    rf = ResolvedFiber(DivisorConfig(res.config.lattice, spliced), f, fd, mults,
+    rf = ResolvedFiber(DivisorConfig._grown(res.config.lattice, spliced, ()), f, fd, mults,
                        upto - 1 + res.position)
     _verify_resolved_fiber(rf, kf_base + sum(mults))
     return rf

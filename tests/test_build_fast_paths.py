@@ -1,0 +1,334 @@
+"""Differential tests: the fast paths of a build against the paths they replaced.
+
+- integer chop depths against the Fraction depths of the earlier
+  default_epsilons, on every corner a build chops;
+- the sparse gram pass against pairwise Lattice.pair on ledgers in both forms;
+- the per-k cached F_k -> CP^2 blocks against a fresh derivation per call;
+- mat_vec sharing a class it leaves unchanged;
+- the integer string values of _abc_type against the Fraction values;
+- fiber blowups that validate only the classes they make, while a
+  DivisorConfig built from outside still validates every class;
+- the report's resolved chain squares against the lattice squares.
+
+The reference functions are copies of the earlier implementation.
+"""
+
+import importlib
+from fractions import Fraction
+from itertools import permutations
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import wpp.homlat as homlat
+from wpp.arith import hj_expand
+from wpp.errors import InvalidFraction, RankMismatch, WppError
+from wpp.homlat import (
+    _block_mul,
+    cp2_lattice,
+    generic_lattice,
+    hirz_lattice,
+    mat_vec,
+    to_cp2,
+    unit,
+)
+from wpp.polygon import assign_classes, default_epsilons
+from wpp.report import _chain_selfints
+from wpp.resolution import (
+    ROLE_RESIDUE,
+    _abc_type,
+    _string_values,
+    build_resolution,
+)
+from wpp.rulings import ruling, ruling_resolution
+from wpp.scan import coprime_triples
+from wpp.strings import (
+    Component,
+    DivisorConfig,
+    OrientedString,
+    chain_config,
+    delta_sequence,
+    toric_blowup,
+)
+
+SCHEDULES = (None, (Fraction(1, 3), Fraction(1, 5)))
+# the module, not the function wpp.polygon that the package re-exports
+polygon_mod = importlib.import_module("wpp.polygon")
+
+
+def builds(max_c, schedule=None):
+    for t in coprime_triples(max_c):
+        for pres in range(1, 7):
+            yield t, pres, build_resolution(*t, presentation=pres, schedule=schedule)
+
+
+# --- chop depths ------------------------------------------------------------------
+
+
+def ref_default_epsilons(p, i, k, schedule=None):
+    """The Fraction depths: a quarter of the shorter adjacent edge, then thirds."""
+    init_ratio, ratio = schedule if schedule is not None else (Fraction(1, 4), Fraction(1, 3))
+    e = Fraction(min(p.length_scaled(i - 1), p.length_scaled(i)), p.den) * init_ratio
+    out = []
+    for _ in range(k):
+        out.append(e)
+        e = e * ratio
+    return out
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=("default", "third-fifth"))
+def test_integer_depths_match_fraction_depths(schedule, monkeypatch):
+    """Every corner chopped by the builds with c <= 30: the (num, den) pairs
+    are the Fraction depths in lowest terms, and default_epsilons gives them."""
+    calls = []
+    depths = polygon_mod._chop_depths
+
+    def spy(p, i, k, sched=None):
+        out = depths(p, i, k, sched)
+        calls.append((p, i, k, sched, out))
+        return out
+
+    monkeypatch.setattr(polygon_mod, "_chop_depths", spy)
+    for _ in builds(30, schedule):
+        pass
+    monkeypatch.undo()
+    assert len(calls) == 3 * 6 * len(coprime_triples(30))
+    for p, i, k, sched, out in calls:
+        assert sched == schedule
+        want = ref_default_epsilons(p, i, k, sched)
+        assert out == [(e.numerator, e.denominator) for e in want]
+        assert default_epsilons(p, i, k, sched) == want
+
+
+# --- the sparse gram ----------------------------------------------------------------
+
+
+def full_gram(lat, cls):
+    m = len(cls)
+    return {
+        (i, j): g for i in range(m) for j in range(i, m) if (g := lat.pair(cls[i], cls[j]))
+    }
+
+
+def test_sparse_gram_matches_pairwise_on_ledgers():
+    """The ledger of every build with c <= 20, in its own form (cp2 or a
+    ruled surface) and converted to cp2."""
+    tags = set()
+    for _t, _pres, rp in builds(20):
+        pc = assign_classes(rp.polygon)
+        for lat, cls in ((pc.lattice, pc.edge_classes), (rp.lattice, rp.edge_classes)):
+            tags.add(lat.tag)
+            assert lat.sparse_gram(cls) == full_gram(lat, cls)
+    assert tags == {"cp2", "hirz"}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_sparse_gram_on_dense_classes(k):
+    """Classes touching every slot, so every bucket holds every class and
+    slots 0 and 1 meet on the diagonal too."""
+    for lat in (hirz_lattice(k, 3), cp2_lattice(4)):
+        cls = [{s: (3 * i + 2 * s + k) % 5 - 2 for s in range(lat.rank)} for i in range(6)]
+        cls = [{s: v for s, v in x.items() if v} for x in cls]
+        assert lat.sparse_gram(cls) == full_gram(lat, cls)
+
+
+def test_sparse_gram_needs_a_sparse_form():
+    with pytest.raises(WppError):
+        generic_lattice(((-1,),)).sparse_gram([{0: 1}])
+
+
+# --- the F_k -> CP^2 blocks ---------------------------------------------------------
+
+
+def fresh_to_cp2(lat):
+    """The conversion derived and certified from scratch on every call."""
+    r = lat.rank
+    b = min(3, r)
+    k = lat.k_hirz
+    fl = k // 2
+    shear = ((1, -fl, 0), (0, 1, 0), (0, 0, 1))
+    unshear = ((1, fl, 0), (0, 1, 0), (0, 0, 1))
+    if k % 2 == 1:
+        m1 = ((1, 0, 0), (-1, 1, 0), (0, 0, 1))
+        m1_inv = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    else:
+        if r < 3:
+            raise WppError("even-k conversion needs an exceptional basis vector")
+        m1 = ((1, 1, 1), (0, -1, -1), (-1, 0, -1))
+        m1_inv = ((1, 1, 0), (1, 0, 1), (-1, -1, -1))
+
+    def lead(m):
+        return tuple(row[:b] for row in m[:b])
+
+    t = _block_mul(lead(m1), lead(shear))
+    t_inv = _block_mul(lead(unshear), lead(m1_inv))
+    assert _block_mul(t, t_inv) == tuple(unit(b, i) for i in range(b))
+    out = cp2_lattice(r - 1)
+    heads = [{i: 1} for i in range(b)]
+    for i in range(b):
+        for j in range(i, b):
+            assert out.pair(mat_vec(t, heads[i]), mat_vec(t, heads[j])) == lat.pair(heads[i], heads[j])
+    assert mat_vec(t, lat.canonical) == out.canonical
+    return out, t, t_inv
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_cached_blocks_match_a_fresh_derivation(k, monkeypatch):
+    """An empty cache, then a filled one: both give the fresh conversion."""
+    monkeypatch.setattr(homlat, "_BLOCK_CACHE", {})
+    for _round in range(2):
+        for extra in range(6):
+            lat = hirz_lattice(k, extra)
+            if k % 2 == 0 and extra == 0:
+                with pytest.raises(WppError):
+                    fresh_to_cp2(lat)
+                with pytest.raises(WppError):
+                    to_cp2(lat)
+                continue
+            assert to_cp2(lat) == fresh_to_cp2(lat)
+    assert {key[0] for key in homlat._BLOCK_CACHE} == {k}
+
+
+def test_mat_vec_shares_an_untouched_class():
+    blk = ((1, 2, 0), (0, 1, 0), (1, 1, 1))
+    x = {3: 1, 7: -2}
+    assert mat_vec(blk, x) is x
+    y = {1: 1, 7: -2}
+    got = mat_vec(blk, y)
+    assert got == {0: 2, 1: 1, 2: 1, 7: -2}
+    assert y == {1: 1, 7: -2}
+
+
+# --- string values over the integers ------------------------------------------------
+
+
+def ref_values(selfints):
+    s = OrientedString(tuple(selfints))
+    return {s.value(), s.reversed_().value()}
+
+
+def ref_abc_type(rp):
+    """The Fraction version: OrientedString values against Fraction targets."""
+    w = rp.weights
+    targets = [Fraction(getattr(w, role), getattr(w, ROLE_RESIDUE[role])) for role in "abc"]
+    values = [ref_values(sd.selfints) for sd in rp.strings.values()]
+    if len(values) != len(targets):
+        return False
+    return any(
+        all(targets[i] in values[p[i]] for i in range(3)) for p in permutations(range(3))
+    )
+
+
+def abc_type(rp):
+    return _abc_type(rp, [delta_sequence(sd.selfints) for sd in rp.strings.values()])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-6, 3), min_size=1, max_size=7))
+@example([-2, -3, -5])
+@example([-1])
+@example([0])
+@example([-1, -1])  # zero tail determinant: neither version has a value
+@example([1, -3, 2, -1])
+@example([-2, 1, -2])  # not negative definite, every tail nonzero
+def test_string_values_match_fractions(selfints):
+    s = tuple(selfints)
+    try:
+        want = {(v.numerator, v.denominator) for v in ref_values(s)}
+    except InvalidFraction:
+        with pytest.raises(InvalidFraction):
+            _string_values(s, delta_sequence(s))
+        return
+    assert _string_values(s, delta_sequence(s)) == want
+
+
+def fake_pair(weights, strings):
+    residues = ("a_b", "b_c", "c_a")
+    w = SimpleNamespace(**dict(zip("abc", (p for p, _q in weights))),
+                        **dict(zip(residues, (q for _p, q in weights))))
+    return SimpleNamespace(
+        weights=w,
+        strings={role: SimpleNamespace(selfints=tuple(s)) for role, s in zip("abc", strings)},
+    )
+
+
+coprime_pair = st.tuples(st.integers(2, 30), st.integers(1, 29)).filter(
+    lambda pq: pq[1] < pq[0] and Fraction(*pq).denominator == pq[1]
+)
+entries = st.lists(st.integers(-6, 2), min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(coprime_pair, min_size=3, max_size=3),
+    st.lists(st.one_of(entries, st.none()), min_size=3, max_size=3),
+    st.permutations(range(3)),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+# every target realised, in a permuted order and partly reversed: True
+@example([(5, 2), (7, 3), (11, 4)], [None, None, None], [2, 0, 1], [True, False, True])
+# one string replaced: False
+@example([(5, 2), (7, 3), (11, 4)], [None, [-2, -2], None], [2, 0, 1], [True, False, True])
+def test_abc_type_matches_fractions(weights, strings, order, flips):
+    """Strings are random, or the expansion of a permuted target, maybe
+    reversed, so both answers occur."""
+    made = []
+    for i, s in enumerate(strings):
+        if s is None:
+            p, q = weights[order[i]]
+            s = [-b for b in hj_expand(p, q)]
+            if flips[i]:
+                s.reverse()
+        made.append(s)
+    rp = fake_pair(weights, made)
+    try:
+        want = ref_abc_type(rp)
+    except InvalidFraction:
+        with pytest.raises(InvalidFraction):
+            abc_type(rp)
+        return
+    assert abc_type(rp) == want
+
+
+def test_abc_type_matches_fractions_on_builds():
+    for t, pres, rp in builds(20):
+        assert abc_type(rp) == ref_abc_type(rp) is True, (t, pres)
+
+
+# --- validation of fiber blowups ------------------------------------------------------
+
+
+def test_blowups_validate_what_they_make():
+    lat = cp2_lattice(3)
+    cfg = chain_config(lat, [{1: 1, 2: -1}, {2: 1}])
+    res = toric_blowup(cfg, 0, 1)
+    grown = res.config.lattice
+    assert grown.rank == 5
+    # the same config, every class validated
+    assert DivisorConfig(grown, res.config.components) == res.config
+    # built from outside, an out-of-rank class still raises
+    with pytest.raises(RankMismatch):
+        DivisorConfig(grown, res.config.components + (Component("x", {5: 1}),))
+    with pytest.raises(RankMismatch):
+        DivisorConfig(lat, res.config.components)
+    # the grown path checks the classes handed to it as made or changed
+    with pytest.raises(RankMismatch):
+        DivisorConfig._grown(grown, res.config.components, (Component("x", {-1: 1}),))
+
+
+# --- resolved chain squares ---------------------------------------------------------
+
+
+def test_chain_selfints_match_lattice_squares():
+    """Every unicuspidal ruling of the builds with c <= 30."""
+    seen = 0
+    for t, pres, rp in builds(30):
+        rd = ruling(rp, "c")
+        if rd.case != "Unicuspidal":
+            continue
+        rr = ruling_resolution(rd)
+        assert _chain_selfints(rr) == list(rr.config.selfints()), (t, pres)
+        seen += 1
+    assert seen

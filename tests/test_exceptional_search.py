@@ -579,3 +579,43 @@ def test_connector_bound_outside_the_boundary():
                 assert lat.pair(sparse(x), bound) >= 1, (comps, gi, gj, x)
                 returned += 1
     assert returned
+
+
+# --- the area filter the search replaced ----------------------------------------
+
+
+def ref_area_filter(area, area_cap, classes):
+    """The filter enumerate_exceptional ran after the search: drop classes of
+    area <= 0, and above area_cap when given."""
+    kept = []
+    for x in classes:
+        a = dot(area._ints, x)
+        if a <= 0:
+            continue
+        if area_cap is not None and Fraction(a, area.denominator) > area_cap:
+            continue
+        kept.append(x)
+    return tuple(kept)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_area_conditions_leave_the_filter_nothing_to_drop(n):
+    """The search's conditions (-1, W) and (floor(cap den), -W) force 0 <
+    area <= cap, so the old filter keeps every class: on every rank-n
+    triple, uncapped and at caps A_12, 3 and 1, for the log search and each
+    connector's connecting search. The unconstrained search is checked too,
+    except uncapped and at A_12 on rank 9, where it returns 3.1 and 0.66
+    million classes (15 s and 4 s)."""
+    kept = 0
+    for w, rp, comps, ends in rank_searches(n):
+        lat, area = rp.lattice, rp.area
+        caps = ((None, n <= 8), (a12_cap(area), n <= 8), (Fraction(3), True), (Fraction(1), True))
+        for ac, unconstrained in caps:
+            found = [log_exceptional(lat, area, comps, ac)]
+            found += [connecting_log_exceptional(lat, area, comps, gi, gj, ac) for _l, gi, gj in ends]
+            if unconstrained:
+                found.append(enumerate_exceptional(lat, area, ac))
+            for search in found:
+                assert ref_area_filter(area, ac, search.classes) == search.classes, (w, ac)
+                kept += len(search.classes)
+    assert kept

@@ -23,7 +23,6 @@ from wpp.polygon import (
     corner_type,
     default_epsilons,
     edge_selfints,
-    linked_pairs,
     polygon,
     presentation,
 )
@@ -355,18 +354,22 @@ VERIFY_TRIPLES = ((2, 3, 5), (3, 4, 5), (11, 13, 14), (5, 33, 49), (2, 15, 17), 
 
 @pytest.mark.parametrize("triple", VERIFY_TRIPLES)
 def test_linked_pairs_cover_every_nonzero_pair(triple):
-    """On every build the pairs the slot index offers include every pair that
-    pairs nonzero, in ledger form and after conversion to cp2 form; so the
-    sparse check and the full loop agree, at ranks up to 16 and above."""
+    """On every build the sparse gram pass, which pairs only the classes
+    linked by a shared slot, gives exactly the nonzero entries of the full
+    O(m^2) pair loop, in ledger form and after conversion to cp2 form; so
+    the sparse check and the full loop agree, at ranks up to 16 and above."""
     for idx in range(1, 7):
         rp = build_resolution(*triple, presentation=idx)
         pc = assign_classes(rp.polygon)
         for lat, cls in ((pc.lattice, pc.edge_classes), (rp.lattice, rp.edge_classes)):
             m = len(cls)
-            nonzero = {
-                (i, j) for i in range(m) for j in range(i + 1, m) if lat.pair(cls[i], cls[j])
+            full = {
+                (i, j): g
+                for i in range(m)
+                for j in range(i, m)
+                if (g := lat.pair(cls[i], cls[j]))
             }
-            assert nonzero <= linked_pairs(lat, cls)
+            assert lat.sparse_gram(cls) == full
             assert ref_nonadjacent_ok(lat, cls)
             _check_nonadjacent(lat, cls)
 

@@ -12,6 +12,7 @@ mutation of one class at rank above 150 must still be rejected.
 
 import dataclasses
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import pytest
@@ -34,7 +35,6 @@ from wpp.polygon import (
     _verify_classes,
     assign_classes,
     edge_selfints,
-    linked_pairs,
 )
 from wpp.report import make_report, ratio_str, serialize_report
 from wpp.resolution import build_resolution
@@ -63,6 +63,21 @@ def ref_pair(lat, x, y):
         s = x[0] * y[1] + x[1] * y[0] - lat.k_hirz * x[1] * y[1]
         return s - ref_dot(x[2:], y[2:])
     return sum(x[i] * ref_dot(lat.gram[i], y) for i in range(lat.rank) if x[i])
+
+
+def ref_linked_pairs(lat, cls):
+    """Index pairs i < j whose classes share a slot, or in the ruled-surface
+    form hold slots 0 and 1: the pairs the gram can make nonzero."""
+    by_slot = {}
+    for i, x in enumerate(cls):
+        for s in x:
+            by_slot.setdefault(s, []).append(i)
+    linked = {pair for bucket in by_slot.values() for pair in combinations(bucket, 2)}
+    if lat.tag == "hirz":
+        linked.update(
+            (min(i, j), max(i, j)) for i in by_slot.get(0, ()) for j in by_slot.get(1, ()) if i != j
+        )
+    return linked
 
 
 def ref_area_scaled(area, x):
@@ -188,9 +203,17 @@ def check_form(lat, area, classes, ref_classes):
         assert area.area_scaled(x) == ref_area_scaled(area, d)
         assert area.area(x) == Fraction(ref_area_scaled(area, d), area.denominator)
     m = len(classes)
-    pairs = linked_pairs(lat, classes) | {(i, (i + 1) % m) for i in range(m)}
+    linked = ref_linked_pairs(lat, classes)
+    pairs = linked | {(i, (i + 1) % m) for i in range(m)}
     for i, j in pairs:
         assert lat.pair(classes[i], classes[j]) == ref_pair(lat, ref_classes[i], ref_classes[j])
+    # the sparse gram: only linked pairs and squares can be nonzero, and each
+    # entry is the dense pairing
+    gram = lat.sparse_gram(classes)
+    diag = {(i, i) for i in range(m)}
+    assert gram.keys() <= linked | diag
+    for i, j in linked | diag:
+        assert gram.get((i, j), 0) == ref_pair(lat, ref_classes[i], ref_classes[j])
 
 
 def build(triple, idx, sched):
