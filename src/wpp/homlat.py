@@ -9,10 +9,11 @@ are made, by sparse(x, rank), dense(x, rank) and DivisorConfig, and the
 pairings trust it. Classes are shared between results and never mutated
 once made.
 
-Dense int tuples remain only at the doors: the report's class vectors,
-ResolutionPair.string_classes / connector_class, and the exceptional search,
-which takes and returns dense tuples (enumerate_exceptional and its
-callers). dense and sparse convert between the two.
+Dense int vectors remain only at the doors: the report's class vectors
+(lists, from dense_list), ResolutionPair.string_classes / connector_class,
+and the exceptional search, which takes and returns dense tuples
+(enumerate_exceptional and its callers). dense and sparse convert between
+the two; in_rank is the one slot-range check.
 
 Three basis conventions are supported:
 
@@ -57,6 +58,8 @@ __all__ = [
     "GapResult",
     "sparse",
     "dense",
+    "dense_list",
+    "in_rank",
     "class_sum",
     "vadd",
     "vsub",
@@ -88,15 +91,26 @@ def sparse(x: Sequence[int], rank: int | None = None) -> Vec:
     return {i: v for i, v in enumerate(x) if v}
 
 
+def in_rank(x: Vec, rank: int) -> bool:
+    """Whether every slot of the sparse class x lies in 0..rank-1."""
+    return not x or (min(x) >= 0 and max(x) < rank)
+
+
+def dense_list(x: Vec, rank: int) -> list[int]:
+    """The dense vector of the sparse class x as a new list; RankMismatch for
+    a slot outside 0..rank-1."""
+    if not in_rank(x, rank):
+        raise RankMismatch(f"class has a slot outside rank {rank}")
+    out = [0] * rank
+    for i, v in x.items():
+        out[i] = v
+    return out
+
+
 def dense(x: Vec, rank: int) -> Dense:
     """The dense vector of the sparse class x; RankMismatch for a slot
     outside 0..rank-1."""
-    out = [0] * rank
-    for i, v in x.items():
-        if not 0 <= i < rank:
-            raise RankMismatch(f"slot {i} outside rank {rank}")
-        out[i] = v
-    return tuple(out)
+    return tuple(dense_list(x, rank))
 
 
 def class_sum(xs: Iterable[Vec]) -> Vec:
@@ -153,17 +167,24 @@ class Lattice:
         if self.tag not in ("cp2", "hirz", "generic"):
             raise WppError(f"unknown lattice tag {self.tag!r}")
         k = self.canonical
-        if k and not (min(k) >= 0 and max(k) < self.rank):
+        if k is not None and not in_rank(k, self.rank):
             raise RankMismatch("canonical class has a slot outside the rank")
-        # (-3, 1, ..., 1): slot 0 is -3 and the other rank - 1 slots hold 1
-        std = (
-            self.tag == "cp2"
-            and k is not None
-            and len(k) == self.rank
-            and k.get(0) == -3
-            and list(k.values()).count(1) == self.rank - 1
+        object.__setattr__(self, "_std_k", k is not None and self._is_std_k(k))
+
+    def _is_std_k(self, k: Vec) -> bool:
+        """Whether k is the tag's standard canonical class: (-3, 1, ..., 1)
+        on cp2, (-(k_hirz + 2), -2, 1, ..., 1) on a ruled surface."""
+        if self.tag == "cp2":
+            head: tuple[int, ...] = (-3,)
+        elif self.tag == "hirz" and self.rank >= 2:
+            head = (-(self.k_hirz + 2), -2)
+        else:
+            return False
+        # with the head slots as given, the rest hold 1 iff the 1s add up
+        return (
+            all(k.get(i, 0) == h for i, h in enumerate(head))
+            and list(k.values()).count(1) - head.count(1) == self.rank - len(head)
         )
-        object.__setattr__(self, "_std_k", std)
 
     def pair(self, x: Vec, y: Vec) -> int:
         """x.y in O(min nonzeros); the slots are trusted to lie in the rank."""
@@ -221,11 +242,15 @@ class Lattice:
         return {key: g for key, g in gram.items() if g}
 
     def k_pair(self, x: Vec) -> int:
-        """Canonical class paired with x; requires an explicit canonical class."""
+        """Canonical class paired with x; requires an explicit canonical class.
+        The standard classes pair in closed form: K.x = -2 x_0 - sum x on
+        cp2 and K.x = -x_0 + (k - 1) x_1 - sum x on a ruled surface."""
         if self.canonical is None:
             raise MissingClasses("lattice has no canonical class")
         if self._std_k:
-            return -2 * x.get(0, 0) - sum(x.values())
+            if self.tag == "cp2":
+                return -2 * x.get(0, 0) - sum(x.values())
+            return (self.k_hirz - 1) * x.get(1, 0) - x.get(0, 0) - sum(x.values())
         return self.pair(self.canonical, x)
 
     def is_exceptional_class(self, x: Vec) -> bool:

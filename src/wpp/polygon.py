@@ -567,29 +567,25 @@ class Presentation:
     corner_vertex: dict  # label "A"|"B"|"C" -> vertex index
 
 
-def _presentation_tables(w: WeightTriple) -> list[dict]:
-    a, b, c = w.a, w.b, w.c
-    return [
-        {"A": (0, 0), "B": (0, c), "C": (a * b, w.a_b * b)},
-        {"A": (0, 0), "C": (0, b), "B": (a * c, w.a_c * c)},
-        {"B": (0, 0), "A": (0, c), "C": (b * a, w.b_a * a)},
-        {"B": (0, 0), "C": (0, a), "A": (b * c, w.b_c * c)},
-        {"C": (0, 0), "A": (0, b), "B": (c * a, w.c_a * a)},
-        {"C": (0, 0), "B": (0, a), "A": (c * b, w.c_b * b)},
-    ]
+# the corners (origin, on the vertical axis, far) of each presentation; the
+# far corner of (X, Y, Z) lies at (x y, x_y y) and Y at (0, z)
+_LAYOUTS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
 
 
 def presentation(w: WeightTriple, index: int) -> Presentation:
     """One of the six moment triangles, index in 1..6."""
     if not 1 <= index <= 6:
         raise UserInputError(f"presentation index must be 1..6, got {index}")
-    table = _presentation_tables(w)[index - 1]
-    poly = polygon(list(table.values()))
-    corner_vertex = {
-        label: poly.ipts.index((x * poly.den, y * poly.den))
-        for label, (x, y) in table.items()
+    x, y, z = _LAYOUTS[index - 1]
+    wx, wy = getattr(w, x.lower()), getattr(w, y.lower())
+    table = {
+        x: (0, 0),
+        y: (0, getattr(w, z.lower())),
+        z: (wx * wy, getattr(w, f"{x}_{y}".lower()) * wy),
     }
-    if poly.area2() != w.a * w.b * w.c:
+    poly = _validated(list(table.values()), 1)
+    corner_vertex = {label: poly.ipts.index(p) for label, p in table.items()}
+    if _cross_sum(poly.ipts) != w.a * w.b * w.c:
         raise LemmaViolated(f"presentation {index} has wrong area")
     return Presentation(index, poly, corner_vertex)
 

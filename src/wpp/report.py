@@ -9,10 +9,11 @@ json.dumps(report, sort_keys=True, indent=2). It is written by dumps_indented
 rather than by that call because CPython 3.10 and 3.11 encode in C only when
 indent is None: with indent=2 the json module falls back to a pure-Python
 encoder that yields one chunk per token. dumps_indented walks dicts and lists
-in Python and hands each flat list of scalars (the class vectors, most of a
-high-rank report) and each scalar to the C encoder in one call. Strings, lists
-of strings and ints are written directly, by the C string escaper and
-int.__repr__, which is what json itself calls for them.
+in Python. Most of a high-rank report is its class vectors, flat lists of
+exact ints that are mostly 0, and each is written from its nonzeros: a run of
+zeros is one string repetition and a nonzero is written by int.__repr__.
+Strings and lists of strings are written by the C string escaper, other
+scalars by the C encoder, each being what json itself calls for them.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 
 from .errors import MissingClasses
-from .homlat import NEG_INF, dense
+from .homlat import NEG_INF, dense_list
 from .resolution import (
     ResolutionPair,
     check_divisor_predicates,
@@ -73,7 +75,7 @@ def _ruling_json(rd: RulingData, rank: int) -> dict:
         "case": rd.case,
         "nu_a": rd.nu_a,
         "nu_b": rd.nu_b,
-        "fiber": None if rd.fiber is None else list(dense(rd.fiber, rank)),
+        "fiber": None if rd.fiber is None else dense_list(rd.fiber, rank),
         "pa": rd.pa,
         "qa": rd.qa,
         "pb": rd.pb,
@@ -124,7 +126,7 @@ def _ruling_resolution_json(rr: RulingResolution) -> dict:
         "multiplicities": list(rr.multiplicities),
         "blowups": len(rr.multiplicities),
         "final_rank": rr.final_rank,
-        "fiber": list(dense(rr.resolved.fclass, rr.final_rank)),
+        "fiber": dense_list(rr.resolved.fclass, rr.final_rank),
         "chain_labels": [c.label for c in rr.config.components],
         "chain_selfints": _chain_selfints(rr),
         "last_meeting": rr.resolved.last_meeting,
@@ -168,7 +170,7 @@ def make_report(rp: ResolutionPair) -> dict:
                 "residue": sd.residue,
                 "selfints": list(sd.selfints),
                 "edge_ids": list(sd.edge_ids),
-                "classes": [list(dense(rp.edge_classes[i], r)) for i in sd.edge_ids],
+                "classes": [dense_list(rp.edge_classes[i], r) for i in sd.edge_ids],
                 "areas": [edge_lengths[i] for i in sd.edge_ids],
             }
             for role, sd in sorted(rp.strings.items())
@@ -177,7 +179,7 @@ def make_report(rp: ResolutionPair) -> dict:
             name: {
                 "selfint": cd.selfint,
                 "edge_id": cd.edge_id,
-                "class": list(dense(rp.edge_classes[cd.edge_id], r)),
+                "class": dense_list(rp.edge_classes[cd.edge_id], r),
                 "area": edge_lengths[cd.edge_id],
             }
             for name, cd in sorted(rp.connectors.items())
@@ -227,14 +229,20 @@ _INDENT = "  "
 
 def dumps_indented(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2), byte for byte, for every
-    acyclic obj that json accepts; what json rejects raises TypeError here too."""
+    acyclic obj that json accepts; what json rejects raises the same exception
+    type here (TypeError for an unencodable object, ValueError for an int
+    past the interpreter's digit limit)."""
     parts: list[str] = []
     _write(obj, "\n", parts)
     return "".join(parts)
 
 
 def _write(obj, nl: str, out: list[str]) -> None:
-    """Append the indented text of obj; nl is a newline plus obj's indent."""
+    """Append the indented text of obj; nl is a newline plus obj's indent.
+
+    A list or tuple of exact ints goes to _write_ints, one of exact strs is
+    joined in one call, any other list is written item by item.
+    """
     # exact types only: bool, an int subclass, and any other subclass go to json
     if type(obj) is str:
         out.append(encode_basestring_ascii(obj))
@@ -256,18 +264,14 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + _INDENT
-        if all(type(x) is str for x in obj):
+        types = set(map(type, obj))
+        if types == {int}:
+            _write_ints(obj, nl, out)
+            return
+        if types == {str}:
             items = map(encode_basestring_ascii, obj)
             out.append("[" + inner + ("," + inner).join(items) + nl + "]")
             return
-        # a list that starts with a container is not flat: skip encoding it
-        if not isinstance(obj[0], (dict, list, tuple)):
-            text = _encode(obj)
-            # scalars other than strings hold no ", ", so the compact text of
-            # a flat list re-indents by replacing its separators
-            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
-                out.append("[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]")
-                return
         sep = "[" + inner
         for item in obj:
             out.append(sep)
@@ -276,6 +280,23 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(nl + "]")
     else:
         out.append(_encode(obj))
+
+
+def _write_ints(obj: list[int] | tuple[int, ...], nl: str, out: list[str]) -> None:
+    """Append the indented text of a nonempty list of exact ints from its
+    nonzeros: each run of zeros before a nonzero is one string repetition."""
+    sep = "," + nl + _INDENT
+    zero = "0" + sep
+    out.append("[" + nl + _INDENT)
+    nxt = 0  # the first slot not yet written
+    for i in compress(range(len(obj)), obj):
+        out.append(zero * (i - nxt) + int.__repr__(obj[i]))
+        out.append(sep)
+        nxt = i + 1
+    if nxt < len(obj):
+        out.append(zero * (len(obj) - nxt - 1) + "0" + nl + "]")
+    else:
+        out[-1] = nl + "]"  # the last slot is a nonzero: its separator closes the list
 
 
 def _key(key) -> str:

@@ -31,6 +31,7 @@ from .homlat import (
     dot,
     functional_kernel_basis,
     generic_lattice,
+    in_rank,
     mat_inverse_int,
     sparse,
     vadd,
@@ -152,7 +153,7 @@ class Component:
 def _check_slots(components: Iterable[Component], rank: int) -> None:
     """RankMismatch unless every slot of every class lies in 0..rank-1."""
     for comp in components:
-        if comp.cls and not (0 <= min(comp.cls) and max(comp.cls) < rank):
+        if not in_rank(comp.cls, rank):
             raise RankMismatch(f"component {comp.label} has a slot outside rank {rank}")
 
 

@@ -8,7 +8,11 @@
 - the integer string values of _abc_type against the Fraction values;
 - fiber blowups that validate only the classes they make, while a
   DivisorConfig built from outside still validates every class;
-- the report's resolved chain squares against the lattice squares.
+- the report's resolved chain squares against the lattice squares;
+- the integer presentation triangle against the Fraction path of polygon();
+- the closed-form ruled-surface K.x against Lattice.pair with the canonical
+  class;
+- the report's class lists (dense_list) against the dense tuples.
 
 The reference functions are copies of the earlier implementation.
 """
@@ -23,18 +27,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wpp.homlat as homlat
-from wpp.arith import hj_expand
+from wpp.arith import hj_expand, weight_triple
 from wpp.errors import InvalidFraction, RankMismatch, WppError
 from wpp.homlat import (
     _block_mul,
+    Lattice,
     cp2_lattice,
+    dense,
+    dense_list,
     generic_lattice,
     hirz_lattice,
     mat_vec,
     to_cp2,
     unit,
 )
-from wpp.polygon import assign_classes, default_epsilons
+from wpp.polygon import assign_classes, default_epsilons, polygon, presentation
 from wpp.report import _chain_selfints
 from wpp.resolution import (
     ROLE_RESIDUE,
@@ -332,3 +339,101 @@ def test_chain_selfints_match_lattice_squares():
         assert _chain_selfints(rr) == list(rr.config.selfints()), (t, pres)
         seen += 1
     assert seen
+
+
+# --- presentation triangles -----------------------------------------------------------
+
+
+def ref_presentation(w, index):
+    """The six tables built in full and the triangle sent through polygon()."""
+    a, b, c = w.a, w.b, w.c
+    table = [
+        {"A": (0, 0), "B": (0, c), "C": (a * b, w.a_b * b)},
+        {"A": (0, 0), "C": (0, b), "B": (a * c, w.a_c * c)},
+        {"B": (0, 0), "A": (0, c), "C": (b * a, w.b_a * a)},
+        {"B": (0, 0), "C": (0, a), "A": (b * c, w.b_c * c)},
+        {"C": (0, 0), "A": (0, b), "B": (c * a, w.c_a * a)},
+        {"C": (0, 0), "B": (0, a), "A": (c * b, w.c_b * b)},
+    ][index - 1]
+    poly = polygon(list(table.values()))
+    corner_vertex = {
+        label: poly.ipts.index((x * poly.den, y * poly.den)) for label, (x, y) in table.items()
+    }
+    assert poly.area2() == a * b * c
+    return poly, corner_vertex
+
+
+def test_presentation_matches_the_polygon_path():
+    """Every index 1-6 on every triple of coprime_triples(30)."""
+    for t in coprime_triples(30):
+        w = weight_triple(*t)
+        for index in range(1, 7):
+            got = presentation(w, index)
+            poly, corner_vertex = ref_presentation(w, index)
+            assert got.index == index
+            assert (got.polygon.ipts, got.polygon.den) == (poly.ipts, poly.den), (t, index)
+            assert got.corner_vertex == corner_vertex, (t, index)
+            assert list(got.corner_vertex) == list(corner_vertex), (t, index)
+
+
+# --- closed-form canonical pairing on a ruled surface ------------------------------------
+
+
+classes = st.dictionaries(
+    st.integers(0, 7), st.integers(-9, 9).filter(bool), max_size=8
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-4, 8), st.integers(0, 6), st.lists(classes, min_size=1, max_size=4))
+def test_hirz_k_pair_matches_pair(k, n, xs):
+    lat = hirz_lattice(k, n)
+    assert lat._std_k
+    for x in xs:
+        x = {i: v for i, v in x.items() if i < lat.rank}
+        assert lat.k_pair(x) == lat.pair(lat.canonical, x), (k, n, x)
+
+
+@pytest.mark.parametrize("canonical", [
+    {0: -4, 1: -2, 2: 1, 3: 1},  # the F_2 head on F_3
+    {0: -5, 1: -2, 2: 1},  # slot 3 missing
+    {0: -5, 1: -2, 2: 1, 3: 2},
+    {0: -5, 1: -1, 2: 1, 3: 1},
+    {0: -4, 2: 1, 3: 1},
+    {},
+])
+def test_other_hirz_canonical_classes_use_pair(canonical):
+    lat = Lattice("hirz", 4, k_hirz=3, canonical=canonical)
+    assert not lat._std_k
+    for x in ({0: 1}, {1: 1}, {0: 2, 1: -1, 3: 4}, {2: -3, 3: 1}):
+        assert lat.k_pair(x) == lat.pair(canonical, x)
+
+
+def test_standard_canonical_class_flag():
+    assert hirz_lattice(3, 4)._std_k
+    assert hirz_lattice(3, 4).blowup()._std_k
+    assert Lattice("hirz", 4, k_hirz=-3, canonical={0: 1, 1: -2, 2: 1, 3: 1})._std_k
+    assert not Lattice("hirz", 4, k_hirz=-3, canonical={1: -2, 2: 1, 3: 1})._std_k
+    assert Lattice("hirz", 3, k_hirz=-2, canonical={1: -2, 2: 1})._std_k
+    assert not Lattice("hirz", 1, k_hirz=0, canonical={0: -2})._std_k
+    assert not Lattice("hirz", 3, k_hirz=3)._std_k
+    assert cp2_lattice(5)._std_k
+    assert not Lattice("cp2", 3, canonical={0: -3, 1: 1})._std_k
+    assert not generic_lattice(((1, 0), (0, -1)), canonical={0: -3, 1: 1})._std_k
+
+
+# --- report class lists ------------------------------------------------------------------
+
+
+def test_dense_list_matches_dense():
+    for t, pres, rp in builds(15):
+        r = rp.lattice.rank
+        for x in rp.edge_classes:
+            got = dense_list(x, r)
+            assert type(got) is list and tuple(got) == dense(x, r), (t, pres)
+    for bad in ({4: 1}, {-1: 1}, {0: 1, 9: 2}):
+        with pytest.raises(RankMismatch):
+            dense_list(bad, 4)
+        with pytest.raises(RankMismatch):
+            dense(bad, 4)
+    assert dense_list({}, 3) == [0, 0, 0]

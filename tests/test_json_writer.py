@@ -94,6 +94,13 @@ EDGE_CASES = [
     [False],
     [0, -1, 2**70, True, None, 1.0],
     {"n": 0, "b": True, "m": -2**65, "l": [True, 0, "s"]},
+    # long, mostly-zero int lists, as the class vectors of a report
+    [0] * 300,
+    (0,) * 141 + (2**70,),
+    [-1] + [0] * 200 + [-2**70],
+    [0, 0, 5, 0, 0],
+    [0, 0, False, 0],
+    {"a": [[0, 0, 3], (0, -0.0, 0)], "b": {"c": [0, None, 0]}},
 ]
 
 
@@ -172,6 +179,58 @@ class _Int(int):
     [_Int(3), 4],
     {"k": _Int(-7)},
     [True, _Int(1)],
+    [1, 0, _Int(0), 0],
 ])
 def test_subclasses_take_the_encoder_like_json(obj):
     assert dumps_indented(obj) == oracle(obj)
+
+
+# --- long, mostly-zero int lists: the class vectors of a report ---------------------
+
+# what must not be written as an int: bools, floats, None and an int subclass
+NOT_INTS = (False, True, 0.0, -0.0, None, _Int(0))
+nonzeros = st.integers(-10**6, 10**6).filter(bool) | st.sampled_from([2**70, -2**70, -1, 1])
+
+
+@st.composite
+def sparse_int_lists(draw):
+    n = draw(st.integers(0, 300))
+    xs = [0] * n
+    for i in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=12)) if n else ():
+        xs[i] = draw(nonzeros)
+    for junk in draw(st.lists(st.sampled_from(NOT_INTS), max_size=2)):
+        xs.insert(draw(st.integers(0, len(xs))), junk)
+    return tuple(xs) if draw(st.booleans()) else xs
+
+
+nested_int_lists = st.recursive(
+    sparse_int_lists(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def assert_like_json(obj):
+    """Equal text, or the same exception type from both."""
+    try:
+        expected = oracle(obj)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            dumps_indented(obj)
+        return
+    assert dumps_indented(obj) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_int_lists)
+def test_sparse_int_lists(obj):
+    assert_like_json(obj)
+
+
+def test_int_past_the_digit_limit_raises_like_json():
+    obj = [0, 10**5000]
+    with pytest.raises(ValueError):
+        oracle(obj)
+    with pytest.raises(ValueError):
+        dumps_indented(obj)
