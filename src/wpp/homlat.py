@@ -24,6 +24,11 @@ Three basis conventions are supported:
 The canonical class, when known, is stored as a sparse class; abstract
 sphere configurations carry canonical = None and recover canonical pairings
 from adjunction componentwise instead.
+
+Objects made from checked ones carry their checks over instead of repeating
+them: a blowup keeps its lattice's slot-range check and standard-class flag,
+transport_area keeps its form in lowest terms, and to_cp2 compares a
+standard canonical class on the conversion block alone.
 """
 
 from __future__ import annotations
@@ -266,15 +271,25 @@ class Lattice:
         )
 
     def blowup(self) -> "Lattice":
-        """Extend by one (-1) basis vector; canonical gains coefficient +1 there."""
+        """Extend by one (-1) basis vector; canonical gains coefficient +1 there.
+
+        The result skips __post_init__'s O(rank) scans: this lattice passed
+        them, and the one new slot lies in the new rank and holds 1, so the
+        canonical class stays in range, and it is standard exactly when this
+        one is (one more slot, one more 1), so _std_k is copied. A generic
+        lattice grows its gram by one row and column."""
         k = None if self.canonical is None else {**self.canonical, self.rank: 1}
+        fields = {"tag": self.tag, "rank": self.rank + 1, "k_hirz": self.k_hirz,
+                  "gram": None, "canonical": k, "_std_k": self._std_k}
         if self.tag == "generic":
             if self.gram is None:
                 raise MissingClasses("generic lattice has no gram matrix")
             g = tuple(row + (0,) for row in self.gram)
-            g = g + (zero(self.rank) + (-1,),)
-            return Lattice("generic", self.rank + 1, gram=g, canonical=k)
-        return Lattice(self.tag, self.rank + 1, k_hirz=self.k_hirz, canonical=k)
+            fields.update(k_hirz=0, gram=g + (zero(self.rank) + (-1,),))
+        out = object.__new__(Lattice)
+        for name, v in fields.items():
+            object.__setattr__(out, name, v)
+        return out
 
 
 def cp2_lattice(n_exceptional: int) -> Lattice:
@@ -320,6 +335,14 @@ class AreaForm:
         """The form with values ints[i] / den, built without Fraction arithmetic."""
         form = object.__new__(cls)
         form._reduce(ints, den)
+        return form
+
+    @classmethod
+    def _lowest(cls, ints: tuple[int, ...], den: int) -> "AreaForm":
+        """The form with values ints[i] / den, already in lowest terms."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "_ints", ints)
+        object.__setattr__(form, "_den", den)
         return form
 
     def _reduce(self, ints: Sequence[int], den: int) -> None:
@@ -794,8 +817,11 @@ def exceptional_gap(
     -(N_a + N_b + N_c). The search prunes on D as well, which changes its
     work but not its classes, so the value is the one without D. certified
     is False when the enumeration was bounded, in which case the value is
-    only a lower bound for the true supremum.
+    only a lower bound for the true supremum. The value needs an area form:
+    area=None raises UserInputError before any search.
     """
+    if area is None:
+        raise UserInputError("exceptional_gap needs an area form")
     search = connecting_log_exceptional(
         lat, area, component_classes, group_i, group_j, area_cap, coeff_bound
     )
@@ -859,8 +885,9 @@ def mat_inverse_int(m: Mat) -> Mat:
     return tuple(out)
 
 
-# (T, T^-1, the images T e_i, the head gram entries (i, j, e_i.e_j)) per (k, b)
-HirzBlock = tuple[Mat, Mat, tuple[Vec, ...], tuple[tuple[int, int, int], ...]]
+# (T, T^-1, the images T e_i, the head gram entries (i, j, e_i.e_j), the
+# head of T K for the standard K) per (k, b)
+HirzBlock = tuple[Mat, Mat, tuple[Vec, ...], tuple[tuple[int, int, int], ...], Dense]
 _BLOCK_CACHE: dict[tuple[int, int], HirzBlock] = {}
 
 
@@ -873,8 +900,11 @@ def _hirz_block(k: int, b: int) -> HirzBlock:
     -(k mod 2), then the standard elementary transformation: for odd k H' =
     F + B', slot 1 becoming the section class; for even k a map that
     consumes the first exceptional vector, so b = 3. The inverse is
-    checked. All of it depends on (k, b) alone, so it is derived once per
-    process and cached; to_cp2 runs the pairing certificate on every call.
+    checked. The last entry is the head of T K for the standard
+    ruled-surface class K = (-(k + 2), -2, 1, ..., 1), which to_cp2 compares
+    with the head of the class it returns. All of it depends on (k, b)
+    alone, so it is derived once per process and cached; to_cp2 runs both
+    certificates on every call.
     """
     key = (k, b)
     cached = _BLOCK_CACHE.get(key)
@@ -897,12 +927,14 @@ def _hirz_block(k: int, b: int) -> HirzBlock:
     t_inv = _block_mul(lead(unshear), lead(m1_inv))
     if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
         raise WppError("basis conversion inverse check failed")
+    k_head = tuple(dot(row, (-(k + 2), -2, 1)[:b]) for row in t)
     src = Lattice("hirz", b, k_hirz=k)
     heads = [{i: 1} for i in range(b)]
     gram = tuple(
         (i, j, src.pair(heads[i], heads[j])) for i in range(b) for j in range(i, b)
     )
-    out = _BLOCK_CACHE[key] = (t, t_inv, tuple(mat_vec(t, x) for x in heads), gram)
+    images = tuple(mat_vec(t, x) for x in heads)
+    out = _BLOCK_CACHE[key] = (t, t_inv, images, gram, k_head)
     return out
 
 
@@ -922,7 +954,11 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     LemmaViolated, and T K must be the returned canonical class. Past the
     block T is the identity and both forms are -1 on the diagonal and
     orthogonal to the block, so the certificate makes T an isometry on every
-    class.
+    class. When K is the standard ruled-surface class and the returned class
+    the standard cp2 class of the same rank, both hold 1 in every slot past
+    the block, so T K equals it exactly when their heads agree: only the b
+    head slots are compared, against the head _hirz_block derived. Any other
+    K is converted and compared in full.
     """
     r = lat.rank
     b = min(3, r)
@@ -938,13 +974,18 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
         raise WppError("normalise k >= 0 before converting")
     if k % 2 == 0 and r < 3:
         raise WppError("even-k conversion needs an exceptional basis vector")
-    t, t_inv, images, gram = _hirz_block(k, b)
+    t, t_inv, images, gram, k_head = _hirz_block(k, b)
     out = cp2_lattice(r - 1)
     for i, j, g in gram:
         if out.pair(images[i], images[j]) != g:
             raise LemmaViolated(f"basis conversion changes the pairing of e_{i}, e_{j}")
-    if lat.canonical is not None:
-        if mat_vec(t, lat.canonical) != out.canonical:
+    kk, kt = lat.canonical, out.canonical
+    if kk is not None:
+        if lat._std_k and out._std_k and out.tag == "cp2" and out.rank == r:
+            same = all(kt.get(i, 0) == v for i, v in enumerate(k_head))
+        else:
+            same = mat_vec(t, kk) == kt
+        if not same:
             raise WppError("canonical class does not convert to the standard one")
     return out, t, t_inv
 
@@ -954,11 +995,15 @@ def transport_area(area: AreaForm, t_inv: Mat) -> AreaForm:
 
     The new value on basis vector j is the old area of T^-1 e_j; beyond the
     block that is e_j itself, so only the first b values are recomputed.
+    t_inv must be the inverse block of a conversion, which _hirz_block checks
+    to be an integer inverse, so it is unimodular: the new head has the old
+    head's content and the tail is shared, so the form stays in lowest terms
+    and skips the gcd pass over the rank.
     """
     b = len(t_inv)
     ints = area._ints
     head = tuple(sum(ints[i] * t_inv[i][j] for i in range(b)) for j in range(b))
-    return AreaForm.from_scaled(head + ints[b:], area._den)
+    return AreaForm._lowest(head + ints[b:], area._den)
 
 
 # --- integer kernel of a primitive functional ---------------------------------

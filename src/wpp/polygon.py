@@ -10,6 +10,12 @@ continued-fraction expansion of r/q. Once every corner is Delzant
 (det(d_{i-1}, d_i) = 1), edge i carries the integer self-intersection
 det(d_{i+1}, d_{i-1}), and a combinatorial contraction ledger assigns a
 homology class and exact area to every edge.
+
+Every polygon the package chops is strictly convex and counterclockwise: a
+presentation triangle, which passes the global check of _validated, or the
+result of a chop, which is grown from the polygon the chop starts from. A
+chop tests only the turns it makes and keeps the edge table of the edges it
+keeps; chop_corner says why that decides what the global check would.
 """
 
 from __future__ import annotations
@@ -71,7 +77,16 @@ def _det(u: IVec, w: IVec) -> int:
 @dataclass(frozen=True)
 class LatticePolygon:
     """Strictly convex polygon, counterclockwise, with rational vertices
-    stored as integer points ipts over their least common denominator den."""
+    stored as integer points ipts over their least common denominator den.
+
+    The package makes polygons through _validated, which requires every turn
+    to be a strict left turn and the signed area to be positive, and through
+    chop_corner, which tests the turns it changes (_grown). chop_corner
+    requires a strictly convex counterclockwise polygon, every turn strictly
+    left and the edge directions turning once around, as the presentation
+    triangles and every chop of them are. _validated alone does not ensure
+    the turning: a vertex cycle winding twice, like a pentagram, passes it.
+    The constructor itself checks nothing."""
 
     ipts: tuple[IVec, ...]
     den: int
@@ -124,6 +139,46 @@ class LatticePolygon:
         out = tuple(edge_selfint(self, i) for i in range(self.n))
         if sum(out) != 12 - 3 * self.n:
             raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
+        return out
+
+    @classmethod
+    def _grown(cls, p: "LatticePolygon", i: int, ipts: list[IVec], den: int,
+               scale: int, g: int) -> "LatticePolygon | None":
+        """The chop of p at vertex i as the polygon ipts / den, or None when
+        a local test fails (chop_corner says why the tests suffice).
+
+        ipts holds p's vertices but i, times scale / g, with the chain
+        C_0..C_k in place of vertex i. Only the k + 2 edges from vertex i - 1
+        to vertex i + k + 1 are new; the others are p's, scaled, so they keep
+        their primitive direction, and their lattice length becomes
+        length * scale / g."""
+        n, m = p.n, len(ipts)
+        pos = [(i - 1 + t) % m for t in range(m - n + 3)]
+        vecs = [(ipts[b][0] - ipts[a][0], ipts[b][1] - ipts[a][1])
+                for a, b in zip(pos, pos[1:])]
+        dirs, lens = p._edges
+        (lx, ly), (hx, hy) = dirs[i - 1], dirs[i]  # the cone at vertex i
+        ux, uy = dirs[(i - 2) % n]  # the edge before, for the turn test
+        for x, y in vecs:
+            if lx * y - ly * x < 0 or x * hy - y * hx < 0 or ux * y - uy * x <= 0:
+                return None
+            ux, uy = x, y
+        wx, wy = dirs[(i + 1) % n]
+        if ux * wy - uy * wx <= 0:
+            return None
+        cdirs, clens = [], []
+        for x, y in vecs:
+            c = math.gcd(x, y)
+            cdirs.append((x // c, y // c))
+            clens.append(c)
+        if scale != g:
+            lens = tuple(ln * scale // g for ln in lens)
+        if i:
+            table = (*dirs[:i - 1], *cdirs, *dirs[i + 1:]), (*lens[:i - 1], *clens, *lens[i + 1:])
+        else:  # the edge into C_0 closes the cycle
+            table = (*cdirs[1:], *dirs[1:-1], cdirs[0]), (*clens[1:], *lens[1:-1], clens[0])
+        out = cls(tuple(ipts), den)
+        out.__dict__["_edges"] = table  # seeds the cached property
         return out
 
 
@@ -264,6 +319,25 @@ def chop_corner(
     side of the current corner, then continues at the new w-side vertex. The
     resulting edge directions obey e_{j+1} = b_j e_j - e_{j-1} and the new
     edges acquire self-intersections (-b_1, ..., -b_k), u side first.
+
+    p must be strictly convex and counterclockwise, as every LatticePolygon
+    the package makes is. The result is then checked locally: the k + 2 new
+    edges, from vertex i - 1 through the chain C_0..C_k to vertex i + 1, must
+    lie in the closed cone spanned by p's edges at vertex i, and the k + 3
+    turns at C_0..C_k and at the two kept neighbours must be strict left
+    turns. Every other turn is a turn of p, scaled by scale / g > 0, so it is
+    a strict left turn too. Measure edge angles from the edge into vertex i,
+    and let the old corner turn by theta < pi, the neighbours by alpha and
+    beta. New edges in the cone have angles in [0, theta], so a strict left
+    turn between two of them is their angle difference, the one at i - 1 is
+    alpha plus the first angle, and the one at i + 1 is theta + beta minus
+    the last: each lies in (0, 2 pi), and a strict left turn is below pi.
+    The turns add up to alpha + theta + beta, as in p, so the result turns
+    once around with every turn strictly left: it is strictly convex and
+    counterclockwise, and the global check of _validated accepts it in its
+    order. When a local test fails, that global check decides, so a
+    rejected chop raises ChopsOverlap with the message it names. The edge
+    table of the result is seeded: only the k + 2 new edges take a gcd.
     """
     i %= p.n
     u, w = _corner_dirs(p, i, u_side)
@@ -332,29 +406,24 @@ def chop_corner(
         tail = tuple((x * scale // g, y * scale // g) for x, y in tail)
     ordered = chain if u_side == "prev" else chain[::-1]
     new_ipts = [*head, *ordered, *tail]
-    try:
-        p2 = _validated(new_ipts, den)
-    except InvalidPolygon as exc:
-        raise ChopsOverlap(f"chop depths too large at vertex {i}: {exc}") from exc
-    if p2.ipts != tuple(new_ipts):
-        # canonicalisation must not have reordered anything
-        raise ChopsOverlap(f"chop at vertex {i} broke the vertex cycle")
+    p2 = LatticePolygon._grown(p, i, new_ipts, den, scale, g)
+    if p2 is None:
+        try:
+            p2 = _validated(new_ipts, den)
+        except InvalidPolygon as exc:
+            raise ChopsOverlap(f"chop depths too large at vertex {i}: {exc}") from exc
+        if p2.ipts != tuple(new_ipts):
+            # depths past both edges of a triangle corner turn every turn right
+            raise ChopsOverlap(f"chop at vertex {i} broke the vertex cycle")
 
     if u_side == "prev":
         new_ids = tuple(range(i, i + k))
     else:
         new_ids = tuple(range(i + k - 1, i - 1, -1))
+    # edges before vertex i keep their index, the others move up by k; at
+    # i = 0 that includes the last edge, which now ends at C_0
     n_old = p.n
-    edge_map: dict[int, int] = {}
-    for j in range(n_old):
-        if j == (i - 1) % n_old:
-            edge_map[j] = (i - 1) if i >= 1 else n_old + k - 1
-        elif j == i:
-            edge_map[j] = i + k
-        elif i >= 1 and j < i - 1:
-            edge_map[j] = j
-        else:
-            edge_map[j] = j + k
+    edge_map = dict(zip(range(n_old), [*range(i), *range(i + k, n_old + k)]))
 
     return ChopResult(p2, new_ids, edge_map, entries, (r, q))
 
@@ -535,17 +604,6 @@ def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses
     if lat.sq(lat.canonical) != 9 - (lat.rank - 1):
         raise LemmaViolated("canonical square does not match the rank")
     _reject_nonadjacent(gram, m)
-
-
-def _check_nonadjacent(lat: Lattice, cls: Sequence[Vec]) -> None:
-    """Classes of nonadjacent edges of the cycle cls pair to zero.
-
-    The pairings come from Lattice.sparse_gram, which computes only the
-    entries of classes sharing a slot (or, in the ruled-surface form,
-    holding slots 0 and 1): the ledger touches each exceptional slot from at
-    most three edges, so there are O(rank) of them.
-    """
-    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
 def _reject_nonadjacent(gram: dict[tuple[int, int], int], m: int) -> None:

@@ -405,6 +405,19 @@ def test_cap_without_area_is_rejected():
         log_exceptional(cp2_lattice(3), None, [], area_cap=Fraction(1))
 
 
+def test_gap_without_area_is_rejected_before_any_search(monkeypatch):
+    """connecting_log_exceptional accepts area=None, but a gap is an area:
+    exceptional_gap rejects it before the search runs."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched without an area form")
+
+    monkeypatch.setattr(homlat, "connecting_log_exceptional", no_search)
+    for lat in (cp2_lattice(3), hirz_lattice(1, 3)):
+        with pytest.raises(UserInputError, match="^exceptional_gap needs an area form$"):
+            exceptional_gap(lat, None, [], [(0, 1, 0, 0)], [(0, 0, 1, 0)])
+
+
 # --- node counts ------------------------------------------------------------------------
 
 

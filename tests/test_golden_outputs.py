@@ -38,6 +38,11 @@ REPORT_DIGESTS = {
 
 SCAN_18_DIGEST = "6361c2621bf9355c94c1b61602e4997060684fd3642d3dffc419722804d7eecb"
 
+# run_scan(8) under the overlapping schedule (99/100, 99/100): every one of
+# its 66 violations is a rejected chop, so this pins their exception text
+OVERLAP_SCHEDULE = (Fraction(99, 100), Fraction(99, 100))
+SCAN_8_OVERLAP_DIGEST = "cf5aeae94addb21befd2fcfecadc89d3cfbaaeb42640c6be881d57ffd3e41a36"
+
 RENDER_TRIPLE = (11, 13, 14)
 RENDER_DIGESTS = {
     ("polygon", "svg"): "23f3218a179a2cc6f363f036bcbd942b5ae849171d7ca070adc91425bf50ebf4",
@@ -67,6 +72,12 @@ def test_report_digest(triple):
 
 def test_scan_digest():
     assert _sha(serialize_scan(run_scan(18, jobs=1))) == SCAN_18_DIGEST
+
+
+def test_overlapping_schedule_scan_digest():
+    out = serialize_scan(run_scan(8, jobs=1, schedule=OVERLAP_SCHEDULE))
+    assert out.count('"ChopsOverlap: chop depths too large at vertex ') == 66
+    assert _sha(out) == SCAN_8_OVERLAP_DIGEST
 
 
 def test_render_digests():

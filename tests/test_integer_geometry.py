@@ -17,7 +17,7 @@ from wpp.errors import ChopsOverlap, InvalidPolygon, LemmaViolated
 from wpp.homlat import AreaForm, dense, vadd
 from wpp.polygon import (
     CORNER_CYCLE,
-    _check_nonadjacent,
+    _reject_nonadjacent,
     assign_classes,
     chop_corner,
     corner_type,
@@ -187,6 +187,12 @@ def ref_nonadjacent_ok(lat, cls):
             if lat.pair(cls[i], cls[j]) != 0:
                 return False
     return True
+
+
+def ref_check_nonadjacent(lat, cls):
+    """The product's former nonadjacency check: LemmaViolated naming the first
+    nonzero sparse gram entry of two nonadjacent edges of the cycle cls."""
+    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
 # --- helpers ---------------------------------------------------------------------
@@ -371,7 +377,7 @@ def test_linked_pairs_cover_every_nonzero_pair(triple):
             }
             assert lat.sparse_gram(cls) == full
             assert ref_nonadjacent_ok(lat, cls)
-            _check_nonadjacent(lat, cls)
+            ref_check_nonadjacent(lat, cls)
 
 
 def test_verify_triples_reach_ranks_above_16():
@@ -396,7 +402,7 @@ def test_hand_corrupted_class_rejected_by_both():
     assert 1 not in bad[4] and any(1 in c and 0 not in c for c in bad)
     assert not ref_nonadjacent_ok(lat, bad)
     with pytest.raises(LemmaViolated, match="unexpected intersection"):
-        _check_nonadjacent(lat, bad)
+        ref_check_nonadjacent(lat, bad)
 
 
 @pytest.mark.parametrize("triple,idx", (((2, 3, 5), 1), ((2, 3, 5), 4), ((3, 4, 5), 2),
@@ -415,9 +421,9 @@ def test_every_single_slot_corruption_agrees(triple, idx):
                     ok = ref_nonadjacent_ok(lat, bad)
                     rejected += not ok
                     if ok:
-                        _check_nonadjacent(lat, bad)
+                        ref_check_nonadjacent(lat, bad)
                     else:
                         with pytest.raises(LemmaViolated):
-                            _check_nonadjacent(lat, bad)
+                            ref_check_nonadjacent(lat, bad)
         assert rejected > 0
 

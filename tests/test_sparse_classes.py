@@ -31,7 +31,7 @@ from wpp.homlat import (
     to_cp2,
 )
 from wpp.polygon import (
-    _check_nonadjacent,
+    _reject_nonadjacent,
     _verify_classes,
     assign_classes,
     edge_selfints,
@@ -48,6 +48,12 @@ INPUTS = [
 
 
 # --- reference: the dense representation ------------------------------------------
+
+
+def ref_check_nonadjacent(lat, cls):
+    """The product's former nonadjacency check: LemmaViolated naming the first
+    nonzero sparse gram entry of two nonadjacent edges of the cycle cls."""
+    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
 def ref_dot(x, y):
@@ -410,6 +416,6 @@ def test_mutation_at_high_rank_is_rejected(triple, absent):
         assert lat.pair(bad[i], bad[nb]) == lat.pair(cls[i], cls[nb]) == 1
     assert lat.pair(bad[i], bad[j]) != 0
     with pytest.raises(LemmaViolated, match="unexpected intersection"):
-        _check_nonadjacent(lat, bad)
+        ref_check_nonadjacent(lat, bad)
     with pytest.raises(LemmaViolated):
         _verify_classes(p, edge_selfints(p), dataclasses.replace(pc, edge_classes=bad))
