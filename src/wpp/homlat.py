@@ -5,9 +5,9 @@ in the lattice's distinguished basis, holding only the nonzero coefficients,
 so dict equality is class equality. A boundary class touches a handful of
 the rank slots, so pairings, areas and blowups cost O(nonzeros), not
 O(rank). The rank is not carried by the class: it is checked where classes
-are made, by sparse(x, rank), dense(x, rank) and DivisorConfig, and the
-pairings trust it. Classes are shared between results and never mutated
-once made.
+are made, by sparse(x, rank), dense(x, rank), DivisorConfig and, for the
+edge classes of a resolution, build_resolution, and the pairings trust it.
+Classes are shared between results and never mutated once made.
 
 Dense int vectors remain only at the doors: the report's class vectors
 (lists, from dense_list), ResolutionPair.string_classes / connector_class,
@@ -26,9 +26,10 @@ sphere configurations carry canonical = None and recover canonical pairings
 from adjunction componentwise instead.
 
 Objects made from checked ones carry their checks over instead of repeating
-them: a blowup keeps its lattice's slot-range check and standard-class flag,
-transport_area keeps its form in lowest terms, and to_cp2 compares a
-standard canonical class on the conversion block alone.
+them: a blowup, by one slot or several at once, keeps its lattice's
+slot-range check and standard-class flag, transport_area keeps its form in
+lowest terms, and to_cp2 compares a standard canonical class on the
+conversion block alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import ext_gcd
 from .errors import (
@@ -270,22 +271,49 @@ class Lattice:
             for i in range(self.rank)
         )
 
-    def blowup(self) -> "Lattice":
-        """Extend by one (-1) basis vector; canonical gains coefficient +1 there.
+    def pairing(self, x: Vec) -> Callable[[Vec], int]:
+        """y -> self.pair(x, y) for a fixed x paired with many classes.
+
+        On cp2, x.y = x_0 y_0 - sum_{i >= 1} x_i y_i, so x's signed row is
+        made once, in O(rank), and each pairing is one sum over the slots of
+        y. The slots of y are trusted to lie in the rank. Other lattices
+        pair through Lattice.pair."""
+        if self.tag != "cp2":
+            return lambda y: self.pair(x, y)
+        row = [0] * self.rank
+        for i, v in x.items():
+            row[i] = -v
+        if 0 in x:
+            row[0] = x[0]
+        get = row.__getitem__
+        return lambda y: sum(map(mul, y.values(), map(get, y)))
+
+    def blowup(self, count: int = 1) -> "Lattice":
+        """Extend by count (-1) basis vectors, at slots rank..rank+count-1,
+        orthogonal to each other and to the old ones; canonical gains
+        coefficient +1 on each. One call equals count blowups in a row, with
+        one copy of the canonical class.
 
         The result skips __post_init__'s O(rank) scans: this lattice passed
-        them, and the one new slot lies in the new rank and holds 1, so the
+        them, and the new slots lie in the new rank and hold 1, so the
         canonical class stays in range, and it is standard exactly when this
-        one is (one more slot, one more 1), so _std_k is copied. A generic
-        lattice grows its gram by one row and column."""
-        k = None if self.canonical is None else {**self.canonical, self.rank: 1}
-        fields = {"tag": self.tag, "rank": self.rank + 1, "k_hirz": self.k_hirz,
+        one is (count more slots, count more 1s), so _std_k is copied. A
+        generic lattice grows its gram by count rows and columns."""
+        if count < 1:
+            raise WppError(f"blowup count must be at least 1, got {count}")
+        r = self.rank
+        k = None
+        if self.canonical is not None:
+            k = {**self.canonical, **dict.fromkeys(range(r, r + count), 1)}
+        fields = {"tag": self.tag, "rank": r + count, "k_hirz": self.k_hirz,
                   "gram": None, "canonical": k, "_std_k": self._std_k}
         if self.tag == "generic":
             if self.gram is None:
                 raise MissingClasses("generic lattice has no gram matrix")
-            g = tuple(row + (0,) for row in self.gram)
-            fields.update(k_hirz=0, gram=g + (zero(self.rank) + (-1,),))
+            g = tuple(row + zero(count) for row in self.gram)
+            fields.update(k_hirz=0, gram=g + tuple(
+                zero(r + j) + (-1,) + zero(count - j - 1) for j in range(count)
+            ))
         out = object.__new__(Lattice)
         for name, v in fields.items():
             object.__setattr__(out, name, v)
@@ -321,7 +349,8 @@ def generic_lattice(gram: Sequence[Sequence[int]], canonical: Vec | None = None)
 @dataclass(frozen=True, init=False)
 class AreaForm:
     """Symplectic area functional: exact rational value on each basis vector,
-    stored as integers _ints over one common denominator _den in lowest terms."""
+    stored as integers _ints over one common positive denominator _den in
+    lowest terms, so the scaled areas compare and take signs as the areas do."""
 
     _ints: tuple[int, ...]
     _den: int
@@ -346,6 +375,8 @@ class AreaForm:
         return form
 
     def _reduce(self, ints: Sequence[int], den: int) -> None:
+        if den <= 0:
+            raise WppError(f"area denominator {den} is not positive")
         g = math.gcd(den, *ints)
         object.__setattr__(self, "_ints", tuple(v // g for v in ints))
         object.__setattr__(self, "_den", den // g)

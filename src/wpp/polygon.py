@@ -80,13 +80,10 @@ class LatticePolygon:
     stored as integer points ipts over their least common denominator den.
 
     The package makes polygons through _validated, which requires every turn
-    to be a strict left turn and the signed area to be positive, and through
-    chop_corner, which tests the turns it changes (_grown). chop_corner
-    requires a strictly convex counterclockwise polygon, every turn strictly
-    left and the edge directions turning once around, as the presentation
-    triangles and every chop of them are. _validated alone does not ensure
-    the turning: a vertex cycle winding twice, like a pentagram, passes it.
-    The constructor itself checks nothing."""
+    to be a strict left turn, the signed area to be positive and the edge
+    directions to turn once around, and through chop_corner, which tests the
+    turns it changes (_grown) and keeps that invariant. The constructor
+    itself checks nothing."""
 
     ipts: tuple[IVec, ...]
     den: int
@@ -192,7 +189,8 @@ def _cross_sum(pts: Sequence[IVec]) -> int:
 
 def _validated(ipts: list[IVec], den: int) -> LatticePolygon:
     """The polygon ipts / den, reordered counterclockwise; raises
-    InvalidPolygon unless it is strictly convex."""
+    InvalidPolygon unless it is strictly convex: every turn strictly left
+    and the vertex cycle turning once around."""
     n = len(ipts)
     if n < 3:
         raise InvalidPolygon("need at least three vertices")
@@ -211,6 +209,17 @@ def _validated(ipts: list[IVec], den: int) -> LatticePolygon:
         cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
         if cross <= 0:
             raise InvalidPolygon(f"not strictly convex at vertex {(i + 1) % n}")
+    # every turn is a strict left turn, by less than half a turn, so the edge
+    # directions turn once around exactly when they cross (1, 0) once: an
+    # edge in the upper half-plane {y > 0 or y = 0 < x} follows one outside
+    # it once (a pentagram crosses twice)
+    upper = [
+        dy > 0 or (dy == 0 and dx > 0)
+        for dx, dy in ((b[0] - a[0], b[1] - a[1]) for a, b in zip(ipts, ipts[1:] + ipts[:1]))
+    ]
+    turns = sum(1 for i in range(n) if upper[i] and not upper[i - 1])
+    if turns != 1:
+        raise InvalidPolygon(f"edge directions turn {turns} times around")
     return LatticePolygon(tuple(ipts), den)
 
 
@@ -320,24 +329,26 @@ def chop_corner(
     resulting edge directions obey e_{j+1} = b_j e_j - e_{j-1} and the new
     edges acquire self-intersections (-b_1, ..., -b_k), u side first.
 
-    p must be strictly convex and counterclockwise, as every LatticePolygon
-    the package makes is. The result is then checked locally: the k + 2 new
-    edges, from vertex i - 1 through the chain C_0..C_k to vertex i + 1, must
-    lie in the closed cone spanned by p's edges at vertex i, and the k + 3
-    turns at C_0..C_k and at the two kept neighbours must be strict left
-    turns. Every other turn is a turn of p, scaled by scale / g > 0, so it is
-    a strict left turn too. Measure edge angles from the edge into vertex i,
-    and let the old corner turn by theta < pi, the neighbours by alpha and
-    beta. New edges in the cone have angles in [0, theta], so a strict left
-    turn between two of them is their angle difference, the one at i - 1 is
-    alpha plus the first angle, and the one at i + 1 is theta + beta minus
-    the last: each lies in (0, 2 pi), and a strict left turn is below pi.
-    The turns add up to alpha + theta + beta, as in p, so the result turns
-    once around with every turn strictly left: it is strictly convex and
-    counterclockwise, and the global check of _validated accepts it in its
-    order. When a local test fails, that global check decides, so a
-    rejected chop raises ChopsOverlap with the message it names. The edge
-    table of the result is seeded: only the k + 2 new edges take a gcd.
+    p must be strictly convex and counterclockwise, every turn strictly left
+    and the edge directions turning once around, as _validated checks and
+    every LatticePolygon the package makes is. The result is then checked
+    locally: the k + 2 new edges, from vertex i - 1 through the chain
+    C_0..C_k to vertex i + 1, must lie in the closed cone spanned by p's
+    edges at vertex i, and the k + 3 turns at C_0..C_k and at the two kept
+    neighbours must be strict left turns. Every other turn is a turn of p,
+    scaled by scale / g > 0, so it is a strict left turn too. Measure edge
+    angles from the edge into vertex i, and let the old corner turn by
+    theta < pi, the neighbours by alpha and beta. New edges in the cone
+    have angles in [0, theta], so a strict left turn between two of them is
+    their angle difference, the one at i - 1 is alpha plus the first angle,
+    and the one at i + 1 is theta + beta minus the last: each lies in
+    (0, 2 pi), and a strict left turn is below pi. The turns add up to
+    alpha + theta + beta, as in p, so the result turns once around with
+    every turn strictly left: it is strictly convex and counterclockwise,
+    and the global check of _validated accepts it in its order. When a
+    local test fails, that global check decides, so a rejected chop raises
+    ChopsOverlap with the message it names. The edge table of the result is
+    seeded: only the k + 2 new edges take a gcd.
     """
     i %= p.n
     u, w = _corner_dirs(p, i, u_side)

@@ -27,6 +27,7 @@ from .errors import (
     InvalidFraction,
     LemmaViolated,
     MissingClasses,
+    RankMismatch,
     Unclassified,
     UserInputError,
     WppError,
@@ -39,6 +40,7 @@ from .homlat import (
     Vec,
     class_sum,
     dense,
+    in_rank,
     log_kodaira,
     mat_vec,
     to_cp2,
@@ -220,6 +222,11 @@ def build_resolution(
         lat, t_mat, t_inv = to_cp2(lat)
         classes = tuple(mat_vec(t_mat, x) for x in classes)
         area = transport_area(area, t_inv)
+    # the one slot-range check of the edge classes: the rulings' configs and
+    # every pairing downstream trust it
+    for eid, x in enumerate(classes):
+        if not in_rank(x, lat.rank):
+            raise RankMismatch(f"edge {eid} has a slot outside rank {lat.rank}")
 
     # a string runs from the connector toward the next corner of the cycle to
     # the other connector at its corner; a chop from the wrong side at a
@@ -362,10 +369,13 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
     adjoint = class_sum(
         [lat.canonical] + [cls[i] for sd in rp.strings.values() for i in sd.edge_ids]
     )
-    adjoint_area = area.area(adjoint)
+    # areas in units of 1 / area.denominator, which is positive: the
+    # comparisons and the sign log_kodaira reads are those of the areas
+    adjoint_area = area.area_scaled(adjoint)
     adjoint_square = lat.sq(adjoint)
     conn_area = {
-        name: area.area(cls[rp.connectors[name].edge_id]) for name in ("N_a", "N_b", "N_c")
+        name: area.area_scaled(cls[rp.connectors[name].edge_id])
+        for name in ("N_a", "N_b", "N_c")
     }
     area_identity = adjoint_area == -(
         conn_area["N_a"] + conn_area["N_b"] + conn_area["N_c"]
@@ -374,7 +384,7 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
     gaps = {
         "bc": conn_area["N_a"],
         "ac": conn_area["N_b"],
-        "ab": conn_area["N_c"] if rp.connectors["N_c"].selfint == -1 else Fraction(0),
+        "ab": conn_area["N_c"] if rp.connectors["N_c"].selfint == -1 else 0,
     }
     pair_of = {"a": ("ab", "ac"), "b": ("ab", "bc"), "c": ("ac", "bc")}
     gap_admissible = all(
@@ -384,13 +394,14 @@ def check_divisor_predicates(rp: ResolutionPair) -> DivisorPredicates:
         kod = log_kodaira(adjoint_area, adjoint_square)
     except Unclassified:
         kod = None
+    den = area.denominator
     return DivisorPredicates(
         full=full,
         abc_type=abc_type,
         gap_admissible=gap_admissible,
         sub_toric=True,  # constructed from a moment polygon
-        gaps=gaps,
-        adjoint_area=adjoint_area,
+        gaps={name: Fraction(g, den) for name, g in gaps.items()},
+        adjoint_area=Fraction(adjoint_area, den),
         adjoint_square=adjoint_square,
         area_identity=area_identity,
         kodaira=kod,

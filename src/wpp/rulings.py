@@ -7,6 +7,11 @@ and the weighted partial sum there is a fiber class. The two chains single
 out the same class, which meets the cycle only in the opposite connector and
 in one node of the chosen string; blowing up along the multiplicity sequence
 of its local type turns it into an honest square-zero fiber.
+
+The chains' configs are made from the resolution's own records, one
+Component per cycle sphere shared by both chains, with no slot-range check
+here: the spheres carry the edge classes, and build_resolution checks once
+that each lies in the rank.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from .errors import LemmaViolated, NoSignChange, WppError
 from .homlat import Vec
 from .resolution import ResolutionPair
 from .strings import (
+    Component,
     DivisorConfig,
     FiberData,
     ResolvedFiber,
-    chain_config,
     delta_sequence,
     fiber_class,
     resolution_fiber_class,
@@ -152,9 +157,12 @@ class ApproachData:
     fiber: FiberData | None  # fiber class at the sign change, with its (p, q)
 
 
-def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
-    cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
-                       validate=False)
+def _approach(rp: ResolutionPair, cs: CombinedString,
+              spheres: dict[str, Component]) -> ApproachData:
+    """The data of chain cs, whose config takes its spheres' Components from
+    spheres, by name; their slots were checked against the rank by
+    build_resolution."""
+    cfg = DivisorConfig._grown(rp.lattice, tuple(map(spheres.__getitem__, cs.labels())), ())
     ds = delta_sequence(cs.selfints)
     big_k = ds.first_sign_change()
     if big_k is None:
@@ -211,9 +219,15 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     cycle. The square identity F.F = p * q is fiber_class's own check, which
     raises for every target. For the permuted targets the same data is
     computed and any failed claim is recorded in violations instead of raised.
+
+    The chain configs share one Component per cycle sphere and trust the
+    slot range of its class: build_resolution checks every edge class
+    against the rank.
     """
     cycle = boundary_elements(rp)
-    fwd, bwd = (_approach(rp, cs) for cs in _chains(cycle, target))
+    # one Component per cycle sphere, shared by both chains
+    spheres = {el.name: Component(el.name, el.cls) for el in cycle}
+    fwd, bwd = (_approach(rp, cs, spheres) for cs in _chains(cycle, target))
     strict = target == "c"
     opp = OPPOSITE_CONNECTOR[target]
     s_opp = rp.connectors[opp].selfint
@@ -269,9 +283,11 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     # the index F.F - K.F = (p+1)(q+1) holds exactly when this one does
     if kf != -p - q - 1:
         fail("canonical", f"canonical pairing {kf} differs from {-p - q - 1}")
-    if rp.area.area(fiber) <= 0:
+    # the area's sign, over the form's positive denominator
+    if rp.area.area_scaled(fiber) <= 0:
         fail("area", "fiber class has nonpositive area")
 
+    pair_f = lat.pairing(fiber)
     profile_ok = True
     for el in cycle:
         want = 0
@@ -281,7 +297,7 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
             want = p
         elif el.role == target and el.stored_index == nu_a + 1:
             want = q
-        if lat.pair(fiber, el.cls) != want:
+        if pair_f(el.cls) != want:
             profile_ok = False
     if not profile_ok:
         fail("profile", "fiber meets the cycle outside the expected components")

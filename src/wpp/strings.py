@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable
 
-from .arith import eval_neg_cf, weight_sequence
+from .arith import weight_sequence
 from .errors import (
     BadIndex,
     LemmaViolated,
@@ -39,11 +38,9 @@ from .homlat import (
 )
 
 __all__ = [
-    "OrientedString",
     "DeltaSeq",
     "delta_sequence",
     "is_negative_definite",
-    "string_from_fraction",
     "Component",
     "DivisorConfig",
     "chain_config",
@@ -65,34 +62,6 @@ __all__ = [
     "adjacent_ones_check",
     "verify_endpoint_unit",
 ]
-
-
-@dataclass(frozen=True)
-class OrientedString:
-    """Self-intersection sequence of a linear chain of spheres, read in order."""
-
-    selfints: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.selfints)
-
-    def bs(self) -> tuple[int, ...]:
-        """Entries b_i = -s_i of the continued fraction."""
-        return tuple(-s for s in self.selfints)
-
-    def reversed_(self) -> "OrientedString":
-        return OrientedString(tuple(reversed(self.selfints)))
-
-    def value(self) -> Fraction:
-        """[b_1, ..., b_n] as an exact rational."""
-        return eval_neg_cf(self.bs())
-
-
-def string_from_fraction(p: int, q: int) -> OrientedString:
-    """The chain of spheres resolving a p/q cyclic quotient point."""
-    from .arith import hj_expand
-
-    return OrientedString(tuple(-b for b in hj_expand(p, q)))
 
 
 @dataclass(frozen=True)
@@ -178,8 +147,9 @@ class DivisorConfig:
                fresh: tuple[Component, ...]) -> "DivisorConfig":
         """The config of components in lattice, validating only fresh, the
         components made or changed for it. Every other component must come
-        from a config validated in a lattice of no larger rank, so its slots
-        lie in this one's too."""
+        from a config validated in a lattice of no larger rank, or carry a
+        class checked against such a rank where it was made (the edge
+        classes of build_resolution), so its slots lie in this one's too."""
         _check_slots(fresh, lattice.rank)
         cfg = object.__new__(cls)
         object.__setattr__(cfg, "lattice", lattice)
@@ -485,6 +455,13 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
     exceptional sphere. Every blowup lies on the two node spheres or on the
     spheres it created, so the blowups run on those two alone; the rest of
     the chain is zero on the new slots and is kept as it is.
+
+    The B blowups run in one pass, each the toric_blowup of two adjacent
+    spheres of the node piece: the lattice grows by its B slots at once
+    (Lattice.blowup(B)), each step checks that its two spheres meet once
+    and subtracts its slot from their working classes, and the B + 2
+    components of the piece are made and validated once, when it is
+    spliced into one grown config.
     """
     upto, p, q = fd.upto, fd.p, fd.q
     if not (q > 0 and p >= 0):
@@ -512,21 +489,31 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
         raise LemmaViolated(f"subtraction pairs of ({p}, {q}) miss the weight sequence")
 
     # C1 goes between the node spheres; after C_i with pair (a, b) the next
-    # blowup is at C_i's left node when a > b, else at its right node
-    # the node piece and the spliced chain hold components of cfg, validated
-    # there, and of the blowups, validated by _blowup: nothing to re-check
-    node = DivisorConfig._grown(cfg.lattice, cfg.components[upto - 1:upto + 1], ())
-    res = toric_blowup(node, 0, 1, label="C1")
-    for i, (a, b) in enumerate(pairs[:-1], start=2):
-        left = res.position - 1 if a > b else res.position
-        res = toric_blowup(res.config, left, left + 1, label=f"C{i}")
+    # blowup is at C_i's left node when a > b, else at its right node. Each
+    # step's slot t is new to the classes it pairs, so their pairing in the
+    # fully grown lattice is the one toric_blowup takes in its step's lattice
+    rank = cfg.lattice.rank
+    lat = cfg.lattice.blowup(len(mults))
     comps = cfg.components
-    spliced = (*comps[:upto - 1], *res.config.components, *comps[upto + 1:])
+    labels = [comps[upto - 1].label, comps[upto].label]
+    classes = [dict(comps[upto - 1].cls), dict(comps[upto].cls)]
+    left = 0  # the blowup is at spheres left, left + 1 of the node piece
+    for t, (a, b) in enumerate(pairs, start=rank):
+        if lat.pair(classes[left], classes[left + 1]) != 1:
+            raise NotAdjacent(f"components {left} and {left + 1} do not meet once")
+        classes[left][t] = classes[left + 1][t] = -1
+        classes.insert(left + 1, {t: 1})
+        labels.insert(left + 1, f"C{t - rank + 1}")
+        if a <= b:
+            left += 1
+    # the last pair is (1, 1), so left ends on the last new sphere
+    piece = tuple(map(Component, labels, classes))
+    spliced = (*comps[:upto - 1], *piece, *comps[upto + 1:])
     f = dict(fd.fclass)
-    for t, m in enumerate(mults, start=cfg.lattice.rank):
+    for t, m in enumerate(mults, start=rank):
         f[t] = -m  # each blowup appends its (-1) vector to the basis
-    rf = ResolvedFiber(DivisorConfig._grown(res.config.lattice, spliced, ()), f, fd, mults,
-                       upto - 1 + res.position)
+    rf = ResolvedFiber(DivisorConfig._grown(lat, spliced, piece), f, fd, mults,
+                       upto - 1 + left)
     _verify_resolved_fiber(rf, kf_base + sum(mults))
     return rf
 
@@ -534,7 +521,8 @@ def resolution_fiber_class(cfg: DivisorConfig, fd: FiberData) -> ResolvedFiber:
 def _verify_resolved_fiber(rf: ResolvedFiber, kf_adjunction: int) -> None:
     cfg = rf.config
     lat = cfg.lattice
-    if lat.sq(rf.fclass) != 0:
+    pair_f = lat.pairing(rf.fclass)
+    if pair_f(rf.fclass) != 0:
         raise LemmaViolated("resolved fiber class has nonzero square")
     # canonical pairing must be -2: use the canonical class when known, else
     # the adjunction value accumulated from the defining combination
@@ -542,7 +530,7 @@ def _verify_resolved_fiber(rf: ResolvedFiber, kf_adjunction: int) -> None:
     if kf != -2:
         raise LemmaViolated(f"resolved fiber class has canonical pairing {kf}")
     for pos, comp in enumerate(cfg.components):
-        got = lat.pair(rf.fclass, comp.cls)
+        got = pair_f(comp.cls)
         want = 1 if pos == rf.last_meeting else 0
         if got != want:
             raise LemmaViolated(

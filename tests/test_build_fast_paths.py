@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wpp.homlat as homlat
-from wpp.arith import hj_expand, weight_triple
+from wpp.arith import eval_neg_cf, hj_expand, weight_triple
 from wpp.errors import InvalidFraction, RankMismatch, WppError
 from wpp.homlat import (
     _block_mul,
@@ -54,7 +54,6 @@ from wpp.scan import coprime_triples
 from wpp.strings import (
     Component,
     DivisorConfig,
-    OrientedString,
     chain_config,
     delta_sequence,
     toric_blowup,
@@ -212,12 +211,13 @@ def test_mat_vec_shares_an_untouched_class():
 
 
 def ref_values(selfints):
-    s = OrientedString(tuple(selfints))
-    return {s.value(), s.reversed_().value()}
+    """The string's values read both ways, as the OrientedString type had them."""
+    bs = tuple(-s for s in selfints)
+    return {eval_neg_cf(bs), eval_neg_cf(bs[::-1])}
 
 
 def ref_abc_type(rp):
-    """The Fraction version: OrientedString values against Fraction targets."""
+    """The Fraction version: string values against Fraction targets."""
     w = rp.weights
     targets = [Fraction(getattr(w, role), getattr(w, ROLE_RESIDUE[role])) for role in "abc"]
     values = [ref_values(sd.selfints) for sd in rp.strings.values()]

@@ -74,6 +74,11 @@ def test_scan_digest():
     assert _sha(serialize_scan(run_scan(18, jobs=1))) == SCAN_18_DIGEST
 
 
+def test_pooled_scan_digest():
+    """Two workers merge their rows in input order: the serial bytes."""
+    assert _sha(serialize_scan(run_scan(18, jobs=2))) == SCAN_18_DIGEST
+
+
 def test_overlapping_schedule_scan_digest():
     out = serialize_scan(run_scan(8, jobs=1, schedule=OVERLAP_SCHEDULE))
     assert out.count('"ChopsOverlap: chop depths too large at vertex ') == 66

@@ -1,5 +1,7 @@
 """Moment polygons: corner types, corner chops, edge classes."""
 
+import importlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from wpp.errors import (
 from wpp.homlat import AreaForm, cp2_lattice, hirz_lattice
 from wpp.polygon import (
     PolygonClasses,
+    _validated,
     assign_classes,
     chop_corner,
     corner_type,
@@ -27,6 +30,7 @@ from wpp.polygon import (
     presentations,
 )
 from wpp.resolution import build_resolution
+from wpp.scan import coprime_triples
 
 W235 = weight_triple(2, 3, 5)
 W11 = weight_triple(11, 13, 14)
@@ -362,3 +366,72 @@ def test_ledger_matches_list_loop(w):
         terminals.add(got.terminal)
     if w == (2, 3, 5):
         assert terminals == {"cp2", "hirz"}
+
+
+# --- the vertex cycle turns once around -------------------------------------------------
+
+PENTAGRAM = [(10, 0), (-8, 6), (3, -10), (3, 10), (-8, -6)]
+
+
+def star(n, m, radius=10**6, phase=0.0, shift=(0, 0)):
+    """The vertices of the star polygon {n/m}, rounded to integers: vertex j
+    sits at angle 2 pi j m / n, so the cycle winds m times around its centre."""
+    return [
+        (round(radius * math.cos(phase + 2 * math.pi * j * m / n)) + shift[0],
+         round(radius * math.sin(phase + 2 * math.pi * j * m / n)) + shift[1])
+        for j in range(n)
+    ]
+
+
+def test_pentagram_is_rejected():
+    """Every turn of the pentagram is a strict left turn, and its cross sum is
+    positive; only the winding tells it from a convex pentagon."""
+    with pytest.raises(InvalidPolygon, match="^edge directions turn 2 times around$"):
+        polygon(PENTAGRAM)
+    with pytest.raises(InvalidPolygon, match="^edge directions turn 2 times around$"):
+        polygon(PENTAGRAM[::-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 13),
+    m=st.integers(1, 6),
+    phase=st.floats(0, 2 * math.pi),
+    shift=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+    rev=st.booleans(),
+)
+def test_star_cycles_are_rejected(n, m, phase, shift, rev):
+    """{n/m} with m > 1 turns m times around and is rejected; m = 1 is a
+    convex polygon and is accepted, in either orientation."""
+    if not (2 * m < n and math.gcd(n, m) == 1):
+        return
+    pts = star(n, m, phase=phase, shift=shift)
+    if rev:
+        pts = pts[::-1]
+    if m == 1:
+        assert polygon(pts).n == n
+    else:
+        with pytest.raises(InvalidPolygon, match=f"^edge directions turn {m} times around$"):
+            polygon(pts)
+
+
+def test_presentations_and_their_chops_turn_once(monkeypatch):
+    """Every presentation triangle of coprime_triples(24), and every polygon
+    the default chops of build_resolution make from it, passes _validated as
+    it is: the winding test rejects none of them."""
+    resolution_mod = importlib.import_module("wpp.resolution")
+    made = []
+
+    def spy(p, *args, **kwargs):
+        res = chop_corner(p, *args, **kwargs)
+        made.extend((p, res.polygon))
+        return res
+
+    monkeypatch.setattr(resolution_mod, "chop_corner", spy)
+    for t in coprime_triples(24):
+        for idx in range(1, 7):
+            build_resolution(*t, presentation=idx)
+    monkeypatch.undo()
+    assert len(made) == 2 * 3 * 6 * len(coprime_triples(24))
+    for p in made:
+        assert _validated(list(p.ipts), p.den) == p
