@@ -32,7 +32,7 @@ from .homlat import (
     hirz_lattice,
     log_kodaira,
 )
-from .polygon import LatticePolygon, chop_corner, corner_type, polygon, presentations
+from .polygon import LatticePolygon, chop_corner, corner_type, polygon
 from .report import make_report, parse_report, serialize_report
 from .resolution import (
     ResolutionPair,
@@ -106,7 +106,6 @@ __all__ = [
     "nu_indices",
     "parse_report",
     "polygon",
-    "presentations",
     "resolution_fiber_class",
     "ruling",
     "ruling_resolution",

@@ -15,11 +15,17 @@ and the exceptional search, which takes and returns dense tuples
 (enumerate_exceptional and its callers). dense and sparse convert between
 the two; in_rank is the one slot-range check.
 
-Three basis conventions are supported:
+Every lattice is one form: a head block, the b x b gram of slots 0..b-1,
+over a tail of (-1) vectors, one per slot from b up, orthogonal to all
+other slots. Blowing up grows the tail and keeps the head. The forms of
+the package are
 
-  cp2:  basis (H, e_1, ..., e_n), gram diag(1, -1, ..., -1)
-  hirz: basis (F, B, e_1, ..., e_m), F.F = 0, F.B = 1, B.B = -k, e_i.e_i = -1
-  generic: explicit gram matrix
+  cp2: head ((1,),): basis (H, e_1, ..., e_n), gram diag(1, -1, ..., -1)
+  ruled surface F_k: head ((0, 1), (1, -k)): basis (F, B, e_1, ..., e_m)
+  abstract chain: the whole gram as the head, with no tail
+
+and pairings, the sparse gram, blowups and contractions each have one
+formula for all of them.
 
 The canonical class, when known, is stored as a sparse class; abstract
 sphere configurations carry canonical = None and recover canonical pairings
@@ -27,9 +33,10 @@ from adjunction componentwise instead.
 
 Objects made from checked ones carry their checks over instead of repeating
 them: a blowup, by one slot or several at once, keeps its lattice's
-slot-range check and standard-class flag, transport_area keeps its form in
-lowest terms, and to_cp2 compares a standard canonical class on the
-conversion block alone.
+slot-range check and K's closed-form pairing coefficients,
+transport_area keeps its form in lowest terms, and to_cp2 compares a
+canonical class that holds 1 on every tail slot on the conversion block
+alone.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Sequence
@@ -56,6 +62,7 @@ __all__ = [
     "Vec",
     "Dense",
     "Lattice",
+    "CP2_HEAD",
     "cp2_lattice",
     "hirz_lattice",
     "generic_lattice",
@@ -160,51 +167,85 @@ def _sdot(x: Vec, y: Vec) -> int:
     return sum(map(mul, x.values(), map(y.get, x, repeat(0))))
 
 
+CP2_HEAD: tuple[Dense, ...] = ((1,),)  # H.H = 1: the head of a blown-up CP^2
+
+HeadRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+_HEAD_ROWS: dict[tuple[Dense, ...], HeadRows] = {}
+
+
+def _head_rows(head: tuple[Dense, ...]) -> HeadRows:
+    """(i, ((j, H_ij), ...)) for each slot i of a square symmetric head whose
+    row of H = head + I is nonzero, the nonzero entries only; RankMismatch
+    for a head that is not square, WppError for one not symmetric. Depends
+    on the head alone, so Lattice caches it per head."""
+    b = len(head)
+    if any(len(row) != b for row in head):
+        raise RankMismatch("head gram is not square")
+    if any(head[i][j] != head[j][i] for i in range(b) for j in range(i)):
+        raise WppError("head gram is not symmetric")
+    rows = (
+        (i, tuple((j, h) for j, g in enumerate(row) if (h := g + (i == j))))
+        for i, row in enumerate(head)
+    )
+    return tuple(r for r in rows if r[1])
+
+
 @dataclass(frozen=True)
 class Lattice:
-    tag: str  # "cp2" | "hirz" | "generic"
+    """The form on Z^rank with head block `head`, the gram of slots 0..b-1;
+    every slot from b up is a (-1) vector orthogonal to all other slots. With
+    H = head + I on the head slots the form is
+
+        x.y = sum_{i, j < b} x_i H_ij y_j - sum_i x_i y_i,
+
+    the second sum over every slot. The constructor rejects a head that is
+    not square, not symmetric or larger than the rank, and a canonical class
+    with a slot outside the rank."""
+
+    head: tuple[Dense, ...]
     rank: int
-    k_hirz: int = 0
-    gram: tuple[Dense, ...] | None = None
     canonical: Vec | None = None
-    _std_k: bool = field(init=False, compare=False, repr=False, default=False)
+    # _head_rows(head): the nonzero entries of H by row
+    _rows: HeadRows = field(init=False, compare=False, repr=False, default=())
+    # when the canonical class K holds 1 on every slot from b up, K.x =
+    # sum_{j < b} c_j x_j - sum_j x_j with c = K_head G + 1: the b entries of
+    # c; None for any other K and when there is none
+    _kc: Dense | None = field(
+        init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.tag not in ("cp2", "hirz", "generic"):
-            raise WppError(f"unknown lattice tag {self.tag!r}")
+        head = tuple(map(tuple, self.head))
+        b, r = len(head), self.rank
+        if b > r:
+            raise RankMismatch(f"head of size {b} exceeds rank {r}")
+        rows = _HEAD_ROWS.get(head)
+        if rows is None:
+            rows = _HEAD_ROWS[head] = _head_rows(head)
         k = self.canonical
-        if k is not None and not in_rank(k, self.rank):
-            raise RankMismatch("canonical class has a slot outside the rank")
-        object.__setattr__(self, "_std_k", k is not None and self._is_std_k(k))
-
-    def _is_std_k(self, k: Vec) -> bool:
-        """Whether k is the tag's standard canonical class: (-3, 1, ..., 1)
-        on cp2, (-(k_hirz + 2), -2, 1, ..., 1) on a ruled surface."""
-        if self.tag == "cp2":
-            head: tuple[int, ...] = (-3,)
-        elif self.tag == "hirz" and self.rank >= 2:
-            head = (-(self.k_hirz + 2), -2)
-        else:
-            return False
-        # with the head slots as given, the rest hold 1 iff the 1s add up
-        return (
-            all(k.get(i, 0) == h for i, h in enumerate(head))
-            and list(k.values()).count(1) - head.count(1) == self.rank - len(head)
-        )
+        kc = None
+        if k is not None:
+            if not in_rank(k, r):
+                raise RankMismatch("canonical class has a slot outside the rank")
+            kh = [k.get(i, 0) for i in range(b)]
+            # with every slot in the rank, the tail holds 1 iff its 1s add up
+            if list(k.values()).count(1) - kh.count(1) == r - b:
+                kc = tuple([dot(kh, col) + 1 for col in zip(*head)])
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_kc", kc)
 
     def pair(self, x: Vec, y: Vec) -> int:
-        """x.y in O(min nonzeros); the slots are trusted to lie in the rank."""
-        if self.tag == "cp2":
-            return 2 * x.get(0, 0) * y.get(0, 0) - _sdot(x, y)
-        if self.tag == "hirz":
-            x0, x1, y0, y1 = x.get(0, 0), x.get(1, 0), y.get(0, 0), y.get(1, 0)
-            # the head form on slots 0, 1, minus the diagonal -1 part past them
-            s = x0 * y1 + x1 * y0 - self.k_hirz * x1 * y1
-            return s - (_sdot(x, y) - x0 * y0 - x1 * y1)
-        if self.gram is None:
-            raise MissingClasses("generic lattice has no gram matrix")
-        g = self.gram
-        return sum(v * sum(g[i][j] * w for j, w in y.items()) for i, v in x.items())
+        """x.y in O(min nonzeros + the nonzeros of H); the slots are trusted
+        to lie in the rank."""
+        s = -_sdot(x, y)
+        for i, row in self._rows:
+            v = x.get(i)
+            if v:
+                for j, h in row:
+                    w = y.get(j)
+                    if w:
+                        s += v * h * w
+        return s
 
     def sq(self, x: Vec) -> int:
         return self.pair(x, x)
@@ -212,110 +253,104 @@ class Lattice:
     def sparse_gram(self, xs: Sequence[Vec]) -> dict[tuple[int, int], int]:
         """Every nonzero gram entry (i, j): xs[i].xs[j], i <= j, in one pass.
 
-        The classes are bucketed by slot. The cp2 and ruled-surface grams are
-        diagonal except that the latter links slot 0 with slot 1 (F.B = 1),
-        so only classes sharing a slot, or holding slots 0 and 1, can meet.
-        Each bucket adds its slot's diagonal entry times the two coefficients
-        to every pair it holds, in O(sum of squared bucket sizes): O(total
-        nonzeros) when each slot is held by a bounded number of classes, as
-        on the boundary cycle. A generic lattice raises WppError.
+        The classes are bucketed by slot. Off the head the gram is diagonal,
+        so only classes sharing a slot, or holding two head slots the head
+        links, can meet. Each bucket adds its slot's diagonal entry times the
+        two coefficients to every pair it holds, in O(sum of squared bucket
+        sizes): O(total nonzeros) when each slot is held by a bounded number
+        of classes, as on the boundary cycle. Each nonzero off-diagonal head
+        entry G_st then adds G_st times the coefficients at s and t, twice on
+        the diagonal.
         """
-        if self.tag not in ("cp2", "hirz"):
-            raise WppError(f"no sparse pairing structure for a {self.tag} lattice")
         by_slot: dict[int, list[tuple[int, int]]] = {}
         for i, x in enumerate(xs):
             for s, v in x.items():
                 by_slot.setdefault(s, []).append((i, v))
-        hirz = self.tag == "hirz"
-        # the diagonal entries at slots 0 and 1; every later slot has -1
-        head = (0, -self.k_hirz) if hirz else (1, -1)
+        head = self.head
+        b = len(head)
         gram: dict[tuple[int, int], int] = {}
         get = gram.get
         for s, bucket in by_slot.items():
-            w = head[s] if s < 2 else -1
+            w = head[s][s] if s < b else -1
             if not w:
                 continue
             for a, (i, vi) in enumerate(bucket):
                 wv = w * vi
                 for j, vj in bucket[a:]:
                     gram[i, j] = get((i, j), 0) + wv * vj
-        if hirz:
-            # x.y gains x_0 y_1 + x_1 y_0, twice x_0 x_1 on the diagonal
-            for i, vi in by_slot.get(0, ()):
-                for j, vj in by_slot.get(1, ()):
-                    key = (i, j) if i <= j else (j, i)
-                    gram[key] = get(key, 0) + (2 if i == j else 1) * vi * vj
+        for s in range(b):
+            for t in range(s + 1, b):
+                g = head[s][t]
+                if not g:
+                    continue
+                for i, vi in by_slot.get(s, ()):
+                    for j, vj in by_slot.get(t, ()):
+                        key = (i, j) if i <= j else (j, i)
+                        gram[key] = get(key, 0) + (2 if i == j else 1) * g * vi * vj
         return {key: g for key, g in gram.items() if g}
 
     def k_pair(self, x: Vec) -> int:
         """Canonical class paired with x; requires an explicit canonical class.
-        The standard classes pair in closed form: K.x = -2 x_0 - sum x on
-        cp2 and K.x = -x_0 + (k - 1) x_1 - sum x on a ruled surface."""
-        if self.canonical is None:
-            raise MissingClasses("lattice has no canonical class")
-        if self._std_k:
-            if self.tag == "cp2":
-                return -2 * x.get(0, 0) - sum(x.values())
-            return (self.k_hirz - 1) * x.get(1, 0) - x.get(0, 0) - sum(x.values())
-        return self.pair(self.canonical, x)
-
-    def is_exceptional_class(self, x: Vec) -> bool:
-        return self.sq(x) == -1 and self.k_pair(x) == -1
+        A K holding 1 on every tail slot pairs in closed form, O(nonzeros of
+        x): -2 x_0 - sum x on cp2 and -x_0 + (k - 1) x_1 - sum x on F_k."""
+        kc = self._kc
+        if kc is None:
+            if self.canonical is None:
+                raise MissingClasses("lattice has no canonical class")
+            return self.pair(self.canonical, x)
+        s = -sum(x.values())
+        for j, c in enumerate(kc):
+            v = x.get(j)
+            if v:
+                s += c * v
+        return s
 
     def gram_rows(self) -> tuple[Dense, ...]:
         """Materialise the gram matrix in the distinguished basis."""
-        if self.gram is not None:
-            return self.gram
-        return tuple(
-            tuple(self.pair({i: 1}, {j: 1}) for j in range(self.rank))
-            for i in range(self.rank)
+        head, b, r = self.head, len(self.head), self.rank
+        return tuple(row + zero(r - b) for row in head) + tuple(
+            zero(i) + (-1,) + zero(r - i - 1) for i in range(b, r)
         )
 
-    def pairing(self, x: Vec) -> Callable[[Vec], int]:
-        """y -> self.pair(x, y) for a fixed x paired with many classes.
-
-        On cp2, x.y = x_0 y_0 - sum_{i >= 1} x_i y_i, so x's signed row is
-        made once, in O(rank), and each pairing is one sum over the slots of
-        y. The slots of y are trusted to lie in the rank. Other lattices
-        pair through Lattice.pair."""
-        if self.tag != "cp2":
-            return lambda y: self.pair(x, y)
+    def gram_row(self, x: Vec) -> list[int]:
+        """x's row of the gram, x.e_j for every slot j, in O(rank + the
+        nonzeros of H)."""
         row = [0] * self.rank
         for i, v in x.items():
             row[i] = -v
-        if 0 in x:
-            row[0] = x[0]
-        get = row.__getitem__
+        for i, hrow in self._rows:
+            v = x.get(i)
+            if v:
+                for j, h in hrow:
+                    row[j] += v * h
+        return row
+
+    def pairing(self, x: Vec) -> Callable[[Vec], int]:
+        """y -> self.pair(x, y) for a fixed x paired with many classes: x's
+        gram row is made once, and each pairing is one sum over the slots of
+        y. The slots of y are trusted to lie in the rank."""
+        get = self.gram_row(x).__getitem__
         return lambda y: sum(map(mul, y.values(), map(get, y)))
 
     def blowup(self, count: int = 1) -> "Lattice":
-        """Extend by count (-1) basis vectors, at slots rank..rank+count-1,
-        orthogonal to each other and to the old ones; canonical gains
-        coefficient +1 on each. One call equals count blowups in a row, with
-        one copy of the canonical class.
+        """Extend the tail by count (-1) basis vectors, at slots
+        rank..rank+count-1, orthogonal to each other and to the old ones;
+        canonical gains coefficient +1 on each. One call equals count blowups
+        in a row, with one copy of the canonical class.
 
         The result skips __post_init__'s O(rank) scans: this lattice passed
-        them, and the new slots lie in the new rank and hold 1, so the
-        canonical class stays in range, and it is standard exactly when this
-        one is (count more slots, count more 1s), so _std_k is copied. A
-        generic lattice grows its gram by count rows and columns."""
+        them, the head is kept, and the new slots lie in the new rank and hold
+        1, so the canonical class stays in range and holds 1 on every tail
+        slot exactly when this one does: _kc is copied."""
         if count < 1:
             raise WppError(f"blowup count must be at least 1, got {count}")
         r = self.rank
         k = None
         if self.canonical is not None:
             k = {**self.canonical, **dict.fromkeys(range(r, r + count), 1)}
-        fields = {"tag": self.tag, "rank": r + count, "k_hirz": self.k_hirz,
-                  "gram": None, "canonical": k, "_std_k": self._std_k}
-        if self.tag == "generic":
-            if self.gram is None:
-                raise MissingClasses("generic lattice has no gram matrix")
-            g = tuple(row + zero(count) for row in self.gram)
-            fields.update(k_hirz=0, gram=g + tuple(
-                zero(r + j) + (-1,) + zero(count - j - 1) for j in range(count)
-            ))
         out = object.__new__(Lattice)
-        for name, v in fields.items():
+        for name, v in (("head", self.head), ("rank", r + count), ("canonical", k),
+                        ("_rows", self._rows), ("_kc", self._kc)):
             object.__setattr__(out, name, v)
         return out
 
@@ -324,47 +359,37 @@ def cp2_lattice(n_exceptional: int) -> Lattice:
     """Blowup of the projective plane: basis (H, e_1, ..., e_n)."""
     k = dict.fromkeys(range(n_exceptional + 1), 1)
     k[0] = -3
-    return Lattice("cp2", n_exceptional + 1, canonical=k)
+    return Lattice(CP2_HEAD, n_exceptional + 1, canonical=k)
 
 
 def hirz_lattice(k: int, n_exceptional: int = 0) -> Lattice:
     """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k."""
     kv = sparse((-(k + 2), -2) + (1,) * n_exceptional)
-    return Lattice("hirz", n_exceptional + 2, k_hirz=k, canonical=kv)
+    return Lattice(((0, 1), (1, -k)), n_exceptional + 2, canonical=kv)
 
 
 def generic_lattice(gram: Sequence[Sequence[int]], canonical: Vec | None = None) -> Lattice:
-    g = tuple(tuple(row) for row in gram)
-    r = len(g)
-    for row in g:
-        if len(row) != r:
-            raise RankMismatch("gram matrix is not square")
-    for i in range(r):
-        for j in range(i):
-            if g[i][j] != g[j][i]:
-                raise WppError("gram matrix is not symmetric")
-    return Lattice("generic", r, gram=g, canonical=canonical)
+    """The lattice whose head is the whole gram matrix, with no (-1) tail."""
+    return Lattice(tuple(map(tuple, gram)), len(gram), canonical=canonical)
 
 
 @dataclass(frozen=True, init=False)
 class AreaForm:
     """Symplectic area functional: exact rational value on each basis vector,
     stored as integers _ints over one common positive denominator _den in
-    lowest terms, so the scaled areas compare and take signs as the areas do."""
+    lowest terms, so the scaled areas compare and take signs as the areas do.
+    Forms are made by from_scaled."""
 
     _ints: tuple[int, ...]
     _den: int
 
-    def __init__(self, values: Sequence[Fraction]) -> None:
-        den = math.lcm(*(v.denominator for v in values)) if values else 1
-        self._reduce([v.numerator * (den // v.denominator) for v in values], den)
-
     @classmethod
     def from_scaled(cls, ints: Sequence[int], den: int) -> "AreaForm":
         """The form with values ints[i] / den, built without Fraction arithmetic."""
-        form = object.__new__(cls)
-        form._reduce(ints, den)
-        return form
+        if den <= 0:
+            raise WppError(f"area denominator {den} is not positive")
+        g = math.gcd(den, *ints)
+        return cls._lowest(tuple(v // g for v in ints), den // g)
 
     @classmethod
     def _lowest(cls, ints: tuple[int, ...], den: int) -> "AreaForm":
@@ -373,17 +398,6 @@ class AreaForm:
         object.__setattr__(form, "_ints", ints)
         object.__setattr__(form, "_den", den)
         return form
-
-    def _reduce(self, ints: Sequence[int], den: int) -> None:
-        if den <= 0:
-            raise WppError(f"area denominator {den} is not positive")
-        g = math.gcd(den, *ints)
-        object.__setattr__(self, "_ints", tuple(v // g for v in ints))
-        object.__setattr__(self, "_den", den // g)
-
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self._den) for v in self._ints)
 
     @property
     def rank(self) -> int:
@@ -702,17 +716,21 @@ def enumerate_exceptional(
     filters applied afterwards, so it prunes on them, which matters above
     rank 9. The search is dense at its doors: constraints, meets and the
     returned classes are dense tuples of length rank. Each class is made
-    sparse and converted to the cp2 basis once.
+    sparse and converted to the cp2 basis once. An area form of another rank
+    than the lattice's raises RankMismatch.
     """
     if area is None and area_cap is not None:
         raise UserInputError("area_cap needs an area form")
     r = lat.rank
+    if area is not None and area.rank != r:
+        raise RankMismatch(f"area form of rank {area.rank} on a lattice of rank {r}")
     _check_key_bounds(r - 1, coeff_bound)
-    converted = lat.tag != "cp2"
+    converted = lat.head != CP2_HEAD
     if converted:
         lat, t_mat, t_inv = to_cp2(lat)
         area = transport_area(area, t_inv) if area is not None else None
-    if lat.canonical is None or not lat._std_k:
+    k = lat.canonical
+    if k is None or k.get(0) != -3 or lat._kc is None:
         raise MissingClasses("enumeration needs the standard canonical class")
 
     def cp2_class(f: Dense) -> Vec:
@@ -747,11 +765,10 @@ def _recheck(
 ) -> None:
     """Re-check the dense search results: each pairs nonnegatively with every
     component and at least 1 with the sum of each group, else LemmaViolated.
-    Each found class x is paired once with every basis vector; its pairing
-    with a dense class is then one dot product with that row."""
+    Each found class x is paired with a dense class by one dot product with
+    x's gram row, made once (Lattice.gram_row)."""
     for x in classes:
-        xs = sparse(x)
-        row = [lat.pair(xs, {j: 1}) for j in range(lat.rank)]
+        row = lat.gram_row(sparse(x))
         if any(dot(row, c) < 0 for c in component_classes):
             raise LemmaViolated("constrained search returned a non-log class")
         if any(sum(dot(row, c) for c in g) < 1 for g in groups):
@@ -916,26 +933,22 @@ def mat_inverse_int(m: Mat) -> Mat:
     return tuple(out)
 
 
-# (T, T^-1, the images T e_i, the head gram entries (i, j, e_i.e_j), the
-# head of T K for the standard K) per (k, b)
-HirzBlock = tuple[Mat, Mat, tuple[Vec, ...], tuple[tuple[int, int, int], ...], Dense]
+# (T, T^-1, the images T e_i, the gram entries (i, j, e_i.e_j)) per (k, b)
+HirzBlock = tuple[Mat, Mat, tuple[Vec, ...], tuple[tuple[int, int, int], ...]]
 _BLOCK_CACHE: dict[tuple[int, int], HirzBlock] = {}
 
 
 def _hirz_block(k: int, b: int) -> HirzBlock:
     """The leading b x b blocks of T and T^-1 for the ruled-surface form of
-    degree k, the images T e_i of the block's basis vectors, and the head
-    gram entries (i, j, e_i.e_j), i <= j < b, of the ruled-surface form.
+    degree k, the images T e_i of the block's basis vectors, and the gram
+    entries (i, j, e_i.e_j), i <= j < b, of the ruled-surface form.
 
     T is a shear (x, y) -> (x - fl y, y), fl = k // 2, making B.B equal
     -(k mod 2), then the standard elementary transformation: for odd k H' =
     F + B', slot 1 becoming the section class; for even k a map that
     consumes the first exceptional vector, so b = 3. The inverse is
-    checked. The last entry is the head of T K for the standard
-    ruled-surface class K = (-(k + 2), -2, 1, ..., 1), which to_cp2 compares
-    with the head of the class it returns. All of it depends on (k, b)
-    alone, so it is derived once per process and cached; to_cp2 runs both
-    certificates on every call.
+    checked. All of it depends on (k, b) alone, so it is derived once per
+    process and cached; to_cp2 runs both certificates on every call.
     """
     key = (k, b)
     cached = _BLOCK_CACHE.get(key)
@@ -958,14 +971,13 @@ def _hirz_block(k: int, b: int) -> HirzBlock:
     t_inv = _block_mul(lead(unshear), lead(m1_inv))
     if _block_mul(t, t_inv) != tuple(unit(b, i) for i in range(b)):
         raise WppError("basis conversion inverse check failed")
-    k_head = tuple(dot(row, (-(k + 2), -2, 1)[:b]) for row in t)
-    src = Lattice("hirz", b, k_hirz=k)
+    src = hirz_lattice(k, b - 2)
     heads = [{i: 1} for i in range(b)]
     gram = tuple(
         (i, j, src.pair(heads[i], heads[j])) for i in range(b) for j in range(i, b)
     )
     images = tuple(mat_vec(t, x) for x in heads)
-    out = _BLOCK_CACHE[key] = (t, t_inv, images, gram, k_head)
+    out = _BLOCK_CACHE[key] = (t, t_inv, images, gram)
     return out
 
 
@@ -975,9 +987,11 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     T maps coefficient vectors of the source basis to the cp2 basis. It
     differs from the identity only in its leading b x b block, b = min(3,
     rank), so T and T^-1 are returned as those blocks; mat_vec applies them.
-    For a ruled-surface lattice T is a shear making B.B even or odd small,
-    then the standard elementary transformation; the even case consumes one
-    exceptional basis vector and so needs rank >= 3.
+    A cp2 head gives the identity blocks. A ruled-surface head ((0, 1), (1,
+    -k)) gives a shear making B.B even or odd small, then the standard
+    elementary transformation; the even case consumes one exceptional basis
+    vector and so needs rank >= 3. Any other head has no conversion
+    (WppError).
 
     The blocks depend on (k, b) alone and are derived once per process
     (_hirz_block). The conversion is certified on every call against the
@@ -985,38 +999,37 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     LemmaViolated, and T K must be the returned canonical class. Past the
     block T is the identity and both forms are -1 on the diagonal and
     orthogonal to the block, so the certificate makes T an isometry on every
-    class. When K is the standard ruled-surface class and the returned class
-    the standard cp2 class of the same rank, both hold 1 in every slot past
-    the block, so T K equals it exactly when their heads agree: only the b
-    head slots are compared, against the head _hirz_block derived. Any other
-    K is converted and compared in full.
+    class. Past the block T K keeps K's coefficients, so the K certificate
+    asks that both classes hold 1 on every tail slot, as the standard cp2
+    class does, that the ranks agree and that T times K's first b
+    coefficients equal the returned class's: only the b head slots are
+    converted and compared.
     """
     r = lat.rank
     b = min(3, r)
-    if lat.tag == "cp2":
+    head = lat.head
+    if head == CP2_HEAD:
         ident = tuple(unit(b, i) for i in range(b))
         return lat, ident, ident
-    if lat.tag != "hirz":
-        raise WppError("no canonical cp2 form for a generic lattice")
-    if r < 2:
-        raise RankMismatch("a ruled-surface lattice has rank at least 2")
-    k = lat.k_hirz
+    if len(head) != 2 or head[0] != (0, 1):
+        raise WppError("no canonical cp2 form for this lattice")
+    k = -head[1][1]
     if k < 0:
         raise WppError("normalise k >= 0 before converting")
     if k % 2 == 0 and r < 3:
         raise WppError("even-k conversion needs an exceptional basis vector")
-    t, t_inv, images, gram, k_head = _hirz_block(k, b)
+    t, t_inv, images, gram = _hirz_block(k, b)
     out = cp2_lattice(r - 1)
     for i, j, g in gram:
         if out.pair(images[i], images[j]) != g:
             raise LemmaViolated(f"basis conversion changes the pairing of e_{i}, e_{j}")
     kk, kt = lat.canonical, out.canonical
     if kk is not None:
-        if lat._std_k and out._std_k and out.tag == "cp2" and out.rank == r:
-            same = all(kt.get(i, 0) == v for i, v in enumerate(k_head))
-        else:
-            same = mat_vec(t, kk) == kt
-        if not same:
+        kh = [kk.get(i, 0) for i in range(b)]
+        if not (
+            lat._kc is not None and out._kc is not None and out.rank == r
+            and [dot(row, kh) for row in t] == [kt.get(i, 0) for i in range(b)]
+        ):
             raise WppError("canonical class does not convert to the standard one")
     return out, t, t_inv
 

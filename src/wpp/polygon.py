@@ -50,13 +50,11 @@ __all__ = [
     "ChopResult",
     "chop_corner",
     "check_schedule",
-    "default_epsilons",
     "edge_selfint",
     "edge_selfints",
     "PolygonClasses",
     "assign_classes",
     "Presentation",
-    "presentations",
     "CORNER_CYCLE",
 ]
 
@@ -121,13 +119,6 @@ class LatticePolygon:
     def length_scaled(self, i: int) -> int:
         """Lattice length of edge i times den: the gcd of its integer vector."""
         return self._edges[1][i % len(self.ipts)]
-
-    def edge_length(self, i: int) -> Fraction:
-        """Lattice length: the edge vector divided by its primitive direction."""
-        return Fraction(self.length_scaled(i), self.den)
-
-    def area2(self) -> Fraction:
-        return Fraction(_cross_sum(self.ipts), self.den * self.den)
 
     @cached_property
     def selfints(self) -> tuple[int, ...]:
@@ -297,13 +288,6 @@ def _chop_depths(p: LatticePolygon, i: int, k: int,
         out.append((num, den))
         num, den = num * c, den * d
     return out
-
-
-def default_epsilons(p: LatticePolygon, i: int, k: int,
-                     schedule: tuple[Fraction, Fraction] | None = None) -> list[Fraction]:
-    """Chop depths that provably fit: start at a quarter of the shorter
-    adjacent edge and shrink by thirds; the Fractions of _chop_depths."""
-    return [Fraction(num, den) for num, den in _chop_depths(p, i, k, schedule)]
 
 
 @dataclass(frozen=True)
@@ -658,9 +642,3 @@ def presentation(w: WeightTriple, index: int) -> Presentation:
         raise LemmaViolated(f"presentation {index} has wrong area")
     return Presentation(index, poly, corner_vertex)
 
-
-def presentations(w: WeightTriple) -> tuple[Presentation, ...]:
-    """The six moment triangles of a weight triple, one per choice of
-    distinguished corner and orientation. Corner labels carry the stabiliser
-    order: the corner labelled A has type (a, a_b) for the cycle edge rule."""
-    return tuple(presentation(w, i) for i in range(1, 7))

@@ -33,6 +33,7 @@ from .errors import (
     WppError,
 )
 from .homlat import (
+    CP2_HEAD,
     AreaForm,
     Dense,
     Lattice,
@@ -215,7 +216,7 @@ def build_resolution(
     sels = edge_selfints(cur)
     pc = assign_classes(cur)
     lat, area, classes = pc.lattice, pc.area, pc.edge_classes
-    if lat.tag == "hirz":
+    if lat.head != CP2_HEAD:
         # the ledger's squares and areas carry over without a re-check: to_cp2
         # certifies T as an isometry, and transport_area through its checked
         # inverse gives area(T x) = area(x)
@@ -266,7 +267,7 @@ def build_resolution(
         terminal_k=pc.terminal_k,
     )
     n = rp.n
-    if lat.tag != "cp2" or lat.rank != n + 1:
+    if lat.head != CP2_HEAD or lat.rank != n + 1:
         raise LemmaViolated("resolution is not a blown-up projective plane")
     if n != sum(len(s.edge_ids) for s in strings.values()):
         raise LemmaViolated("exceptional count does not match string lengths")

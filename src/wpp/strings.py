@@ -25,7 +25,6 @@ from .errors import (
 from .homlat import (
     Lattice,
     Vec,
-    cp2_lattice,
     dense,
     dot,
     functional_kernel_basis,
@@ -295,38 +294,27 @@ def exterior_blowup(cfg: DivisorConfig, include_component: bool = False,
 def _contract_lattice(lat: Lattice, e: Vec) -> tuple[Lattice, Callable[[Vec], Vec]]:
     """Lattice orthogonal to the (-1) class e, with the coefficient map.
 
-    When e is a basis vector the orthogonal complement has the tautological
-    basis (e_j + (e_j.e) e), so new coordinates are just the old ones with
-    slot t dropped; the gram picks up G_ij + G_it G_jt. Otherwise the lattice
-    is split along the pairing functional of e.
+    When e is a basis vector e_t with e_t.e_t = -1 the orthogonal complement
+    has the tautological basis (e_j + (e_j.e) e), so new coordinates are
+    just the old ones with slot t dropped. A tail slot meets no other slot,
+    so the form keeps its head; a head slot leaves the head G_ij + G_it G_jt
+    on the other head slots. Otherwise the lattice is split along the
+    pairing functional of e.
     """
     rank = lat.rank
+    head = lat.head
+    b = len(head)
     t = next(iter(e)) if len(e) == 1 and 1 in e.values() else None
-    if t is not None:
-        if lat.tag == "generic":
-            ok = lat.gram_rows()[t][t] == -1
-        else:
-            ok = (lat.tag == "cp2" and t >= 1) or (lat.tag == "hirz" and t >= 2)
-        if ok:
+    if t is not None and (t >= b or head[t][t] == -1):
 
-            def drop(x: Vec, _t: int = t) -> Vec:
-                return {(i - 1 if i > _t else i): v for i, v in x.items() if i != _t}
+        def drop(x: Vec, _t: int = t) -> Vec:
+            return {(i - 1 if i > _t else i): v for i, v in x.items() if i != _t}
 
-            k2 = None if lat.canonical is None else drop(lat.canonical)
-            if lat.tag == "cp2":
-                lat2 = cp2_lattice(rank - 2) if k2 is not None else Lattice("cp2", rank - 1)
-                if k2 is not None and lat2.canonical != k2:
-                    raise LemmaViolated("contracted canonical class is not standard")
-            elif lat.tag == "hirz":
-                lat2 = Lattice("hirz", rank - 1, k_hirz=lat.k_hirz, canonical=k2)
-            else:
-                g = lat.gram_rows()
-                idx = [i for i in range(rank) if i != t]
-                g2 = tuple(
-                    tuple(g[i][j] + g[i][t] * g[j][t] for j in idx) for i in idx
-                )
-                lat2 = generic_lattice(g2, canonical=k2)
-            return lat2, drop
+        if t < b:
+            idx = [i for i in range(b) if i != t]
+            head = tuple(tuple(head[i][j] + head[i][t] * head[j][t] for j in idx) for i in idx)
+        k2 = None if lat.canonical is None else drop(lat.canonical)
+        return Lattice(head, rank - 1, canonical=k2), drop
     # general path: split Z^rank along the pairing functional of e, densely
     g_rows, ed = lat.gram_rows(), dense(e, rank)
     func = tuple(dot(row, ed) for row in g_rows)

@@ -41,7 +41,7 @@ from wpp.homlat import (
     to_cp2,
     unit,
 )
-from wpp.polygon import assign_classes, default_epsilons, polygon, presentation
+from wpp.polygon import _cross_sum, assign_classes, polygon, presentation
 from wpp.report import _chain_selfints
 from wpp.resolution import (
     ROLE_RESIDUE,
@@ -84,10 +84,16 @@ def ref_default_epsilons(p, i, k, schedule=None):
     return out
 
 
+def ref_fraction_depths(p, i, k, schedule=None):
+    """The Fractions of _chop_depths, as the deleted polygon.default_epsilons
+    gave them."""
+    return [Fraction(num, den) for num, den in polygon_mod._chop_depths(p, i, k, schedule)]
+
+
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=("default", "third-fifth"))
 def test_integer_depths_match_fraction_depths(schedule, monkeypatch):
     """Every corner chopped by the builds with c <= 30: the (num, den) pairs
-    are the Fraction depths in lowest terms, and default_epsilons gives them."""
+    are the Fraction depths in lowest terms, and ref_fraction_depths gives them."""
     calls = []
     depths = polygon_mod._chop_depths
 
@@ -105,7 +111,7 @@ def test_integer_depths_match_fraction_depths(schedule, monkeypatch):
         assert sched == schedule
         want = ref_default_epsilons(p, i, k, sched)
         assert out == [(e.numerator, e.denominator) for e in want]
-        assert default_epsilons(p, i, k, sched) == want
+        assert ref_fraction_depths(p, i, k, sched) == want
 
 
 # --- the sparse gram ----------------------------------------------------------------
@@ -121,13 +127,13 @@ def full_gram(lat, cls):
 def test_sparse_gram_matches_pairwise_on_ledgers():
     """The ledger of every build with c <= 20, in its own form (cp2 or a
     ruled surface) and converted to cp2."""
-    tags = set()
+    head_sizes = set()
     for _t, _pres, rp in builds(20):
         pc = assign_classes(rp.polygon)
         for lat, cls in ((pc.lattice, pc.edge_classes), (rp.lattice, rp.edge_classes)):
-            tags.add(lat.tag)
+            head_sizes.add(len(lat.head))
             assert lat.sparse_gram(cls) == full_gram(lat, cls)
-    assert tags == {"cp2", "hirz"}
+    assert head_sizes == {1, 2}
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -140,9 +146,12 @@ def test_sparse_gram_on_dense_classes(k):
         assert lat.sparse_gram(cls) == full_gram(lat, cls)
 
 
-def test_sparse_gram_needs_a_sparse_form():
-    with pytest.raises(WppError):
-        generic_lattice(((-1,),)).sparse_gram([{0: 1}])
+def test_sparse_gram_on_an_abstract_chain_head():
+    """A whole gram as the head: every off-diagonal head entry links two
+    slots, and a zero diagonal entry adds nothing."""
+    lat = generic_lattice(((-2, 1, 0), (1, 0, 3), (0, 3, -1))).blowup(2)
+    cls = [{0: 1}, {1: 2, 3: -1}, {0: -1, 2: 1, 4: 2}, {1: 1, 2: 1}, {}]
+    assert lat.sparse_gram(cls) == full_gram(lat, cls)
 
 
 # --- the F_k -> CP^2 blocks ---------------------------------------------------------
@@ -152,7 +161,7 @@ def fresh_to_cp2(lat):
     """The conversion derived and certified from scratch on every call."""
     r = lat.rank
     b = min(3, r)
-    k = lat.k_hirz
+    k = -lat.head[1][1]
     fl = k // 2
     shear = ((1, -fl, 0), (0, 1, 0), (0, 0, 1))
     unshear = ((1, fl, 0), (0, 1, 0), (0, 0, 1))
@@ -359,7 +368,7 @@ def ref_presentation(w, index):
     corner_vertex = {
         label: poly.ipts.index((x * poly.den, y * poly.den)) for label, (x, y) in table.items()
     }
-    assert poly.area2() == a * b * c
+    assert Fraction(_cross_sum(poly.ipts), poly.den * poly.den) == a * b * c
     return poly, corner_vertex
 
 
@@ -388,7 +397,7 @@ classes = st.dictionaries(
 @given(st.integers(-4, 8), st.integers(0, 6), st.lists(classes, min_size=1, max_size=4))
 def test_hirz_k_pair_matches_pair(k, n, xs):
     lat = hirz_lattice(k, n)
-    assert lat._std_k
+    assert lat._kc is not None
     for x in xs:
         x = {i: v for i, v in x.items() if i < lat.rank}
         assert lat.k_pair(x) == lat.pair(lat.canonical, x), (k, n, x)
@@ -403,23 +412,28 @@ def test_hirz_k_pair_matches_pair(k, n, xs):
     {},
 ])
 def test_other_hirz_canonical_classes_use_pair(canonical):
-    lat = Lattice("hirz", 4, k_hirz=3, canonical=canonical)
-    assert not lat._std_k
+    """Any K on the F_3 head: the closed form when K holds 1 on both tail
+    slots, Lattice.pair otherwise."""
+    lat = Lattice(((0, 1), (1, -3)), 4, canonical=canonical)
+    assert (lat._kc is None) == (canonical.get(2) != 1 or canonical.get(3) != 1)
     for x in ({0: 1}, {1: 1}, {0: 2, 1: -1, 3: 4}, {2: -3, 3: 1}):
         assert lat.k_pair(x) == lat.pair(canonical, x)
 
 
 def test_standard_canonical_class_flag():
-    assert hirz_lattice(3, 4)._std_k
-    assert hirz_lattice(3, 4).blowup()._std_k
-    assert Lattice("hirz", 4, k_hirz=-3, canonical={0: 1, 1: -2, 2: 1, 3: 1})._std_k
-    assert not Lattice("hirz", 4, k_hirz=-3, canonical={1: -2, 2: 1, 3: 1})._std_k
-    assert Lattice("hirz", 3, k_hirz=-2, canonical={1: -2, 2: 1})._std_k
-    assert not Lattice("hirz", 1, k_hirz=0, canonical={0: -2})._std_k
-    assert not Lattice("hirz", 3, k_hirz=3)._std_k
-    assert cp2_lattice(5)._std_k
-    assert not Lattice("cp2", 3, canonical={0: -3, 1: 1})._std_k
-    assert not generic_lattice(((1, 0), (0, -1)), canonical={0: -3, 1: 1})._std_k
+    """_kc, the closed-form K of a K holding 1 on every tail slot: (-2) on the
+    cp2 head and (-1, k - 1) on the F_k head for the standard classes."""
+    assert hirz_lattice(3, 4)._kc == (-1, 2)
+    assert hirz_lattice(3, 4).blowup()._kc == (-1, 2)
+    assert Lattice(((0, 1), (1, 3)), 4, canonical={0: 1, 1: -2, 2: 1, 3: 1})._kc == (-1, -4)
+    # a head K off the standard one still pairs in closed form
+    assert Lattice(((0, 1), (1, 3)), 4, canonical={1: -2, 2: 1, 3: 1})._kc == (-1, -5)
+    assert Lattice(((0, 1), (1, 2)), 3, canonical={1: -2, 2: 1})._kc == (-1, -3)
+    assert Lattice(((0, 1), (1, -3)), 3)._kc is None
+    assert cp2_lattice(5)._kc == (-2,)
+    assert Lattice(((1,),), 3, canonical={0: -3, 1: 1})._kc is None
+    # the whole gram as the head: no tail, so every K pairs in closed form
+    assert generic_lattice(((1, 0), (0, -1)), canonical={0: -3, 1: 1})._kc == (-2, 0)
 
 
 # --- report class lists ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from wpp import homlat
 from wpp.arith import hj_expand, weight_triple
 from wpp.errors import LemmaViolated, UserInputError
 from wpp.homlat import (
+    CP2_HEAD,
     AreaForm,
     ExcSearch,
     _cp2_exceptional_raw,
@@ -207,7 +208,7 @@ def ref_raw(n, coeff_bound, constraints=None, raw_funcs=None):
 
 def ref_enumerate(lat, area=None, area_cap=None, coeff_bound=12, constraints=None):
     """Returns (classes, complete, nodes)."""
-    if lat.tag != "cp2":
+    if lat.head != CP2_HEAD:
         lat2, t_mat, t_inv = to_cp2(lat)
         area2 = transport_area(area, t_inv) if area is not None else None
         cons2 = tuple(_mat_vec(t_mat, f) for f in constraints) if constraints else None
@@ -287,13 +288,13 @@ DIFF_TRIPLES = ((2, 3, 5), (3, 4, 5), (2, 5, 7), (3, 5, 7), (4, 5, 7), (2, 7, 9)
 
 
 def test_triple_set_covers_both_forms_and_ranks():
-    tags, ranks = set(), set()
+    head_sizes, ranks = set(), set()
     for w in DIFF_TRIPLES:
         for pres in range(1, 7):
             rp = build_resolution(*w, presentation=pres)
             ranks.add(rp.n)
-            tags.update(lat.tag for lat, _a, _c in lattice_forms(rp))
-    assert tags == {"cp2", "hirz"}
+            head_sizes.update(len(lat.head) for lat, _a, _c in lattice_forms(rp))
+    assert head_sizes == {1, 2}
     assert min(ranks) <= 6 and max(ranks) >= 9
 
 
@@ -311,7 +312,7 @@ def test_public_searches_match_reference(w):
                 for label, gi, gj in ends:
                     got = connecting_log_exceptional(lat, area, comps, gi, gj, ac)
                     want = ref_connecting(lat, area, comps, gi, gj, ac)
-                    assert (got.classes, got.complete) == want[:2], (w, pres, lat.tag, label, ac)
+                    assert (got.classes, got.complete) == want[:2], (w, pres, lat.head, label, ac)
                     gap = exceptional_gap(lat, area, comps, gi, gj, ac)
                     assert (gap.value, gap.certified, gap.witness) == ref_gap(
                         lat, area, comps, gi, gj, ac
@@ -320,7 +321,7 @@ def test_public_searches_match_reference(w):
 
 @pytest.mark.parametrize("n", range(0, 8))
 def test_unconstrained_enumeration_matches_reference(n):
-    area = AreaForm((Fraction(3 * n + 1),) + tuple(Fraction(i) for i in range(1, n + 1)))
+    area = AreaForm.from_scaled((3 * n + 1,) + tuple(range(1, n + 1)), 1)
     for ac in (None, Fraction(n + 1)):
         got = enumerate_exceptional(cp2_lattice(n), area, ac)
         assert (got.classes, got.complete) == ref_enumerate(cp2_lattice(n), area, ac)[:2]
@@ -381,7 +382,7 @@ def test_raw_search_matches_reference(case):
 
 def test_post_search_checks_raise(monkeypatch):
     lat = cp2_lattice(2)
-    area = AreaForm((Fraction(3), Fraction(1), Fraction(1)))
+    area = AreaForm.from_scaled((3, 1, 1), 1)
     real = homlat.enumerate_exceptional
 
     def unconstrained(lat, area, area_cap, coeff_bound, constraints=None, meets=None):
@@ -578,7 +579,7 @@ def small_cases():
 
 def test_connector_bound_outside_the_boundary():
     lat = cp2_lattice(3)
-    area = AreaForm((Fraction(4), Fraction(1), Fraction(3, 2), Fraction(1, 2)))
+    area = AreaForm.from_scaled((8, 2, 3, 1), 2)
     returned = 0
     for comps, gi, gj in small_cases():
         bound = connector_bound(lat, comps, gi, gj)

@@ -2,8 +2,8 @@
 
 A chop grows its polygon from the one it starts from and tests only the turns
 it makes; a blowup copies its lattice's checks; transport_area keeps its form
-in lowest terms without a gcd pass; to_cp2 compares a standard canonical class
-on the conversion block alone. The reference functions below are the paths
+in lowest terms without a gcd pass; to_cp2 compares a canonical class that
+holds 1 on every tail slot on the conversion block alone. The reference functions below are the paths
 they replaced: the chop through the global check of _validated, the blowup
 through the public Lattice constructor, the area form through from_scaled and
 the canonical certificate by converting the whole class.
@@ -68,10 +68,7 @@ def ref_edges(p):
 def ref_blowup(lat):
     """The blowup through the public constructor and its O(rank) checks."""
     k = None if lat.canonical is None else {**lat.canonical, lat.rank: 1}
-    if lat.tag == "generic":
-        g = tuple(row + (0,) for row in lat.gram) + ((0,) * lat.rank + (-1,),)
-        return Lattice("generic", lat.rank + 1, gram=g, canonical=k)
-    return Lattice(lat.tag, lat.rank + 1, k_hirz=lat.k_hirz, canonical=k)
+    return Lattice(lat.head, lat.rank + 1, canonical=k)
 
 
 def ref_transport_area(area, t_inv):
@@ -188,40 +185,44 @@ def test_reorder_rejection_is_reachable():
 # --- blowups ------------------------------------------------------------------------------
 
 
+# (index, how the lattice is made, the lattice); the rank-1 source with a ruled
+# head (index 7) is gone: a head larger than the rank is refused
 BLOWUP_SOURCES = (
-    cp2_lattice(0),
-    cp2_lattice(6),
-    hirz_lattice(0, 1),
-    hirz_lattice(3, 4),
-    Lattice("hirz", 4, k_hirz=1, canonical={0: -3, 1: -2, 2: 1, 3: 2}),
-    Lattice("hirz", 3, k_hirz=2, canonical={0: -4, 1: -2}),
-    Lattice("cp2", 4, canonical={0: -3, 1: 1, 2: 1}),
-    Lattice("hirz", 1, k_hirz=0, canonical={0: -2}),
-    Lattice("cp2", 3),
-    Lattice("hirz", 2, k_hirz=5),
-    generic_lattice(((0, 1), (1, -2)), canonical={0: -4, 1: -2}),
-    generic_lattice(((1,),)),
+    (0, "cp2", cp2_lattice(0)),
+    (1, "cp2", cp2_lattice(6)),
+    (2, "hirz", hirz_lattice(0, 1)),
+    (3, "hirz", hirz_lattice(3, 4)),
+    (4, "hirz", Lattice(((0, 1), (1, -1)), 4, canonical={0: -3, 1: -2, 2: 1, 3: 2})),
+    (5, "hirz", Lattice(((0, 1), (1, -2)), 3, canonical={0: -4, 1: -2})),
+    (6, "cp2", Lattice(((1,),), 4, canonical={0: -3, 1: 1, 2: 1})),
+    (8, "cp2", Lattice(((1,),), 3)),
+    (9, "hirz", Lattice(((0, 1), (1, -5)), 2)),
+    (10, "generic", generic_lattice(((0, 1), (1, -2)), canonical={0: -4, 1: -2})),
+    (11, "generic", generic_lattice(((1,),))),
 )
 
 
 @pytest.mark.parametrize(
-    "lat", BLOWUP_SOURCES, ids=[f"{i}-{lat.tag}-{lat.rank}" for i, lat in enumerate(BLOWUP_SOURCES)]
+    "lat",
+    [lat for _i, _kind, lat in BLOWUP_SOURCES],
+    ids=[f"{i}-{kind}-{lat.rank}" for i, kind, lat in BLOWUP_SOURCES],
 )
 def test_blowup_matches_a_fresh_lattice(lat):
     """Five blowups in a row, each equal to the lattice the public constructor
-    builds from the same fields, with the same standard-class flag."""
+    builds from the same fields, with the same closed-form canonical pairing."""
     for _ in range(5):
         got, ref = lat.blowup(), ref_blowup(lat)
-        fresh = Lattice(got.tag, got.rank, k_hirz=got.k_hirz, gram=got.gram,
-                        canonical=got.canonical)
+        fresh = Lattice(got.head, got.rank, canonical=got.canonical)
         assert got == ref == fresh
-        assert got._std_k is ref._std_k is fresh._std_k
+        assert got._kc == ref._kc == fresh._kc
+        assert got._rows == ref._rows == fresh._rows
         lat = got
 
 
 def test_blowup_keeps_the_standard_flag_of_ledger_lattices():
-    assert cp2_lattice(4).blowup()._std_k and hirz_lattice(2, 3).blowup()._std_k
-    assert not Lattice("hirz", 4, k_hirz=1, canonical={0: -3, 1: -2, 2: 1, 3: 2}).blowup()._std_k
+    assert cp2_lattice(4).blowup()._kc == (-2,)
+    assert hirz_lattice(2, 3).blowup()._kc == (-1, 1)
+    assert Lattice(((0, 1), (1, -1)), 4, canonical={0: -3, 1: -2, 2: 1, 3: 2}).blowup()._kc is None
 
 
 # --- area transport -----------------------------------------------------------------------
@@ -278,7 +279,7 @@ def test_block_certificate_agrees_with_the_full_comparison(k, monkeypatch):
         std = cp2_lattice(rank - 1).canonical
         variants = [std] + [{**std, s: std.get(s, 0) + 1} for s in (0, 1, rank - 1)]
         for kt in variants:
-            targets[rank] = Lattice("cp2", rank, canonical=kt)
+            targets[rank] = Lattice(((1,),), rank, canonical=kt)
             full = mat_vec(t, lat.canonical) == kt
             assert full == (kt is std)
             if full:
@@ -289,19 +290,21 @@ def test_block_certificate_agrees_with_the_full_comparison(k, monkeypatch):
 
 
 def test_block_certificate_rejects_a_wrong_head(monkeypatch):
-    """A wrong cached head of T K fails the certificate: the standard path
-    compares it, not the full class."""
-    t, t_inv, images, gram, _k_head = _hirz_block(3, 3)
-    monkeypatch.setitem(homlat._BLOCK_CACHE, (3, 3), (t, t_inv, images, gram, (-3, 1, 2)))
+    """A wrong cached T fails the certificate: the head of T K is converted
+    from K's head on every call, not cached."""
+    _t, t_inv, images, gram = _hirz_block(3, 3)
+    wrong = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    monkeypatch.setitem(homlat._BLOCK_CACHE, (3, 3), (wrong, t_inv, images, gram))
     with pytest.raises(WppError, match="^canonical class does not convert"):
         to_cp2(hirz_lattice(3, 4))
 
 
 def test_nonstandard_canonical_class_is_compared_in_full():
-    """A non-standard K takes the full comparison, which rejects it."""
-    lat = Lattice("hirz", 5, k_hirz=1, canonical={0: -3, 1: -2, 2: 1, 3: 1, 4: 2})
-    assert not lat._std_k
+    """A K off 1 on a tail slot cannot convert to the standard class, whose
+    tail holds 1 everywhere, and is rejected."""
+    lat = Lattice(((0, 1), (1, -1)), 5, canonical={0: -3, 1: -2, 2: 1, 3: 1, 4: 2})
+    assert lat._kc is None
     with pytest.raises(WppError, match="^canonical class does not convert"):
         to_cp2(lat)
-    _out, t, _t_inv = to_cp2(Lattice("hirz", 5, k_hirz=1))
+    _out, t, _t_inv = to_cp2(Lattice(((0, 1), (1, -1)), 5))
     assert mat_vec(t, lat.canonical) != cp2_lattice(4).canonical

@@ -1,5 +1,6 @@
 """Intersection lattices, area forms, exceptional enumeration, conversions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from wpp.errors import (
     WppError,
 )
 from wpp.homlat import (
+    CP2_HEAD,
     NEG_INF,
     AreaForm,
     Lattice,
@@ -35,6 +37,27 @@ from wpp.homlat import (
     transport_area,
     unit,
 )
+from wpp.resolution import build_resolution
+
+
+# reference copies of code that only these tests called
+
+
+def ref_is_exceptional_class(lat, x):
+    return lat.sq(x) == -1 and lat.k_pair(x) == -1
+
+
+def ref_AreaForm(values):
+    """The form of the Fraction values: over their least common denominator,
+    in lowest terms."""
+    den = math.lcm(*(v.denominator for v in values)) if values else 1
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = math.gcd(den, *ints)
+    return AreaForm._lowest(tuple(v // g for v in ints), den // g)
+
+
+def ref_values(area):
+    return tuple(Fraction(v, area.denominator) for v in area._ints)
 
 
 class TestLatticePairings:
@@ -92,16 +115,33 @@ class TestLatticePairings:
         assert lat.sq(line) + lat.k_pair(line) + 2 == 0
         assert lat.sq(conic) + lat.k_pair(conic) + 2 == 0
         exc = sparse((0, 1, 0))
-        assert lat.is_exceptional_class(exc)
-        assert not lat.is_exceptional_class(line)
+        assert ref_is_exceptional_class(lat, exc)
+        assert not ref_is_exceptional_class(lat, line)
         assert lat.sq(line) - lat.k_pair(line) == 4
 
+    def test_head_is_validated(self):
+        # a head smaller than the rank leaves (-1) tail slots
+        lat = Lattice(((1, 0), (0, -1)), 3)
+        assert lat.sq({2: 1}) == -1 and lat.pair({0: 1, 2: 1}, {1: 1, 2: 1}) == -1
+        assert lat.gram_rows() == ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+        with pytest.raises(RankMismatch, match="^head of size 2 exceeds rank 1$"):
+            Lattice(((1, 0), (0, -1)), 1)
+        with pytest.raises(RankMismatch, match="^head gram is not square$"):
+            Lattice(((1, 0), (0,)), 3)
+        with pytest.raises(RankMismatch, match="^head gram is not square$"):
+            generic_lattice(((1, 0, 0), (0, -1, 0)))
+        with pytest.raises(WppError, match="^head gram is not symmetric$"):
+            Lattice(((1, 2), (0, -1)), 3)
+
     def test_generic_without_gram(self):
-        lat = Lattice("generic", 2)
+        # an empty head: every slot is a (-1) tail slot; no canonical class
+        lat = Lattice((), 2)
+        assert lat.pair({0: 1}, {1: 1}) == 0 and lat.sq({0: 1, 1: 1}) == -2
+        assert lat.blowup().gram_rows() == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
         with pytest.raises(MissingClasses):
-            lat.pair({0: 1}, {1: 1})
+            lat.k_pair({0: 1})
         with pytest.raises(MissingClasses):
-            lat.blowup()
+            lat.blowup().k_pair({0: 1})
 
     def test_blowup_extends(self):
         lat = cp2_lattice(1)
@@ -138,7 +178,7 @@ def _ref_identity(r):
 
 def _ref_to_cp2(lat):
     r = lat.rank
-    k = lat.k_hirz
+    k = -lat.head[1][1]
     fl = k // 2
     shear = [list(unit(r, i)) for i in range(r)]
     shear[0][1] = -fl
@@ -169,7 +209,7 @@ def _ref_to_cp2(lat):
 
 def _ref_transport_area(area, t_inv):
     r = len(t_inv)
-    return AreaForm(
+    return ref_AreaForm(
         tuple(area.area(sparse(tuple(t_inv[i][j] for i in range(r)))) for j in range(r))
     )
 
@@ -186,7 +226,7 @@ class TestConversions:
     def test_to_cp2_preserves_pairings(self, k, extra):
         lat = hirz_lattice(k, extra)
         out, t, t_inv = to_cp2(lat)
-        assert out.tag == "cp2" and out.rank == lat.rank
+        assert out.head == CP2_HEAD and out.rank == lat.rank
         r = lat.rank
         b = min(3, r)
         assert len(t) == len(t_inv) == b
@@ -226,7 +266,7 @@ class TestConversions:
 
     def test_transport_area(self):
         lat = hirz_lattice(1, 1)
-        area = AreaForm((Fraction(2), Fraction(3), Fraction(1, 2)))
+        area = AreaForm.from_scaled((4, 6, 1), 2)
         out, t, t_inv = to_cp2(lat)
         moved = transport_area(area, t_inv)
         for x in ((1, 0, 0), (0, 1, 0), (1, 1, 1)):
@@ -253,7 +293,7 @@ class TestConversions:
                 assert mat_vec(t, sparse(x)) == sparse(_ref_mat_vec(ref_t, x))
                 assert mat_vec(t_inv, sparse(x)) == sparse(_ref_mat_vec(ref_inv, x))
             assert mat_vec(t, lat.canonical) == out.canonical
-            area = AreaForm(tuple(Fraction(i + 1, (i % 4) + 2) for i in range(r)))
+            area = ref_AreaForm(tuple(Fraction(i + 1, (i % 4) + 2) for i in range(r)))
             moved = transport_area(area, t_inv)
             ref_moved = _ref_transport_area(area, ref_inv)
             assert moved == ref_moved
@@ -264,7 +304,7 @@ class TestConversions:
 
 class TestAreaForm:
     def test_basic(self):
-        a = AreaForm((Fraction(1, 2), Fraction(1, 3)))
+        a = AreaForm.from_scaled((3, 2), 6)
         assert a.denominator == 6
         assert a.area(sparse((2, 3))) == 2
         assert a.area_scaled(sparse((2, 3))) == 12
@@ -274,20 +314,20 @@ class TestAreaForm:
 
     def test_rank_check(self):
         # a class of the wrong length is refused where it is made sparse
-        a = AreaForm((Fraction(1),))
+        a = AreaForm.from_scaled((1,), 1)
         with pytest.raises(RankMismatch):
             a.area(sparse((1, 2), a.rank))
 
     @given(st.lists(st.integers(-500, 500), max_size=6), st.integers(1, 360))
     def test_from_scaled_matches_fraction_values(self, ints, den):
         a = AreaForm.from_scaled(ints, den)
-        b = AreaForm(tuple(Fraction(v, den) for v in ints))
+        b = ref_AreaForm(tuple(Fraction(v, den) for v in ints))
         assert a == b
-        assert (a.values, a._ints, a.denominator) == (b.values, b._ints, b.denominator)
+        assert (ref_values(a), a._ints, a.denominator) == (ref_values(b), b._ints, b.denominator)
 
     @given(st.lists(st.fractions(max_denominator=40), min_size=1, max_size=5))
     def test_scaled_orders_match(self, vals):
-        a = AreaForm(tuple(vals))
+        a = ref_AreaForm(tuple(vals))
         xs = [{i: 1} for i in range(len(vals))]
         for i in range(len(vals)):
             for j in range(len(vals)):
@@ -329,7 +369,7 @@ class TestExceptionalEnumeration:
             found = enumerate_exceptional(lat)
             assert found.complete
             for x in found.classes:
-                assert lat.is_exceptional_class(sparse(x))
+                assert ref_is_exceptional_class(lat, sparse(x))
 
     def test_count_grows_with_points(self):
         # classical counts of exceptional curves on del Pezzo blowups
@@ -348,7 +388,7 @@ class TestExceptionalEnumeration:
 
     def test_area_filter(self):
         lat = cp2_lattice(2)
-        area = AreaForm((Fraction(3), Fraction(1), Fraction(5)))
+        area = AreaForm.from_scaled((3, 1, 5), 1)
         found = enumerate_exceptional(lat, area)
         # H - e1 - e2 has area -3 and is filtered out
         assert set(found.classes) == {(0, 0, 1), (0, 1, 0)}
@@ -357,7 +397,7 @@ class TestExceptionalEnumeration:
 
     def test_log_and_connecting_filters(self):
         lat = cp2_lattice(2)
-        area = AreaForm((Fraction(3), Fraction(1), Fraction(1)))
+        area = AreaForm.from_scaled((3, 1, 1), 1)
         comp = [(1, -1, -1)]  # a boundary component separating e1, e2
         log = log_exceptional(lat, area, comp)
         assert (1, -1, -1) not in log.classes  # pairs -1 with itself
@@ -366,7 +406,7 @@ class TestExceptionalEnumeration:
 
     def test_gap_result(self):
         lat = cp2_lattice(2)
-        area = AreaForm((Fraction(3), Fraction(1), Fraction(1)))
+        area = AreaForm.from_scaled((3, 1, 1), 1)
         gap = exceptional_gap(lat, area, [], [(0, 1, 0)], [(0, 0, 1)])
         assert gap.value == 1  # area of H - e1 - e2
         assert gap.certified
@@ -375,6 +415,23 @@ class TestExceptionalEnumeration:
             lat, area, [], [(0, 1, 0)], [(0, 1, 0)], area_cap=Fraction(1, 100)
         )
         assert empty.value == 0 and empty.witness is None
+
+    def test_area_form_of_another_rank_is_refused(self):
+        """A form one slot short once gave the gap 0, certified, and one slot
+        long an IndexError; both are refused before any search."""
+        rp = build_resolution(2, 3, 5)
+        lat, area = rp.lattice, rp.area
+        groups = {r: rp.string_classes(r) for r in "abc"}
+        comps = tuple(x for r in "abc" for x in groups[r])
+        gap = exceptional_gap(lat, area, comps, groups["b"], groups["c"])
+        assert (gap.value, gap.certified, gap.witness) == (Fraction(383, 288), True, unit(7, 6))
+        for ints in (area._ints[:-1], area._ints + (1,)):
+            bad = AreaForm.from_scaled(ints, area.denominator)
+            msg = f"^area form of rank {len(ints)} on a lattice of rank 7$"
+            with pytest.raises(RankMismatch, match=msg):
+                exceptional_gap(lat, bad, comps, groups["b"], groups["c"])
+            with pytest.raises(RankMismatch, match=msg):
+                enumerate_exceptional(lat, bad)
 
     def test_needs_standard_canonical(self):
         lat = generic_lattice(((-1,),), canonical=None)
@@ -388,7 +445,7 @@ class TestExceptionalEnumeration:
             found = enumerate_exceptional(lat)
             assert found.complete
             assert len(found.classes) == 27
-            assert all(lat.is_exceptional_class(sparse(x)) for x in found.classes)
+            assert all(ref_is_exceptional_class(lat, sparse(x)) for x in found.classes)
             assert list(found.classes) == sorted(found.classes)
 
     def test_packed_key_bounds(self):

@@ -61,28 +61,31 @@ def ref_dot(x, y):
 
 
 def ref_pair(lat, x, y):
-    """The dense Lattice.pair: O(rank) per call."""
+    """The dense Lattice.pair: O(rank) per call, the head gram on the head
+    slots and -1 on the diagonal past them."""
     assert len(x) == len(y) == lat.rank
-    if lat.tag == "cp2":
-        return 2 * x[0] * y[0] - ref_dot(x, y)
-    if lat.tag == "hirz":
-        s = x[0] * y[1] + x[1] * y[0] - lat.k_hirz * x[1] * y[1]
-        return s - ref_dot(x[2:], y[2:])
-    return sum(x[i] * ref_dot(lat.gram[i], y) for i in range(lat.rank) if x[i])
+    b = len(lat.head)
+    s = sum(x[i] * ref_dot(lat.head[i], y[:b]) for i in range(b) if x[i])
+    return s - ref_dot(x[b:], y[b:])
 
 
 def ref_linked_pairs(lat, cls):
-    """Index pairs i < j whose classes share a slot, or in the ruled-surface
-    form hold slots 0 and 1: the pairs the gram can make nonzero."""
+    """Index pairs i < j whose classes share a slot, or hold two head slots
+    with a nonzero gram entry (0 and 1 in the ruled-surface form): the pairs
+    the gram can make nonzero."""
     by_slot = {}
     for i, x in enumerate(cls):
         for s in x:
             by_slot.setdefault(s, []).append(i)
     linked = {pair for bucket in by_slot.values() for pair in combinations(bucket, 2)}
-    if lat.tag == "hirz":
-        linked.update(
-            (min(i, j), max(i, j)) for i in by_slot.get(0, ()) for j in by_slot.get(1, ()) if i != j
-        )
+    b = len(lat.head)
+    for s in range(b):
+        for t in range(s + 1, b):
+            if lat.head[s][t]:
+                linked.update(
+                    (min(i, j), max(i, j))
+                    for i in by_slot.get(s, ()) for j in by_slot.get(t, ()) if i != j
+                )
     return linked
 
 

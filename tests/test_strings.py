@@ -268,6 +268,9 @@ class TestBlowdown:
         assert res.config.lattice.sq(res.config.lattice.canonical) == 8
 
     def test_f1_section_general_path(self):
+        # B is the head slot 1 with B.B = -1: the head rule leaves the head
+        # G_00 + G_01^2 = (1), the projective plane; the kernel path is
+        # covered by test_kind_mapping_on_latticed_chain
         lat = hirz_lattice(1)
         cfg = chain_config(lat, [sparse((1, 0)), sparse((0, 1))])
         res = blowdown(cfg, 1)
@@ -275,6 +278,7 @@ class TestBlowdown:
         assert res.config.selfints() == (1,)
         assert res.config.k_of(0) == -3
         assert res.config.lattice.sq(res.config.lattice.canonical) == 9
+        assert res.config.lattice == cp2_lattice(0)
 
     def test_rejects_bad_squares(self):
         cfg = abstract_chain((-2, -1, -2))

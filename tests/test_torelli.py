@@ -38,6 +38,11 @@ def dense_area(area, x):
     return area.area(sparse(x))
 
 
+def ref_values(area):
+    """The area of every basis vector, as the deleted AreaForm.values gave it."""
+    return tuple(Fraction(v, area.denominator) for v in area._ints)
+
+
 # --- reference: dense solve ---------------------------------------------------------
 
 
@@ -84,7 +89,7 @@ def dense_properties(r1, r2):
     )
     k = dense(lat.canonical, r)
     fixes_k = apply(m, k) == k
-    area = all(dense_area(r2.area, cols[i]) == r1.area.values[i] for i in range(r))
+    area = all(dense_area(r2.area, cols[i]) == ref_values(r1.area)[i] for i in range(r))
     return (True, integral, isometry, fixes_k, area)
 
 
@@ -100,10 +105,10 @@ def ref_permutation_search(r1, r2):
         return None
     if any(x[0] != y[0] for x, y in zip(cls1, cls2)):
         return None
-    if r1.area.values[0] != r2.area.values[0]:
+    if ref_values(r1.area)[0] != ref_values(r2.area)[0]:
         return None
     n = rank - 1
-    e1, e2 = r1.area.values[1:], r2.area.values[1:]
+    e1, e2 = ref_values(r1.area)[1:], ref_values(r2.area)[1:]
     cand = [
         [j for j in range(n)
          if e2[j] == e1[i] and all(x[i + 1] == y[j + 1] for x, y in zip(cls1, cls2))]
@@ -211,7 +216,7 @@ def test_squares_alone_tell_a_reflected_labelling_apart():
     rp = build_resolution(2, 3, 5)
     sa, sb, sc = (rp.strings[r] for r in "abc")
     na, nb = rp.connectors["N_a"], rp.connectors["N_b"]
-    flat = AreaForm([Fraction(0)] * rp.lattice.rank)
+    flat = AreaForm.from_scaled([0] * rp.lattice.rank, 1)
     plain = dataclasses.replace(rp, area=flat)
     mirrored = dataclasses.replace(
         plain,
@@ -237,9 +242,10 @@ def test_squares_alone_tell_a_reflected_labelling_apart():
 @pytest.mark.parametrize("slot", [0, 1, -1])
 def test_area_corruption(slot):
     rp = build_resolution(11, 13, 14, presentation=3)
-    values = list(rp.area.values)
-    values[slot] += Fraction(1, 7)
-    bad = dataclasses.replace(rp, area=AreaForm(values))
+    # the area of one basis vector raised by 1/7, over the denominator 7 den
+    ints = [7 * v for v in rp.area._ints]
+    ints[slot] += rp.area.denominator
+    bad = dataclasses.replace(rp, area=AreaForm.from_scaled(ints, 7 * rp.area.denominator))
     assert torelli_compare(rp, rp)
     assert not torelli_compare(rp, bad)
 
