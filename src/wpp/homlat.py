@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .arith import ext_gcd
 from .errors import (
@@ -104,8 +104,8 @@ def sparse(x: Sequence[int], rank: int | None = None) -> Vec:
     return {i: v for i, v in enumerate(x) if v}
 
 
-def in_rank(x: Vec, rank: int) -> bool:
-    """Whether every slot of the sparse class x lies in 0..rank-1."""
+def in_rank(x: Collection[int], rank: int) -> bool:
+    """Whether every slot of x (a sparse class or a slot set) lies in 0..rank-1."""
     return not x or (min(x) >= 0 and max(x) < rank)
 
 
@@ -356,16 +356,17 @@ class Lattice:
 
 
 def cp2_lattice(n_exceptional: int) -> Lattice:
-    """Blowup of the projective plane: basis (H, e_1, ..., e_n)."""
-    k = dict.fromkeys(range(n_exceptional + 1), 1)
-    k[0] = -3
-    return Lattice(CP2_HEAD, n_exceptional + 1, canonical=k)
+    """Blowup of the projective plane: basis (H, e_1, ..., e_n); the checked
+    rank-1 form, blown up n times (blowup carries the checks over)."""
+    lat = Lattice(CP2_HEAD, 1, canonical={0: -3})
+    return lat.blowup(n_exceptional) if n_exceptional else lat
 
 
 def hirz_lattice(k: int, n_exceptional: int = 0) -> Lattice:
-    """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k."""
-    kv = sparse((-(k + 2), -2) + (1,) * n_exceptional)
-    return Lattice(((0, 1), (1, -k)), n_exceptional + 2, canonical=kv)
+    """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k; the
+    checked rank-2 form, blown up m times."""
+    lat = Lattice(((0, 1), (1, -k)), 2, canonical=sparse((-(k + 2), -2)))
+    return lat.blowup(n_exceptional) if n_exceptional else lat
 
 
 def generic_lattice(gram: Sequence[Sequence[int]], canonical: Vec | None = None) -> Lattice:
@@ -987,11 +988,13 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     T maps coefficient vectors of the source basis to the cp2 basis. It
     differs from the identity only in its leading b x b block, b = min(3,
     rank), so T and T^-1 are returned as those blocks; mat_vec applies them.
-    A cp2 head gives the identity blocks. A ruled-surface head ((0, 1), (1,
-    -k)) gives a shear making B.B even or odd small, then the standard
-    elementary transformation; the even case consumes one exceptional basis
-    vector and so needs rank >= 3. Any other head has no conversion
-    (WppError).
+    Trailing head slots that are (-1) vectors orthogonal to all others, tail
+    slots but in name, are stripped before the head is matched. A cp2 head
+    gives the identity blocks (and lat when nothing was stripped). A
+    ruled-surface head ((0, 1), (1, -k)) gives a shear making B.B even or odd
+    small, then the standard elementary transformation; the even case
+    consumes one exceptional basis vector and so needs rank >= 3. Any other
+    head has no conversion (WppError).
 
     The blocks depend on (k, b) alone and are derived once per process
     (_hirz_block). The conversion is certified on every call against the
@@ -1000,25 +1003,29 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     block T is the identity and both forms are -1 on the diagonal and
     orthogonal to the block, so the certificate makes T an isometry on every
     class. Past the block T K keeps K's coefficients, so the K certificate
-    asks that both classes hold 1 on every tail slot, as the standard cp2
-    class does, that the ranks agree and that T times K's first b
-    coefficients equal the returned class's: only the b head slots are
-    converted and compared.
+    asks that both classes hold 1 on every tail slot and stripped slot, as
+    the standard cp2 class does, that the ranks agree and that T times K's
+    first b coefficients equal the returned class's: only the b head slots
+    are converted and compared.
     """
     r = lat.rank
     b = min(3, r)
     head = lat.head
+    while len(head) > 1 and head[-1][-1] == -1 and not any(head[-1][:-1]):
+        head = tuple(row[:-1] for row in head[:-1])  # symmetric: row = column
     if head == CP2_HEAD:
-        ident = tuple(unit(b, i) for i in range(b))
-        return lat, ident, ident
-    if len(head) != 2 or head[0] != (0, 1):
+        t = t_inv = tuple(unit(b, i) for i in range(b))
+        if len(lat.head) == 1:
+            return lat, t, t_inv
+        gram: tuple[tuple[int, int, int], ...] = ()  # the stripped form is cp2's
+    elif len(head) != 2 or head[0] != (0, 1):
         raise WppError("no canonical cp2 form for this lattice")
-    k = -head[1][1]
-    if k < 0:
+    elif head[1][1] > 0:
         raise WppError("normalise k >= 0 before converting")
-    if k % 2 == 0 and r < 3:
+    elif head[1][1] % 2 == 0 and r < 3:
         raise WppError("even-k conversion needs an exceptional basis vector")
-    t, t_inv, images, gram = _hirz_block(k, b)
+    else:
+        t, t_inv, images, gram = _hirz_block(-head[1][1], b)
     out = cp2_lattice(r - 1)
     for i, j, g in gram:
         if out.pair(images[i], images[j]) != g:
@@ -1029,6 +1036,7 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
         if not (
             lat._kc is not None and out._kc is not None and out.rank == r
             and [dot(row, kh) for row in t] == [kt.get(i, 0) for i in range(b)]
+            and all(kk.get(i) == 1 for i in range(b, len(lat.head)))
         ):
             raise WppError("canonical class does not convert to the standard one")
     return out, t, t_inv

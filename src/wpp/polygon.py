@@ -9,7 +9,9 @@ corners are smoothed by chains of chops whose data reproduces the
 continued-fraction expansion of r/q. Once every corner is Delzant
 (det(d_{i-1}, d_i) = 1), edge i carries the integer self-intersection
 det(d_{i+1}, d_{i-1}), and a combinatorial contraction ledger assigns a
-homology class and exact area to every edge.
+homology class and exact area to every edge. The ledger checks the classes'
+labelled intersection form, areas and sum -K, which imply adjunction K.x_i =
+-(s_i + 2) and K^2 = 10 - rank (_verify_classes).
 
 Every polygon the package chops is strictly convex and counterclockwise: a
 presentation triangle, which passes the global check of _validated, or the
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 from typing import Sequence
 
 from .arith import WeightTriple, ext_gcd, hj_expand
@@ -122,12 +125,18 @@ class LatticePolygon:
 
     @cached_property
     def selfints(self) -> tuple[int, ...]:
-        """Self-intersection of every edge, checked against the smooth toric
-        sum rule 12 - 3n."""
-        out = tuple(edge_selfint(self, i) for i in range(self.n))
+        """edge_selfint of every edge in one walk, each corner tested once, in
+        order; checked against the smooth toric sum rule 12 - 3n."""
+        dirs = self.directions
+        out = []
+        for i, ((px, py), (cx, cy), (nx, ny)) in enumerate(
+                zip(dirs[-1:] + dirs[:-1], dirs, dirs[1:] + dirs[:1])):
+            if px * cy - py * cx != 1:
+                raise NotDelzantNeighborhood(f"corner at vertex {i} is not Delzant")
+            out.append(nx * py - ny * px)
         if sum(out) != 12 - 3 * self.n:
             raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
-        return out
+        return tuple(out)
 
     @classmethod
     def _grown(cls, p: "LatticePolygon", i: int, ipts: list[IVec], den: int,
@@ -262,8 +271,14 @@ def corner_type(p: LatticePolygon, i: int, u_side: str = "prev") -> tuple[int, i
 
 
 def check_schedule(schedule: tuple[Fraction, Fraction] | None) -> None:
-    """Raise UserInputError unless both schedule ratios lie in (0, 1)."""
-    if schedule is not None and not all(0 < x < 1 for x in schedule):
+    """Raise UserInputError unless the schedule is None or two real numbers,
+    neither a bool nor a str, each in (0, 1)."""
+    if schedule is None:
+        return
+    if not (isinstance(schedule, (tuple, list)) and len(schedule) == 2 and all(
+            isinstance(x, Real) and not isinstance(x, bool) for x in schedule)):
+        raise UserInputError(f"an epsilon schedule is two ratios, got {schedule!r}")
+    if not all(0 < x < 1 for x in schedule):
         raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
 
 
@@ -474,11 +489,14 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
     self-intersection only rises (by 1 per contracted neighbour), so it
     enters the heap once, when it reaches -1, and an id whose edge has since
     risen past -1 is dropped when it comes to the top.
+
+    The terminal model's squares and lengths are not compared here: the
+    square and area checks of _verify_classes decide them.
     """
     sels = edge_selfints(p)
     m = p.n
     sel = list(sels)  # current self-intersections
-    ln = [p.length_scaled(i) for i in range(m)]  # current lengths
+    ln = list(p._edges[1])  # current lengths
     prev = [(i - 1) % m for i in range(m)]
     nxt = [(i + 1) % m for i in range(m)]
     minus_one = [i for i in range(m) if sel[i] == -1]  # ascending, so a heap
@@ -506,60 +524,33 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
     ring = [next(i for i in range(m) if i not in removed)]
     while len(ring) < cur:
         ring.append(nxt[ring[-1]])
-    terminal_k = 0
-    if cur == 3:
-        if any(sel[e] != 1 for e in ring):
-            raise LemmaViolated("terminal triangle is not the projective plane")
-        if len({ln[e] for e in ring}) != 1:
-            raise LemmaViolated("terminal triangle has unequal edges")
-        terminal = "cp2"
-    else:
-        ok_rot = None
-        for i0 in range(4):
-            s0, s1, s2, s3 = (sel[ring[(i0 + j) % 4]] for j in range(4))
-            if s0 == 0 and s2 == 0 and s1 == -s3 and s1 >= 0:
-                ok_rot = i0
-                break
-        if ok_rot is None:
-            raise LemmaViolated("terminal quadrilateral is not a ruled surface")
-        terminal = "hirz"
-        terminal_k = sel[ring[(ok_rot + 1) % 4]]
-        ring = ring[ok_rot:] + ring[:ok_rot]  # fixed rotation for seeding below
-        f0, top, f1, bot = ring
-        if ln[f0] != ln[f1]:
-            raise LemmaViolated("ruled terminal model has unequal fibers")
-        if ln[top] != ln[bot] + terminal_k * ln[f0]:
-            raise LemmaViolated("ruled terminal model has inconsistent sections")
-
     n_steps = len(steps)
-    rank0 = 1 if terminal == "cp2" else 2
-    rank = rank0 + n_steps
-    classes: dict[int, Vec] = {}
-    area_vals = [0] * rank
-    if terminal == "cp2":
-        for e in ring:
-            classes[e] = {0: 1}
-        area_vals[0] = ln[ring[0]]
+    if cur == 3:
+        terminal, terminal_k = "cp2", 0
+        classes: dict[int, Vec] = {e: {0: 1} for e in ring}
+        area_vals = [ln[ring[0]]]
         lat = cp2_lattice(n_steps)
     else:
-        f0, top, f1, bot = ring
-        classes[f0] = {0: 1}
-        classes[f1] = {0: 1}
-        classes[top] = {0: terminal_k, 1: 1} if terminal_k else {1: 1}
-        classes[bot] = {1: 1}
-        area_vals[0] = ln[f0]
-        area_vals[1] = ln[bot]
+        # fibers f0, f1 of square 0 and sections top, bot of squares k, -k
+        quads = [ring[i:] + ring[:i] for i in range(4)]
+        ruled = [q for q in quads if sel[q[0]] == sel[q[2]] == 0 and sel[q[1]] == -sel[q[3]] >= 0]
+        if not ruled:
+            raise LemmaViolated("terminal quadrilateral is not a ruled surface")
+        f0, top, f1, bot = ruled[0]
+        terminal, terminal_k = "hirz", sel[top]
+        classes = {f0: {0: 1}, f1: {0: 1}, bot: {1: 1},
+                   top: {0: terminal_k, 1: 1} if terminal_k else {1: 1}}
+        area_vals = [ln[f0], ln[bot]]
         lat = hirz_lattice(terminal_k, n_steps)
 
     # each replayed blowup opens a fresh slot: the restored edge is that basis
     # vector, and its two neighbours lose it, so their coefficient there is -1
-    for t in range(n_steps - 1, -1, -1):
-        eid, lid, rid, ln = steps[t]
-        b_idx = rank0 + (n_steps - 1 - t)
+    for eid, lid, rid, length in reversed(steps):
+        b_idx = len(area_vals)
         classes[eid] = {b_idx: 1}
         classes[lid][b_idx] = -1
         classes[rid][b_idx] = -1
-        area_vals[b_idx] = ln
+        area_vals.append(length)
 
     edge_classes = tuple(classes[i] for i in range(m))
     area = AreaForm.from_scaled(tuple(area_vals), p.den)
@@ -570,33 +561,35 @@ def assign_classes(p: LatticePolygon) -> PolygonClasses:
 
 
 def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses) -> None:
-    """Check squares, adjunction, areas, the anticanonical sum and every
-    pairing between edge classes: 1 for adjacent edges, 0 otherwise.
+    """Check the edge classes' labelled intersection form, areas and sum -K;
+    adjunction and K^2 follow, so they are not re-derived.
 
-    The pairings come from one sparse gram pass (Lattice.sparse_gram): entry
-    (i, i) must be sels[i], adjacent edges must pair to 1, and no other entry
-    may be nonzero."""
+    One sparse gram pass (Lattice.sparse_gram) gives every pairing: entry
+    (i, i) must be s_i = sels[i], adjacent edges must pair to 1 and no other
+    entry may be nonzero. With sum_j x_j = -K and sum_i s_i = 12 - 3m over
+    the m edges (the toric sum rule selfints checks), K.x_i = -sum_j x_j.x_i
+    = -(s_i + 2), which is adjunction, and K^2 = sum_{i,j} x_i.x_j = sum_i
+    s_i + 2m = 12 - m. The ledger opens one slot per edge past its three
+    (cp2) or four (F_k) terminal edges, over a rank-1 or rank-2 head, so
+    m = rank + 2 and K^2 = 10 - rank: only m = rank + 2 is compared."""
     lat, area, cls = pc.lattice, pc.area, pc.edge_classes
     m = p.n
     gram = lat.sparse_gram(cls)
-    for i in range(m):
-        sq = gram.get((i, i), 0)
-        if sq != sels[i]:
-            raise LemmaViolated(f"edge {i}: square {sq} != {sels[i]}")
-        # the square was just checked to be sels[i], so adjunction
-        # x.x + K.x + 2 = 0 needs only K.x
-        if lat.k_pair(cls[i]) != -2 - sels[i]:
-            raise LemmaViolated(f"edge {i}: adjunction defect nonzero")
-        if area.area_scaled(cls[i]) * p.den != p.length_scaled(i) * area.denominator:
+    get, den, aden = gram.get, p.den, area.denominator
+    for i, (x, s, ln) in enumerate(zip(cls, sels, p._edges[1])):
+        sq = get((i, i), 0)
+        if sq != s:
+            raise LemmaViolated(f"edge {i}: square {sq} != {s}")
+        if area.area_scaled(x) * den != ln * aden:
             raise LemmaViolated(f"edge {i}: area does not match edge length")
         j = (i + 1) % m
-        if gram.get((i, j) if i < j else (j, i), 0) != 1:
+        if get((i, j) if i < j else (j, i), 0) != 1:
             raise LemmaViolated(f"edges {i},{j}: not adjacent in homology")
     if lat.canonical is None:
         raise MissingClasses("ledger lattice has no canonical class")
     if class_sum(cls) != vneg(lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
-    if lat.sq(lat.canonical) != 9 - (lat.rank - 1):
+    if m != lat.rank + 2:
         raise LemmaViolated("canonical square does not match the rank")
     _reject_nonadjacent(gram, m)
 
