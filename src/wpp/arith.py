@@ -3,6 +3,12 @@
 Everything here is integer or Fraction arithmetic; no floats. The weight
 triple bookkeeping fixes, once and for all, the six modular residues that
 orient every continued-fraction expansion used downstream.
+
+hj_expand and weight_sequence keep a bounded cache of MEMO_SIZE results:
+the six presentations of a triple expand the same corner types and resolve
+the same fiber types, and their results are immutable tuples. The cache is
+typed, so a float or bool argument never reuses an int's entry, and an
+argument that raises is never stored; __wrapped__ is the uncached function.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegenerateWeight,
@@ -27,7 +34,12 @@ __all__ = [
     "hj_dual",
     "weight_sequence",
     "ext_gcd",
+    "MEMO_SIZE",
 ]
+
+# entries per memo cache: one triple needs a handful (three corner types, a
+# few fiber types), so this spans the six presentations of several triples
+MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,7 @@ def weight_triple(a: int, b: int, c: int) -> WeightTriple:
     return t
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def hj_expand(p: int, q: int) -> tuple[int, ...]:
     """Hirzebruch-Jung expansion p/q = [b_1, ..., b_k], all b_i >= 2.
 
@@ -135,6 +148,7 @@ def hj_dual(p: int, q: int) -> int:
     return pow(q, -1, p)
 
 
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
 def weight_sequence(p: int, q: int) -> tuple[int, ...]:
     """Multiplicity sequence W(p, q) of the (p, q) model curve.
 

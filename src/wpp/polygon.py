@@ -75,7 +75,7 @@ def _det(u: IVec, w: IVec) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticePolygon:
     """Strictly convex polygon, counterclockwise, with rational vertices
     stored as integer points ipts over their least common denominator den.
@@ -84,10 +84,16 @@ class LatticePolygon:
     to be a strict left turn, the signed area to be positive and the edge
     directions to turn once around, and through chop_corner, which tests the
     turns it changes (_grown) and keeps that invariant. The constructor
-    itself checks nothing."""
+    itself checks nothing; it writes the two fields straight into the
+    instance __dict__, as every record made per chop does."""
 
     ipts: tuple[IVec, ...]
     den: int
+
+    def __init__(self, ipts: tuple[IVec, ...], den: int) -> None:
+        d = self.__dict__
+        d["ipts"] = ipts
+        d["den"] = den
 
     @property
     def n(self) -> int:
@@ -305,13 +311,22 @@ def _chop_depths(p: LatticePolygon, i: int, k: int,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChopResult:
     polygon: LatticePolygon
     new_edge_indices: tuple[int, ...]  # u-side first, matching the expansion
     edge_map: dict  # old edge index -> new edge index (for surviving edges)
     entries: tuple[int, ...]  # continued-fraction entries of r/q
     corner: tuple[int, int]  # (r, q) that was smoothed
+
+    def __init__(self, polygon: LatticePolygon, new_edge_indices: tuple[int, ...],
+                 edge_map: dict, entries: tuple[int, ...], corner: tuple[int, int]) -> None:
+        d = self.__dict__
+        d["polygon"] = polygon
+        d["new_edge_indices"] = new_edge_indices
+        d["edge_map"] = edge_map
+        d["entries"] = entries
+        d["corner"] = corner
 
 
 def chop_corner(

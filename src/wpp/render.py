@@ -2,6 +2,9 @@
 
 Drawn coordinates are scaled decimals; exact vertex data rides along in
 data-* attributes (SVG) or comments (TikZ) so nothing is lost to rounding.
+The exact vertices are written from the polygon's integer points over its
+common denominator by report.ratio_str, the writer of the report's
+rationals, so they have one text at any size.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ import math
 from fractions import Fraction
 
 from .errors import UserInputError
+from .polygon import LatticePolygon
+from .report import ratio_str
 from .resolution import ResolutionPair
 from .rulings import RulingData, boundary_elements
 
@@ -70,6 +75,11 @@ def _tikz_doc(body: list[str], comments: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _exact_vertices(p: LatticePolygon) -> list[tuple[str, str]]:
+    """Each vertex as the exact text of its two coordinates."""
+    return [(ratio_str(x, p.den), ratio_str(y, p.den)) for x, y in p.ipts]
+
+
 def _polygon_svg(rp: ResolutionPair) -> str:
     p = rp.polygon
     xs = [v[0] for v in p.vertices]
@@ -109,7 +119,7 @@ def _polygon_svg(rp: ResolutionPair) -> str:
         "triple": "{},{},{}".format(*rp.weights_input),
         "presentation": str(rp.presentation),
         "scale": _fmt(box.scale),
-        "vertices": ";".join(f"{x},{y}" for x, y in p.vertices),
+        "vertices": ";".join(f"{x},{y}" for x, y in _exact_vertices(p)),
         "edge-selfints": ",".join(str(s) for s in rp.edge_sels),
     }
     return _svg_doc(box.width, box.height, body, meta)
@@ -137,7 +147,7 @@ def _polygon_tikz(rp: ResolutionPair) -> str:
         "moment polygon for CP({},{},{}), presentation {}".format(
             *rp.weights_input, rp.presentation
         ),
-        "exact vertices: " + "; ".join(f"({x},{y})" for x, y in p.vertices),
+        "exact vertices: " + "; ".join(f"({x},{y})" for x, y in _exact_vertices(p)),
         f"scale: {s:.6f} drawing units per lattice unit",
     ]
     return _tikz_doc(body, comments)

@@ -1,8 +1,12 @@
 """Per-triple reports: JSON-safe dictionaries round-tripping losslessly.
 
 Every rational is serialized as an exact string like "5/3" (or "4" when
-integral), never as a float. parse(serialize(report)) == report holds by
-construction since reports contain only JSON-native values.
+integral), never as a float, by ratio_str, which also writes the exact
+vertices of rendered pictures. It writes str(Fraction(num, den)) at any
+size, also past the interpreter's limit on int-to-text conversion (4,300
+digits by default), which a custom chop schedule reaches at once.
+parse(serialize(report)) == report holds by construction since reports
+contain only JSON-native values.
 
 serialize_report's output is byte-identical to
 json.dumps(report, sort_keys=True, indent=2). It is written by dumps_indented
@@ -23,6 +27,7 @@ import math
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
+from operator import countOf
 
 from .errors import MissingClasses
 from .homlat import NEG_INF, dense_list
@@ -50,13 +55,32 @@ SCHEMA_VERSION = 1
 
 
 def fraction_str(x) -> str:
-    return str(Fraction(x))
+    """The text of str(Fraction(x)), at any size."""
+    f = Fraction(x)
+    return ratio_str(f.numerator, f.denominator)
 
 
 def ratio_str(num: int, den: int) -> str:
     """num / den in lowest terms, "p" or "p/q": the text of str(Fraction(num, den)) for den > 0."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    return _int_str(num // g) if g == den else f"{_int_str(num // g)}/{_int_str(den // g)}"
+
+
+def _int_str(x: int) -> str:
+    """str(x), byte for byte, at any size. Past the interpreter's digit limit
+    str raises ValueError; then x is split at about half its digits, k, by
+    one division by 10**k (no text conversion), and each part is written the
+    same way, the low one padded to k digits. x has more than 640 digits
+    there (the least limit allowed), so k > 0 and the high part is nonzero."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _int_str(-x)
+    k = x.bit_length() * 3 // 20  # log10(2) > 3/10: about half the digits
+    hi, lo = divmod(x, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
 
 
 def _kodaira_json(k):
@@ -264,13 +288,13 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = nl + _INDENT
-        types = set(map(type, obj))
-        if types == {int}:
-            _write_ints(obj, nl, out)
-            return
-        if types == {str}:
-            items = map(encode_basestring_ascii, obj)
-            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+        first = type(obj[0])
+        if (first is int or first is str) and countOf(map(type, obj), first) == len(obj):
+            if first is int:
+                _write_ints(obj, nl, out)
+            else:
+                items = map(encode_basestring_ascii, obj)
+                out.append("[" + inner + ("," + inner).join(items) + nl + "]")
             return
         sep = "[" + inner
         for item in obj:

@@ -85,9 +85,12 @@ CONNECTOR_OF_PAIR = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StringData:
-    """One singularity string: role, orientation residue, and its edges."""
+    """One singularity string: role, orientation residue, and its edges.
+
+    Like the other records made per string or connector of every build, it
+    writes its fields straight into the instance __dict__ and stays frozen."""
 
     role: str  # "a" | "b" | "c"
     weight: int
@@ -95,12 +98,27 @@ class StringData:
     edge_ids: tuple[int, ...]  # final polygon edges, expansion order
     selfints: tuple[int, ...]
 
+    def __init__(self, role: str, weight: int, residue: int, edge_ids: tuple[int, ...],
+                 selfints: tuple[int, ...]) -> None:
+        d = self.__dict__
+        d["role"] = role
+        d["weight"] = weight
+        d["residue"] = residue
+        d["edge_ids"] = edge_ids
+        d["selfints"] = selfints
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class ConnectorData:
     label: str  # "N_a" | "N_b" | "N_c"
     edge_id: int
     selfint: int
+
+    def __init__(self, label: str, edge_id: int, selfint: int) -> None:
+        d = self.__dict__
+        d["label"] = label
+        d["edge_id"] = edge_id
+        d["selfint"] = selfint
 
 
 @dataclass(frozen=True)
@@ -438,7 +456,7 @@ def check_sum_bound(rp: ResolutionPair) -> SumBoundResult:
 # --- the two-(-2)-string classification ------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoMinus2Data:
     x: int
     y: int
@@ -446,6 +464,16 @@ class TwoMinus2Data:
     both_minus2: bool
     k: int | None
     predicted_third: tuple[int, ...] | None
+
+    def __init__(self, x: int, y: int, z: int, both_minus2: bool, k: int | None,
+                 predicted_third: tuple[int, ...] | None) -> None:
+        d = self.__dict__
+        d["x"] = x
+        d["y"] = y
+        d["z"] = z
+        d["both_minus2"] = both_minus2
+        d["k"] = k
+        d["predicted_third"] = predicted_third
 
 
 def two_minus2_strings(x: int, y: int, z: int) -> TwoMinus2Data:

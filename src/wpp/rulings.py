@@ -8,10 +8,12 @@ out the same class, which meets the cycle only in the opposite connector and
 in one node of the chosen string; blowing up along the multiplicity sequence
 of its local type turns it into an honest square-zero fiber.
 
-The chains' configs are made from the resolution's own records, one
-Component per cycle sphere shared by both chains, with no slot-range check
-here: the spheres carry the edge classes, and build_resolution checks once
-that each lies in the rank.
+There is one record per cycle sphere, its CycleElement: the cycle, both
+chains, both chain configs and the resolved chain of ruling_resolution hold
+the same records, with no slot-range check here: the spheres carry the edge
+classes, and build_resolution checks once that each lies in the rank. The
+records made per sphere and per chain write their fields straight into the
+instance __dict__ (see strings); they stay frozen.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import LemmaViolated, NoSignChange, WppError
 from .homlat import Vec
 from .resolution import ResolutionPair
 from .strings import (
-    Component,
     DivisorConfig,
     FiberData,
     ResolvedFiber,
@@ -48,8 +49,12 @@ __all__ = [
 OPPOSITE_CONNECTOR = {"a": "N_a", "b": "N_b", "c": "N_c"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CycleElement:
+    """One sphere of the boundary cycle, the only record of it: it is also
+    the sphere's component in the chain configs (a config reads a label and
+    a class, and label is the name)."""
+
     kind: str  # "connector" | "string"
     name: str  # "N_a" or "S_a[3]"
     role: str | None  # string role, None for connectors
@@ -57,6 +62,21 @@ class CycleElement:
     edge_id: int
     cls: Vec  # sparse, shared with ResolutionPair.edge_classes
     selfint: int
+
+    def __init__(self, kind: str, name: str, role: str | None, stored_index: int | None,
+                 edge_id: int, cls: Vec, selfint: int) -> None:
+        d = self.__dict__
+        d["kind"] = kind
+        d["name"] = name
+        d["role"] = role
+        d["stored_index"] = stored_index
+        d["edge_id"] = edge_id
+        d["cls"] = cls
+        d["selfint"] = selfint
+
+    @property
+    def label(self) -> str:
+        return self.name
 
 
 def boundary_elements(rp: ResolutionPair) -> tuple[CycleElement, ...]:
@@ -77,7 +97,7 @@ def boundary_elements(rp: ResolutionPair) -> tuple[CycleElement, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CombinedString:
     """A walk through two strings and the connector between them, ending in
     the target string; elements carry provenance back to the cycle."""
@@ -85,6 +105,12 @@ class CombinedString:
     direction: str  # "forward" | "backward"
     target: str
     elements: tuple[CycleElement, ...]
+
+    def __init__(self, direction: str, target: str, elements: tuple[CycleElement, ...]) -> None:
+        d = self.__dict__
+        d["direction"] = direction
+        d["target"] = target
+        d["elements"] = elements
 
     @property
     def selfints(self) -> tuple[int, ...]:
@@ -144,7 +170,7 @@ def nu_indices(rp: ResolutionPair, target: str = "c") -> tuple[int, int]:
     return _chain_nu(fwd), _chain_nu(bwd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ApproachData:
     """Sign-change data of one approach chain."""
 
@@ -156,13 +182,24 @@ class ApproachData:
     in_range: bool  # node and its chain successor both in the target string
     fiber: FiberData | None  # fiber class at the sign change, with its (p, q)
 
+    def __init__(self, combined: CombinedString, config: DivisorConfig,
+                 deltas: tuple[int, ...], sign_change: int | None, nu: int | None,
+                 in_range: bool, fiber: FiberData | None) -> None:
+        d = self.__dict__
+        d["combined"] = combined
+        d["config"] = config
+        d["deltas"] = deltas
+        d["sign_change"] = sign_change
+        d["nu"] = nu
+        d["in_range"] = in_range
+        d["fiber"] = fiber
 
-def _approach(rp: ResolutionPair, cs: CombinedString,
-              spheres: dict[str, Component]) -> ApproachData:
-    """The data of chain cs, whose config takes its spheres' Components from
-    spheres, by name; their slots were checked against the rank by
+
+def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
+    """The data of chain cs, whose config holds the chain's own cycle
+    records as its components; their slots were checked against the rank by
     build_resolution."""
-    cfg = DivisorConfig._grown(rp.lattice, tuple(map(spheres.__getitem__, cs.labels())), ())
+    cfg = DivisorConfig._grown(rp.lattice, cs.elements, ())
     ds = delta_sequence(cs.selfints)
     big_k = ds.first_sign_change()
     if big_k is None:
@@ -220,14 +257,12 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     raises for every target. For the permuted targets the same data is
     computed and any failed claim is recorded in violations instead of raised.
 
-    The chain configs share one Component per cycle sphere and trust the
-    slot range of its class: build_resolution checks every edge class
-    against the rank.
+    The chain configs hold the cycle's own records, one per sphere, and
+    trust the slot range of its class: build_resolution checks every edge
+    class against the rank.
     """
     cycle = boundary_elements(rp)
-    # one Component per cycle sphere, shared by both chains
-    spheres = {el.name: Component(el.name, el.cls) for el in cycle}
-    fwd, bwd = (_approach(rp, cs, spheres) for cs in _chains(cycle, target))
+    fwd, bwd = (_approach(rp, cs) for cs in _chains(cycle, target))
     strict = target == "c"
     opp = OPPOSITE_CONNECTOR[target]
     s_opp = rp.connectors[opp].selfint

@@ -4,15 +4,22 @@ A string is recorded by its self-intersection sequence; when it lives in an
 ambient lattice it is a DivisorConfig whose components carry homology classes.
 The determinant sequence of a string drives everything: definiteness, fiber
 classes at sign changes, and the multiplicity data of fiber resolutions.
+
+The records made once per sphere or per ruling step (Component, FiberData)
+write their fields straight into the instance __dict__ instead of calling
+object.__setattr__ once per field, as a generated frozen __init__ does; they
+stay frozen, and ==, repr and dataclasses.replace are the dataclass's own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
+from operator import countOf
 from typing import Callable, Iterable
 
-from .arith import weight_sequence
+from .arith import MEMO_SIZE, weight_sequence
 from .errors import (
     BadIndex,
     LemmaViolated,
@@ -93,8 +100,31 @@ class DeltaSeq:
         return self.deltas[-1]
 
 
+def _memo_int_tuples(fn: Callable[[tuple[int, ...]], DeltaSeq]):
+    """fn with a bounded cache of MEMO_SIZE results, consulted only for a
+    tuple of exact ints. Any other sequence (a list, or one holding a float,
+    a bool or an int subclass, which can compare equal to a cached tuple)
+    goes to fn itself, so it answers or raises as fn does; a call that
+    raises is never stored. __wrapped__ is fn."""
+    cached = lru_cache(maxsize=MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def memo(selfints):
+        if type(selfints) is tuple and countOf(map(type, selfints), int) == len(selfints):
+            return cached(selfints)
+        return fn(selfints)
+
+    memo.cache_info = cached.cache_info
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@_memo_int_tuples
 def delta_sequence(selfints: tuple[int, ...] | list[int]) -> DeltaSeq:
-    """Recurrence d_{l+1} = b_l d_l - d_{l-1} with d_0 = 1, b_l = -s_l."""
+    """Recurrence d_{l+1} = b_l d_l - d_{l-1} with d_0 = 1, b_l = -s_l.
+
+    Memoized on tuples of exact ints: the six presentations of a triple read
+    the same chains and strings, and a DeltaSeq is immutable."""
     out = [1]
     prev, cur = 0, 1
     for s in selfints:
@@ -112,10 +142,19 @@ def is_negative_definite(selfints: tuple[int, ...] | list[int]) -> bool:
 # --- sphere configurations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Component:
+    """A sphere of a configuration: its label and its sparse class. A config
+    reads only these two attributes, so any record carrying them serves as a
+    component (the rulings use the boundary cycle's own CycleElements)."""
+
     label: str
     cls: Vec
+
+    def __init__(self, label: str, cls: Vec) -> None:
+        d = self.__dict__
+        d["label"] = label
+        d["cls"] = cls
 
 
 def _check_slots(components: Iterable[Component], rank: int) -> None:
@@ -386,13 +425,21 @@ def blowdown(cfg: DivisorConfig, i: int) -> BlowdownResult:
 # --- fiber classes at determinant sign changes ---------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiberData:
     fclass: Vec
     deltas: tuple[int, ...]
     upto: int  # number of leading components summed
     p: int  # -delta_{upto+1}
     q: int  # delta_upto
+
+    def __init__(self, fclass: Vec, deltas: tuple[int, ...], upto: int, p: int, q: int) -> None:
+        d = self.__dict__
+        d["fclass"] = fclass
+        d["deltas"] = deltas
+        d["upto"] = upto
+        d["p"] = p
+        d["q"] = q
 
 
 def fiber_class(cfg: DivisorConfig, deltas: tuple[int, ...], upto: int) -> FiberData:

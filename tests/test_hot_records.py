@@ -1,0 +1,239 @@
+"""The records made per sphere, chop and ruling step, and the memoized
+string arithmetic.
+
+The hot records write their fields into the instance __dict__ instead of
+calling object.__setattr__ once per field. Each is compared with a plain
+frozen dataclass of the same name and fields: construction by position and
+by keyword, ==, repr, hash and dataclasses.replace behave the same, and
+assigning or deleting a field still raises FrozenInstanceError.
+
+hj_expand, weight_sequence and delta_sequence keep a bounded cache; each is
+compared with its uncached __wrapped__ on the same inputs, twice, so that the
+second answer comes from the cache. Bad inputs, also those equal to a cached
+good input, raise on every call.
+"""
+
+from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
+from fractions import Fraction
+
+import pytest
+
+from wpp.arith import MEMO_SIZE, hj_expand, weight_sequence
+from wpp.errors import InvalidFraction, NotCoprime
+from wpp.homlat import cp2_lattice
+from wpp.polygon import ChopResult, LatticePolygon
+from wpp.resolution import (
+    ConnectorData,
+    StringData,
+    TwoMinus2Data,
+    build_resolution,
+    check_two_minus2,
+)
+from wpp.rulings import ApproachData, CombinedString, CycleElement, boundary_elements, ruling
+from wpp.scan import check_triple, coprime_triples
+from wpp.strings import Component, DivisorConfig, FiberData, delta_sequence
+
+_EL = CycleElement("string", "S_a[1]", "a", 1, 7, {1: -1, 2: 1}, -2)
+_POLY = LatticePolygon(((0, 0), (2, 0), (0, 1)), 1)
+
+# (record type, two different argument tuples)
+HOT = [
+    (Component, ("v1", {1: 1}), ("v2", {1: 1})),
+    (CycleElement, ("connector", "N_c", None, None, 6, {0: 1}, 0),
+     ("string", "S_b[2]", "b", 2, 3, {0: 1}, -3)),
+    (CombinedString, ("forward", "c", (_EL,)), ("backward", "c", (_EL,))),
+    (FiberData, ({1: 2}, (1, 2, 0), 2, 0, 1), ({1: 2}, (1, 2, 0), 2, 1, 1)),
+    (ApproachData, (None, None, (1, 2), None, None, False, None),
+     (None, None, (1, 2), 1, 1, True, None)),
+    (LatticePolygon, (((0, 0), (1, 0), (0, 1)), 1), (((0, 0), (1, 0), (0, 1)), 2)),
+    (ChopResult, (_POLY, (1, 2), {0: 0}, (2,), (2, 1)), (_POLY, (1, 2), {0: 0}, (3,), (3, 1))),
+    (StringData, ("a", 5, 2, (1, 2), (-3, -2)), ("a", 5, 3, (1, 2), (-2, -3))),
+    (ConnectorData, ("N_a", 4, -1), ("N_b", 4, -1)),
+    (TwoMinus2Data, (5, 3, 7, False, None, None), (5, 3, 8, True, 1, (-4,))),
+]
+IDS = [cls.__name__ for cls, _, _ in HOT]
+
+
+def plain(cls):
+    """A frozen dataclass with cls's name and fields and the generated __init__."""
+    return make_dataclass(cls.__name__, [(f.name, f.type) for f in fields(cls)], frozen=True)
+
+
+@pytest.mark.parametrize("cls, args, other", HOT, ids=IDS)
+def test_hot_record_behaves_like_a_frozen_dataclass(cls, args, other):
+    ref = plain(cls)
+    names = [f.name for f in fields(cls)]
+    x = cls(*args)
+    assert x == cls(**dict(zip(names, args)))
+    assert x != cls(*other)
+    assert repr(x) == repr(ref(*args))
+    assert vars(x) == vars(ref(*args))
+    try:
+        want = hash(ref(*args))
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == want
+    for name, value in zip(names, other):
+        y = replace(x, **{name: value})
+        assert type(y) is cls
+        assert getattr(y, name) is value
+        assert repr(y) == repr(replace(ref(*args), **{name: value}))
+    with pytest.raises(TypeError):
+        replace(x, no_such_field=1)
+    for name, value in zip(names, other):
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(x, name)
+    assert x == cls(*args)
+
+
+def test_records_made_by_a_build_stay_frozen():
+    rp = build_resolution(11, 13, 14)
+    rd = ruling(rp, "c")
+    made = [
+        *boundary_elements(rp), rd.forward, rd.forward.combined, rd.forward.fiber,
+        rp.polygon, *rp.strings.values(), *rp.connectors.values(),
+        *check_two_minus2(rp), rd.forward.config.components[0],
+    ]
+    for rec in made:
+        name = fields(rec)[0].name
+        with pytest.raises(FrozenInstanceError):
+            setattr(rec, name, None)
+        assert replace(rec) == rec
+
+
+def test_a_cycle_element_is_a_component():
+    """label is the name: a config reads label and cls alone."""
+    cfg = DivisorConfig(cp2_lattice(3), (_EL, Component("x", {3: 1})))
+    assert [c.label for c in cfg.components] == ["S_a[1]", "x"]
+    assert _EL.label == _EL.name
+    assert "label" not in [f.name for f in fields(CycleElement)]
+    with pytest.raises(AttributeError):
+        _EL.label = "y"
+
+
+# --- memoized string arithmetic ---------------------------------------------------
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
+
+
+def _chain_inputs():
+    """Every chain and string selfint tuple the rulings and predicates of
+    coprime_triples(12) read, and their reversals."""
+    out = set()
+    for t in coprime_triples(12):
+        rp = build_resolution(*t)
+        for target in "abc":
+            rd = ruling(rp, target)
+            out.add(rd.forward.combined.selfints)
+            out.add(rd.backward.combined.selfints)
+        for sd in rp.strings.values():
+            out.update((sd.selfints, sd.selfints[::-1]))
+    return sorted(out)
+
+
+PAIRS = [(p, q) for p in range(1, 40) for q in range(0, 40)]
+
+
+def test_hj_expand_matches_uncached():
+    for _ in range(2):
+        for p, q in PAIRS:
+            assert _outcome(hj_expand, p, q) == _outcome(hj_expand.__wrapped__, p, q)
+
+
+def test_weight_sequence_matches_uncached():
+    for _ in range(2):
+        for p, q in PAIRS:
+            assert _outcome(weight_sequence, p, q) == _outcome(weight_sequence.__wrapped__, p, q)
+
+
+def test_delta_sequence_matches_uncached():
+    inputs = _chain_inputs() + [(), (-1,), (0, 0), (-2, 1, -2), (3, -1, 2, 5)]
+    assert len(inputs) > 100
+    for _ in range(2):
+        for s in inputs:
+            assert delta_sequence(s) == delta_sequence.__wrapped__(s)
+            assert delta_sequence(list(s)) == delta_sequence.__wrapped__(s)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("good, bad, exc", [
+    ((5, 2), (5.0, 2), InvalidFraction),
+    ((5, 2), (5, 2.0), InvalidFraction),
+    ((5, 2), (Fraction(5), 2), InvalidFraction),
+    ((6, 5), (6, 4), InvalidFraction),
+    ((2, 1), (1, 1), InvalidFraction),
+])
+def test_bad_hj_input_raises_every_time(good, bad, exc):
+    hj_expand(*good)
+    for _ in range(3):
+        with pytest.raises(exc):
+            hj_expand(*bad)
+        with pytest.raises(exc):
+            hj_expand.__wrapped__(*bad)
+
+
+@pytest.mark.parametrize("good, bad", [
+    ((3, 2), (3.0, 2)),
+    ((3, 2), (3, 2.0)),
+    ((3, 2), (Fraction(3), 2)),
+    ((3, 2), (6, 4)),
+    ((3, 2), (-3, 2)),
+])
+def test_bad_weight_input_raises_every_time(good, bad):
+    weight_sequence(*good)
+    for _ in range(3):
+        with pytest.raises(NotCoprime):
+            weight_sequence(*bad)
+
+
+@pytest.mark.parametrize("bad", [
+    (-2.0, -2),
+    (-2, Fraction(-2)),
+    [-2, -2.0],
+    (-2, "x"),
+])
+def test_bad_deltas_input_raises_every_time(bad):
+    delta_sequence((-2, -2))
+    with pytest.raises(TypeError):
+        delta_sequence.__wrapped__(bad)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            delta_sequence(bad)
+
+
+def test_int_subclasses_answer_as_uncached():
+    args = (_Int(7), _Int(3))
+    for _ in range(2):
+        assert hj_expand(*args) == hj_expand.__wrapped__(*args)
+        assert weight_sequence(*args) == weight_sequence.__wrapped__(*args)
+        seq = (_Int(-3), True, -2)
+        assert delta_sequence(seq) == delta_sequence.__wrapped__(seq)
+
+
+def test_caches_are_bounded_and_serve_the_six_presentations():
+    for fn in (hj_expand, weight_sequence, delta_sequence):
+        assert fn.cache_info().maxsize == MEMO_SIZE
+    for p in range(2, 300):
+        hj_expand(p, 1)
+        delta_sequence((-2,) * p)
+    assert hj_expand.cache_info().currsize == MEMO_SIZE
+    assert delta_sequence.cache_info().currsize == MEMO_SIZE
+    for fn in (hj_expand, weight_sequence, delta_sequence):
+        fn.cache_clear()
+    check_triple((11, 13, 14))
+    # each presentation reads the same strings and chains as the first
+    for fn in (hj_expand, delta_sequence):
+        info = fn.cache_info()
+        assert info.hits >= 5 * info.misses > 0

@@ -234,3 +234,45 @@ def test_int_past_the_digit_limit_raises_like_json():
         oracle(obj)
     with pytest.raises(ValueError):
         dumps_indented(obj)
+
+
+# --- the one-type test of a list: the first item's exact type, counted --------------
+
+
+class _Falsy(int):
+    """A nonzero int subclass that is falsy: a list holding one must not reach
+    the int writer, which skips the falsy items as zeros."""
+
+    def __bool__(self):
+        return False
+
+
+@pytest.mark.parametrize("obj", [
+    [1, True],
+    [0, 0, False],
+    [3, 0, 2.0],
+    [0, -0.0],
+    [7, _Falsy(5)],
+    [0, _Int(2), 0],
+    ("a", _Str("b")),
+    ["a", 1],
+    [1, "a"],
+])
+def test_first_exact_item_with_a_later_other_type_takes_the_general_writer(obj, monkeypatch):
+    import wpp.report as report
+
+    calls = []
+    monkeypatch.setattr(report, "_write_ints", lambda *a: calls.append(a))
+    assert dumps_indented(obj) == oracle(obj)
+    assert calls == []
+
+
+@pytest.mark.parametrize("obj", [[5], [0, 1, 2**70], (0,) * 5])
+def test_exact_int_lists_take_the_int_writer(obj, monkeypatch):
+    import wpp.report as report
+
+    calls = []
+    write_ints = report._write_ints
+    monkeypatch.setattr(report, "_write_ints", lambda *a: calls.append(a) or write_ints(*a))
+    assert dumps_indented(obj) == oracle(obj)
+    assert len(calls) == 1

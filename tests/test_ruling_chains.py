@@ -32,7 +32,6 @@ from wpp.rulings import (
 from wpp.scan import coprime_triples
 from wpp.strings import (
     DivisorConfig,
-    chain_config,
     delta_sequence,
     fiber_class,
     is_negative_definite,
@@ -101,8 +100,9 @@ def ref_nu_indices(rp, target):
 
 
 def ref_approach(rp, cs):
-    cfg = chain_config(rp.lattice, list(cs.classes()), labels=list(cs.labels()),
-                       validate=False)
+    # the config holds the chain's cycle records, as ruling's does, and checks
+    # their slots
+    cfg = DivisorConfig(rp.lattice, cs.elements)
     ds = delta_sequence(cfg.selfints())
     big_k = ds.first_sign_change()
     if big_k is None:
@@ -312,7 +312,7 @@ def test_resolution_reuses_forward_config(cycle_calls):
     rp = build_resolution(11, 13, 14)
     rd = ruling(rp)
     cs = rd.forward.combined
-    assert rd.forward.config == chain_config(rp.lattice, list(cs.classes()),
-                                             labels=list(cs.labels()), validate=False)
+    assert rd.forward.config == DivisorConfig(rp.lattice, cs.elements)
+    assert rd.forward.config.components is cs.elements
     ruling_resolution(rd)
     assert len(cycle_calls) == 1
