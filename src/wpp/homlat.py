@@ -479,8 +479,11 @@ def _check_key_bounds(n: int, coeff_bound: int) -> None:
     bits; that is below 1024 exactly for coeff_bound <= 31. The remaining sum
     is stored offset by 512, and by Cauchy-Schwarz its absolute value is at
     most sqrt(n * (coeff_bound^2 + 1)), below 512 exactly when the second
-    condition holds.
+    condition holds. A bound that is not an int, or is a bool, is rejected
+    before either test.
     """
+    if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int):
+        raise UserInputError(f"coeff_bound must be an int, got {coeff_bound!r}")
     if not 0 <= coeff_bound <= 31:
         raise UserInputError(f"coeff_bound must lie in 0..31, got {coeff_bound}")
     if n * (coeff_bound * coeff_bound + 1) >= 512 * 512:
@@ -540,32 +543,37 @@ def _degrees(n: int, coeff_bound: int) -> tuple[tuple[tuple[int, int, int, int],
     return out
 
 
-def _slot_order(n: int, supports: list[set[int]]) -> list[int]:
+def _slot_order(n: int, supports: list[int]) -> list[int]:
     """The exceptional slots 1..n in the order the search assigns them.
 
-    Greedily take the condition with the fewest unplaced slots (the first one
-    on a tie) and place its support next, in increasing order, so its exact
-    end-of-support rejection fires high in the tree; the slots no condition
-    touches come last. supports are the conditions' exceptional supports,
-    emptied as their slots are placed; holders[p] lists those holding slot
-    p, so placing p touches only them. A support holding all n slots is left
-    out: when it has the fewest unplaced slots, every other open support
-    holds all of them too, and any choice places them in increasing order,
-    as the tail does.
+    supports are the conditions' exceptional supports as bit masks, bit p
+    set when the condition touches slot p. Greedily take the condition with
+    the fewest unplaced slots (the first one on a tie) and place its
+    unplaced slots next, in increasing order, so its exact end-of-support
+    rejection fires high in the tree; the slots no condition touches come
+    last. A support holding all n slots is left out: when it has the fewest
+    unplaced slots, every other open support holds all of them too, and any
+    choice places them in increasing order, as the tail does.
     """
-    supports = [r for r in supports if len(r) < n]
-    holders: dict[int, list[set[int]]] = {}
-    for r in supports:
-        for p in r:
-            holders.setdefault(p, []).append(r)
+    unplaced = (1 << (n + 1)) - 2
+    supports = [r for r in supports if r != unplaced]
     order: list[int] = []
-    while supports := [r for r in supports if r]:
-        for p in sorted(min(supports, key=len)):
-            order.append(p)
-            for r in holders[p]:
-                r.discard(p)
-    placed = set(order)
-    order.extend(p for p in range(1, n + 1) if p not in placed)
+    while True:
+        best, fewest = 0, n + 1
+        for r in supports:
+            left = r & unplaced
+            if left:
+                count = left.bit_count()
+                if count < fewest:
+                    best, fewest = left, count
+        if not best:
+            break
+        unplaced ^= best
+        while best:
+            low = best & -best
+            order.append(low.bit_length() - 1)
+            best ^= low
+    order.extend(p for p in range(1, n + 1) if (unplaced >> p) & 1)
     return order
 
 
@@ -600,16 +608,30 @@ def _cp2_exceptional_raw(
     reads 0 > 0 there and would keep every node, so that case is a branch of
     its own. Past the end of a functional's support G1 = G2 = 0 and the test
     is v < 0 as well, exactly.
+
+    The first failure decides. A candidate coefficient is tested against the
+    conditions touching its depth without writing anything, and the first
+    condition that fails rejects it; most candidates are rejected, so most
+    tests stop early. Only an accepted candidate writes its terms into the
+    running values (partial), and takes them out again after its subtree.
+    At m = 0 nothing below reads the running values, so the last slot
+    writes none: a candidate is kept when each value it completes is >= 0.
+    The nodes visited are those of a search that tests every condition.
     """
     found: list[list[int]] = []
     starts, complete = _degrees(n, coeff_bound)
-    order = _slot_order(n, [f.keys() - {0} for _off, f in conds])
-    # at_slot[p]: (index, g_p) for each condition touching exceptional slot p
+    # at_slot[p]: (index, g_p) for each condition touching exceptional slot p;
+    # masks: each condition's exceptional support, bit p for slot p
     at_slot: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    masks = []
     for fi, (_off, f) in enumerate(conds):
+        mask = 0
         for p, v in f.items():
             if p:
                 at_slot[p].append((fi, -v))
+                mask |= 1 << p
+        masks.append(mask)
+    order = _slot_order(n, masks)
     # active[j]: (index, g coefficient, G1, m G2 - G1^2) for each condition
     # touching the slot assigned at depth j (order[j - 1]), the tails taken
     # over the m = n - j depths after it; heads: (offset, g_0, and the same
@@ -664,23 +686,30 @@ def _cp2_exceptional_raw(
             cands = tuple(out)
             cand_cache[key] = cands
         touched = active[i + 1]  # depth being assigned
+        if not m:
+            # the last slot: nothing below reads the partial sums, so a
+            # candidate is kept when every value it completes is >= 0
+            for c, _s2, _q2, _w in cands:
+                for fi, gv, _g1, _disc in touched:
+                    if partial[fi] + gv * c < 0:
+                        break
+                else:
+                    nodes += 1
+                    found.append([*prefix, c])
+            return
         for c, s2, q2, w in cands:
-            ok = True
             for fi, gv, g1, disc in touched:
-                value = partial[fi] + gv * c
-                partial[fi] = value
-                if m:
-                    lin = m * value + g1 * s2
-                    if lin < 0 and lin * lin > disc * w:
-                        ok = False
-                elif value < 0:
-                    ok = False
-            if ok:
+                lin = m * (partial[fi] + gv * c) + g1 * s2
+                if lin < 0 and lin * lin > disc * w:
+                    break
+            else:
+                for fi, gv, _g1, _disc in touched:
+                    partial[fi] += gv * c
                 prefix.append(c)
                 rec(i + 1, s2, q2, prefix)
                 prefix.pop()
-            for fi, gv, _g1, _disc in touched:
-                partial[fi] -= gv * c
+                for fi, gv, _g1, _disc in touched:
+                    partial[fi] -= gv * c
 
     for d, s0, q0, w0 in starts:
         for fi, off, gd, g1, disc in heads:
@@ -828,11 +857,15 @@ def connecting_log_exceptional(
     The search prunes on all of them with the bound derived in
     _cp2_exceptional_raw. The components and both groups are re-checked on
     the result, and a class failing either raises LemmaViolated. E.D >= 1
-    is not re-checked: the two re-checks and E.K = -1 imply it.
+    is not re-checked: the two re-checks and E.K = -1 imply it. A component
+    or group class of another length than the rank raises RankMismatch.
     """
     if lat.canonical is None:
         raise MissingClasses("enumeration needs the standard canonical class")
     rank = lat.rank
+    for x in (*component_classes, *group_i, *group_j):
+        if len(x) != rank:
+            raise RankMismatch(f"class of length {len(x)} in rank {rank}")
     sums = tuple(
         tuple(map(sum, zip(zero(rank), *group, strict=True))) for group in (group_i, group_j)
     )
@@ -867,7 +900,8 @@ def exceptional_gap(
     work but not its classes, so the value is the one without D. certified
     is False when the enumeration was bounded, in which case the value is
     only a lower bound for the true supremum. The value needs an area form:
-    area=None raises UserInputError before any search.
+    area=None raises UserInputError before any search. A component or group
+    class of another length than the rank raises RankMismatch, as there.
     """
     if area is None:
         raise UserInputError("exceptional_gap needs an area form")

@@ -401,19 +401,24 @@ def chop_corner(
         raise LemmaViolated(f"chop chain ended on ({rj}, {qj}), expected (1, 0)")
 
     # chop j moves eps_j along the u side and eps_j / q_j along w; put the
-    # old vertices and every move over one denominator and chain in ints
-    steps = []  # eps_j / q_j in lowest terms
-    for (num, eden), qj in zip(depths, qs):
-        g = math.gcd(num, qj)
-        steps.append((num // g, eden * (qj // g)))
-    den = math.lcm(p.den, *(sd for _, sd in steps))
+    # old vertices and every move over one denominator and chain in ints.
+    # den is a common multiple of p.den and of the denominator of every
+    # eps_j / q_j, so ue_j = eps_j den and wf_j = ue_j / q_j are integers.
+    # ue_j is carried from ue_{j-1} (eps_{-1} = 1) by the ratio eps_j /
+    # eps_{j-1}, cross-reduced, so a depth schedule that shrinks by a fixed
+    # ratio multiplies and divides by small ints; both divisions are exact
+    den = math.lcm(p.den, *(eden * (qj // math.gcd(num, qj))
+                            for (num, eden), qj in zip(depths, qs)))
     scale = den // p.den
     vx, vy = p.ipts[i]
     vx, vy = vx * scale, vy * scale
     chain: list[IVec] = []
-    for d, (num, eden), (sn, sd) in zip(dirs, depths, steps):
-        ue = num * (den // eden)
-        wf = sn * (den // sd)
+    ue, pnum, peden = den, 1, 1
+    for d, (num, eden), qj in zip(dirs, depths, qs):
+        gn, ge = math.gcd(num, pnum), math.gcd(eden, peden)
+        ue = ue * (num // gn) * (peden // ge) // ((eden // ge) * (pnum // gn))
+        pnum, peden = num, eden
+        wf = ue // qj
         chain.append((vx - ue * d[0], vy - ue * d[1]))
         vx, vy = vx + wf * w[0], vy + wf * w[1]
     chain.append((vx, vy))

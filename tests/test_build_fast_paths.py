@@ -18,6 +18,7 @@ The reference functions are copies of the earlier implementation.
 """
 
 import importlib
+import math
 from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
@@ -41,7 +42,7 @@ from wpp.homlat import (
     to_cp2,
     unit,
 )
-from wpp.polygon import _cross_sum, assign_classes, polygon, presentation
+from wpp.polygon import _cross_sum, assign_classes, corner_type, polygon, presentation
 from wpp.report import _chain_selfints
 from wpp.resolution import (
     ROLE_RESIDUE,
@@ -62,6 +63,7 @@ from wpp.strings import (
 SCHEDULES = (None, (Fraction(1, 3), Fraction(1, 5)))
 # the module, not the function wpp.polygon that the package re-exports
 polygon_mod = importlib.import_module("wpp.polygon")
+resolution_mod = importlib.import_module("wpp.resolution")
 
 
 def builds(max_c, schedule=None):
@@ -112,6 +114,89 @@ def test_integer_depths_match_fraction_depths(schedule, monkeypatch):
         want = ref_default_epsilons(p, i, k, sched)
         assert out == [(e.numerator, e.denominator) for e in want]
         assert ref_fraction_depths(p, i, k, sched) == want
+
+
+def ref_division_chain(p, i, u_side, depths):
+    """The chain C_0..C_k that chop_corner builds at vertex i, as Fraction
+    points, by the division formula it replaced: over den, the least common
+    multiple of p.den and every step denominator, chop j moves ue_j = num_j
+    (den // eden_j) along u and wf_j = sn_j (den // sd_j) along w, sn_j /
+    sd_j being eps_j / q_j in lowest terms."""
+    u, w = polygon_mod._corner_dirs(p, i, u_side)
+    r, q = corner_type(p, i, u_side)
+    entries = hj_expand(r, q)
+    dirs = [(-u[0], -u[1]), ((w[0] - q * u[0]) // r, (w[1] - q * u[1]) // r)]
+    for b in entries[:-1]:
+        dirs.append((b * dirs[-1][0] - dirs[-2][0], b * dirs[-1][1] - dirs[-2][1]))
+    qs, rj, qj = [], r, q
+    for b in entries:
+        qs.append(qj)
+        rj, qj = qj, b * qj - rj
+    steps = []
+    for (num, eden), qj in zip(depths, qs, strict=True):
+        g = math.gcd(num, qj)
+        steps.append((num // g, eden * (qj // g)))
+    den = math.lcm(p.den, *(sd for _, sd in steps))
+    vx, vy = (c * (den // p.den) for c in p.ipts[i])
+    chain = []
+    for d, (num, eden), (sn, sd) in zip(dirs, depths, steps):
+        ue, wf = num * (den // eden), sn * (den // sd)
+        chain.append((vx - ue * d[0], vy - ue * d[1]))
+        vx, vy = vx + wf * w[0], vy + wf * w[1]
+    chain.append((vx, vy))
+    return [(Fraction(x, den), Fraction(y, den)) for x, y in chain]
+
+
+def explicit_epsilons_579():
+    """Per-corner depths with unrelated denominators for (5, 7, 9), those of
+    test_explicit_epsilons_through_build_resolution."""
+    w = weight_triple(5, 7, 9)
+    residues = {"A": (w.a, w.a_b), "B": (w.b, w.b_c), "C": (w.c, w.c_a)}
+    return {
+        lab: [Fraction(1, 7 + 2 * j + ord(lab)) / (j + 1) for j in range(len(hj_expand(*wr)))]
+        for lab, wr in residues.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    (None, (Fraction(2, 5), Fraction(3, 7)), (Fraction(1, 2), Fraction(5, 6)), "explicit"),
+    ids=("default", "two-fifths-three-sevenths", "half-five-sixths", "explicit"),
+)
+def test_chop_chain_matches_division_formula(schedule, monkeypatch):
+    """Every chop of the builds of coprime_triples(16) at presentations 1 and
+    4 under three schedules, and of (5, 7, 9) at every presentation under
+    explicit epsilons: the chain chop_corner carries from step to step holds
+    the vertices of the division formula, in order."""
+    calls = []
+    real = resolution_mod.chop_corner
+
+    def spy(p, i, u_side, epsilons=None, schedule=None):
+        res = real(p, i, u_side, epsilons=epsilons, schedule=schedule)
+        calls.append((p, i, u_side, epsilons, schedule, res))
+        return res
+
+    monkeypatch.setattr(resolution_mod, "chop_corner", spy)
+    if schedule == "explicit":
+        for pres in range(1, 7):
+            build_resolution(5, 7, 9, presentation=pres, epsilons=explicit_epsilons_579())
+    else:
+        for t in coprime_triples(16):
+            for pres in (1, 4):
+                build_resolution(*t, presentation=pres, schedule=schedule)
+    monkeypatch.undo()
+    assert calls
+    for p, i, u_side, epsilons, sched, res in calls:
+        i %= p.n
+        k = len(res.entries)
+        if epsilons is None:
+            depths = polygon_mod._chop_depths(p, i, k, sched)
+        else:
+            depths = [(e.numerator, e.denominator) for e in map(Fraction, epsilons)]
+        chain = list(res.polygon.vertices[i:i + k + 1])
+        if u_side == "next":
+            chain.reverse()
+        assert chain == ref_division_chain(p, i, u_side, depths), (p, i, u_side)
 
 
 # --- the sparse gram ----------------------------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from wpp import homlat
 from wpp.arith import hj_expand, weight_triple
-from wpp.errors import LemmaViolated, UserInputError
+from wpp.errors import LemmaViolated, RankMismatch, UserInputError
 from wpp.homlat import (
     CP2_HEAD,
     AreaForm,
@@ -330,6 +330,118 @@ def test_unconstrained_enumeration_matches_reference(n):
         assert (got.classes, got.complete) == ref_enumerate(lat)[:2]
 
 
+# --- reference: the kernel that tested every condition -----------------------------
+#
+# A copy of _cp2_exceptional_raw and _slot_order as they were before the
+# first failing condition decided a candidate and slots were ordered on bit
+# masks: every condition touching a depth was written into the running values
+# and tested, then undone, and the slot order kept its supports as sets. The
+# new kernel must return the same solutions, complete flag and node count.
+
+_PREV_CANDIDATES: dict[int, dict[int, tuple[tuple[int, int, int, int], ...]]] = {}
+
+
+def ref_set_slot_order(n, supports):
+    supports = [r for r in supports if len(r) < n]
+    holders = {}
+    for r in supports:
+        for p in r:
+            holders.setdefault(p, []).append(r)
+    order = []
+    while supports := [r for r in supports if r]:
+        for p in sorted(min(supports, key=len)):
+            order.append(p)
+            for r in holders[p]:
+                r.discard(p)
+    placed = set(order)
+    order.extend(p for p in range(1, n + 1) if p not in placed)
+    return order
+
+
+def ref_every_condition_raw(n, coeff_bound, conds=()):
+    found = []
+    starts, complete = homlat._degrees(n, coeff_bound)
+    order = ref_set_slot_order(n, [f.keys() - {0} for _off, f in conds])
+    at_slot = [[] for _ in range(n + 1)]
+    for fi, (_off, f) in enumerate(conds):
+        for p, v in f.items():
+            if p:
+                at_slot[p].append((fi, -v))
+    g1s = [0] * len(conds)
+    g2s = [0] * len(conds)
+    active = [[] for _ in range(n + 2)]
+    for j in range(n, 0, -1):
+        m = n - j
+        for fi, gv in at_slot[order[j - 1]]:
+            g1, g2 = g1s[fi], g2s[fi]
+            active[j].append((fi, gv, g1, m * g2 - g1 * g1))
+            g1s[fi] = g1 + gv
+            g2s[fi] = g2 + gv * gv
+    heads = [
+        (fi, off, f.get(0, 0), g1s[fi], n * g2s[fi] - g1s[fi] * g1s[fi])
+        for fi, (off, f) in enumerate(conds)
+    ][::-1]
+    partial = [0] * len(conds)
+    nodes = 0
+    layers = homlat._feasible_states(coeff_bound, n)
+    cand_cache = _PREV_CANDIDATES.setdefault(coeff_bound, {})
+
+    def rec(i, srem, qrem, prefix):
+        nonlocal nodes
+        nodes += 1
+        if i == n:
+            if srem == 0 and qrem == 0:
+                found.append(list(prefix))
+            return
+        slots = n - i
+        m = slots - 1
+        key = (slots << 20) | ((srem + 512) << 10) | qrem
+        cands = cand_cache.get(key)
+        if cands is None:
+            feas = layers[m]
+            lim = min(coeff_bound, math.isqrt(qrem))
+            out = []
+            for c in range(lim, -lim - 1, -1):
+                q2 = qrem - c * c
+                s2 = srem - c
+                if (feas.get(s2, 0) >> q2) & 1:
+                    out.append((c, s2, q2, m * q2 - s2 * s2))
+            cands = tuple(out)
+            cand_cache[key] = cands
+        touched = active[i + 1]
+        for c, s2, q2, w in cands:
+            ok = True
+            for fi, gv, g1, disc in touched:
+                value = partial[fi] + gv * c
+                partial[fi] = value
+                if m:
+                    lin = m * value + g1 * s2
+                    if lin < 0 and lin * lin > disc * w:
+                        ok = False
+                elif value < 0:
+                    ok = False
+            if ok:
+                prefix.append(c)
+                rec(i + 1, s2, q2, prefix)
+                prefix.pop()
+            for fi, gv, _g1, _disc in touched:
+                partial[fi] -= gv * c
+
+    for d, s0, q0, w0 in starts:
+        for fi, off, gd, g1, disc in heads:
+            value = off + gd * d
+            lin = n * value + g1 * s0
+            if lin < 0 and lin * lin > disc * w0:
+                break
+            partial[fi] = value
+        else:
+            rec(0, s0, q0, [d])
+    pos = [0] * (n + 1)
+    for j, p in enumerate(order, 1):
+        pos[p] = j
+    return sorted(tuple(x[j] for j in pos) for x in found), complete, nodes
+
+
 # --- random functionals -------------------------------------------------------------
 
 
@@ -369,12 +481,53 @@ def test_raw_search_matches_reference(case):
     # the search takes each condition as the sparse class f with f.x = g.x in
     # the cp2 form: f_0 = g_0 and f_i = -g_i
     conds = [(off, sparse((g[0],) + tuple(-v for v in g[1:]))) for off, g in funcs]
-    found, complete, _nodes = _cp2_exceptional_raw(n, bound, conds)
+    found, complete, nodes = _cp2_exceptional_raw(n, bound, conds)
     ref_found, ref_complete, _ref_nodes = ref_raw(n, bound, None, funcs)
     assert found == ref_found
     assert complete == ref_complete
+    # the same nodes as the kernel that tested every condition
+    assert (found, complete, nodes) == ref_every_condition_raw(n, bound, conds)
     for x in found:
         assert all(off + sum(g * v for g, v in zip(gs, x)) >= 0 for off, gs in funcs)
+
+
+@st.composite
+def slot_supports(draw):
+    """n and up to six exceptional supports over the slots 1..n. Empty
+    supports, supports holding all n slots and supports nested in an earlier
+    one are drawn on purpose; ties in size come often at these sizes."""
+    n = draw(st.integers(0, 10))
+    every = set(range(1, n + 1))
+    supports = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("any", "empty", "full", "nested")))
+        if kind == "empty":
+            supports.append(set())
+        elif kind == "full":
+            supports.append(set(every))
+        elif kind == "nested" and supports:
+            outer = sorted(draw(st.sampled_from(supports)))
+            supports.append(set(draw(st.lists(st.sampled_from(outer), unique=True))) if outer else set())
+        else:
+            supports.append(draw(st.sets(st.sampled_from(sorted(every)))) if n else set())
+    return n, supports
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_supports())
+@example((0, [set(), set()]))
+# an empty support and one holding every slot are both left out
+@example((4, [set(), {1, 2, 3, 4}, {2, 3}]))
+# ties: the first listed goes first, {4, 5} then {2, 3}; {1} is all {1, 2} has left
+@example((5, [{4, 5}, {2, 3}, {1, 2}]))
+# nested supports: the innermost is placed first
+@example((6, [{1, 2, 3, 4}, {2, 3}, {3}]))
+def test_slot_order_on_masks_matches_sets(case):
+    n, supports = case
+    masks = [sum(1 << p for p in r) for r in supports]
+    want = ref_set_slot_order(n, [set(r) for r in supports])
+    assert homlat._slot_order(n, masks) == want
+    assert sorted(want) == list(range(1, n + 1))
 
 
 # --- post-search checks and input checks ---------------------------------------------
@@ -404,6 +557,43 @@ def test_cap_without_area_is_rejected():
         enumerate_exceptional(hirz_lattice(1, 3), None, Fraction(1))
     with pytest.raises(UserInputError):
         log_exceptional(cp2_lattice(3), None, [], area_cap=Fraction(1))
+
+
+def test_classes_of_another_length_are_rank_mismatches():
+    """A short group, a short component or a long class raises RankMismatch at
+    the entry of the connecting search and of the gap, as a constraint of
+    the wrong length does in enumerate_exceptional."""
+    lat = cp2_lattice(3)
+    area = AreaForm.from_scaled((8, 2, 3, 1), 2)
+    e1, e2, _e3, l12 = CP2_3[:4]
+    cases = (
+        ([l12], [(0, 1, 0)], [e2]),  # a short group class
+        ([(1, -1, -1)], [e1], [e2]),  # a short component
+        ([l12], [e1], [e2, (0, 0, 0, 1, 0)]),  # a long group class
+        ([l12, (1, 0, 0, 0, 0)], [e1], [e2]),  # a long component
+    )
+    for comps, gi, gj in cases:
+        with pytest.raises(RankMismatch, match="^class of length"):
+            connecting_log_exceptional(lat, area, comps, gi, gj)
+        with pytest.raises(RankMismatch, match="^class of length"):
+            exceptional_gap(lat, area, comps, gi, gj)
+    # the same call with every class in rank searches
+    assert connecting_log_exceptional(lat, area, [l12], [e1], [e2]).complete
+    with pytest.raises(RankMismatch):
+        enumerate_exceptional(lat, area, constraints=[(1, -1, -1)])
+
+
+@pytest.mark.parametrize("bound", (True, False, 2.0, 12.0, "12"))
+def test_bounds_that_are_not_ints_are_user_errors(bound):
+    """A bool passed as 0 or 1 and a float or string that would fail later
+    are rejected before any search, at every entry."""
+    lat = cp2_lattice(3)
+    area = AreaForm.from_scaled((8, 2, 3, 1), 2)
+    e1, e2 = CP2_3[:2]
+    with pytest.raises(UserInputError, match="^coeff_bound must be an int"):
+        enumerate_exceptional(lat, area, coeff_bound=bound)
+    with pytest.raises(UserInputError, match="^coeff_bound must be an int"):
+        exceptional_gap(lat, area, [], [e1], [e2], coeff_bound=bound)
 
 
 def test_gap_without_area_is_rejected_before_any_search(monkeypatch):
@@ -560,6 +750,29 @@ def test_connector_bound_is_implied(n):
                     assert lat.pair(sparse(x), connectors) <= -1, (w, label, x)
                     checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+def test_kernel_matches_the_every_condition_kernel_on_connectors(n, monkeypatch):
+    """Every connector of every rank-n triple, uncapped and at A_12: each
+    kernel call returns the solutions, complete flag and node count of the
+    kernel that tested every condition touching a depth."""
+    real = homlat._cp2_exceptional_raw
+    calls = 0
+
+    def both(n_slots, coeff_bound, conds=()):
+        nonlocal calls
+        got = real(n_slots, coeff_bound, conds)
+        assert got == ref_every_condition_raw(n_slots, coeff_bound, conds), conds
+        calls += 1
+        return got
+
+    monkeypatch.setattr(homlat, "_cp2_exceptional_raw", both)
+    for _w, rp, comps, ends in rank_searches(n):
+        for ac in (None, a12_cap(rp.area)):
+            for _label, gi, gj in ends:
+                connecting_log_exceptional(rp.lattice, rp.area, comps, gi, gj, ac)
+    assert calls
 
 
 # classes of the blown-up plane at three points: e_1, e_2, e_3, the lines
