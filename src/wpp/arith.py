@@ -4,11 +4,14 @@ Everything here is integer or Fraction arithmetic; no floats. The weight
 triple bookkeeping fixes, once and for all, the six modular residues that
 orient every continued-fraction expansion used downstream.
 
-hj_expand and weight_sequence keep a bounded cache of MEMO_SIZE results:
-the six presentations of a triple expand the same corner types and resolve
-the same fiber types, and their results are immutable tuples. The cache is
-typed, so a float or bool argument never reuses an int's entry, and an
-argument that raises is never stored; __wrapped__ is the uncached function.
+weight_triple (past its type check), hj_expand and weight_sequence keep a
+bounded cache of MEMO_SIZE results: a scan checks each triple in six
+presentations, which validate the same weights, expand the same corner
+types and resolve the same fiber types, and their results are immutable (a
+frozen WeightTriple or a tuple). The cache is typed, so a float or bool
+argument never reuses an int's entry, and an argument that raises is never
+stored; __wrapped__ is the uncached function (_weight_triple.__wrapped__ for
+weight_triple).
 """
 
 from __future__ import annotations
@@ -74,11 +77,19 @@ def weight_triple(a: int, b: int, c: int) -> WeightTriple:
     """Validate (a, b, c) and compute all six residues.
 
     Raises NotPairwiseCoprime or DegenerateWeight (weights of 1 leave fewer
-    than three singular points, so the triple is out of scope).
+    than three singular points, so the triple is out of scope; a bool is not
+    a weight). The weights are type-checked before the cache is consulted,
+    so an unhashable argument raises DegenerateWeight too.
     """
     for w in (a, b, c):
-        if not isinstance(w, int) or w < 1:
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
             raise DegenerateWeight(f"weights must be positive integers, got {w!r}")
+    return _weight_triple(a, b, c)
+
+
+@lru_cache(maxsize=MEMO_SIZE, typed=True)
+def _weight_triple(a: int, b: int, c: int) -> WeightTriple:
+    """weight_triple past its type check."""
     if math.gcd(a, b) != 1 or math.gcd(b, c) != 1 or math.gcd(a, c) != 1:
         raise NotPairwiseCoprime(f"({a}, {b}, {c}) is not pairwise coprime")
     if min(a, b, c) == 1:

@@ -11,7 +11,9 @@ continued-fraction expansion of r/q. Once every corner is Delzant
 det(d_{i+1}, d_{i-1}), and a combinatorial contraction ledger assigns a
 homology class and exact area to every edge. The ledger checks the classes'
 labelled intersection form, areas and sum -K, which imply adjunction K.x_i =
--(s_i + 2) and K^2 = 10 - rank (_verify_classes).
+-(s_i + 2) and K^2 = 10 - rank, in one sweep over the classes' slot buckets
+(_verify_classes): squares and neighbour pairings are kept by edge, and only
+the pairings of non-adjacent edges, which must vanish, are hashed.
 
 Every polygon the package chops is strictly convex and counterclockwise: a
 presentation triangle, which passes the global check of _validated, or the
@@ -42,7 +44,7 @@ from .errors import (
     UserInputError,
     WppError,
 )
-from .homlat import AreaForm, Lattice, Vec, class_sum, cp2_lattice, hirz_lattice, vneg
+from .homlat import AreaForm, Lattice, Vec, cp2_lattice, hirz_lattice, vneg
 
 __all__ = [
     "Point",
@@ -53,6 +55,7 @@ __all__ = [
     "ChopResult",
     "chop_corner",
     "check_schedule",
+    "check_presentation",
     "edge_selfint",
     "edge_selfints",
     "PolygonClasses",
@@ -584,43 +587,99 @@ def _verify_classes(p: LatticePolygon, sels: tuple[int, ...], pc: PolygonClasses
     """Check the edge classes' labelled intersection form, areas and sum -K;
     adjunction and K^2 follow, so they are not re-derived.
 
-    One sparse gram pass (Lattice.sparse_gram) gives every pairing: entry
-    (i, i) must be s_i = sels[i], adjacent edges must pair to 1 and no other
-    entry may be nonzero. With sum_j x_j = -K and sum_i s_i = 12 - 3m over
-    the m edges (the toric sum rule selfints checks), K.x_i = -sum_j x_j.x_i
-    = -(s_i + 2), which is adjunction, and K^2 = sum_{i,j} x_i.x_j = sum_i
-    s_i + 2m = 12 - m. The ledger opens one slot per edge past its three
-    (cp2) or four (F_k) terminal edges, over a rank-1 or rank-2 head, so
-    m = rank + 2 and K^2 = 10 - rank: only m = rank + 2 is compared."""
+    One sweep over the slot buckets of the m edge classes (one class per
+    edge, every slot in the rank) gives every pairing. Off the head the gram
+    is diagonal, so only classes sharing a slot, or holding two head slots
+    the head links, meet. Each bucket adds its slot's square term to each
+    class's square and its term for each pair it holds: a pair of cyclic
+    neighbours goes to the list of pairings x_i.x_{i+1}, and every other pair
+    is hashed by its edges. The ledger's tail buckets hold exactly three
+    classes, the edge a blowup restored and its two neighbours, so only the
+    neighbours' pair is hashed; it cancels against the head and later slots.
+    The same sweep adds the scaled areas and each slot's class sum.
+
+    Entry (i, i) must be s_i = sels[i], adjacent edges must pair to 1 and
+    every hashed pairing must end zero. The scaled area is compared with the
+    scaled edge length directly when the area form's denominator is p.den,
+    as on every ledger assign_classes makes of a chopped presentation;
+    otherwise both are cross-multiplied. With sum_j x_j = -K and sum_i s_i =
+    12 - 3m (the toric sum rule selfints checks), K.x_i = -sum_j x_j.x_i =
+    -(s_i + 2), which is adjunction, and K^2 = sum_{i,j} x_i.x_j = sum_i s_i
+    + 2m = 12 - m. The ledger opens one slot per edge past its three (cp2)
+    or four (F_k) terminal edges, over a rank-1 or rank-2 head, so m = rank
+    + 2 and K^2 = 10 - rank: only m = rank + 2 is compared."""
     lat, area, cls = pc.lattice, pc.area, pc.edge_classes
     m = p.n
-    gram = lat.sparse_gram(cls)
-    get, den, aden = gram.get, p.den, area.denominator
-    for i, (x, s, ln) in enumerate(zip(cls, sels, p._edges[1])):
-        sq = get((i, i), 0)
-        if sq != s:
-            raise LemmaViolated(f"edge {i}: square {sq} != {s}")
-        if area.area_scaled(x) * den != ln * aden:
+    by_slot: dict[int, list[tuple[int, int]]] = {}
+    for i, x in enumerate(cls):
+        for s, v in x.items():
+            by_slot.setdefault(s, []).append((i, v))
+    head, vals = lat.head, area._ints
+    b = len(head)
+    sq = [0] * m  # x_i.x_i
+    nb = [0] * m  # x_i.x_{i+1}
+    ar = [0] * m  # area_scaled(x_i)
+    far: dict[tuple[int, int], int] = {}  # every other pairing
+    total: Vec = {}  # the class sum
+    for s, bucket in by_slot.items():
+        w = head[s][s] if s < b else -1
+        a = vals[s]
+        t = 0
+        for i, vi in bucket:
+            t += vi
+            ar[i] += a * vi
+        if t:
+            total[s] = t
+        if not w:
+            continue
+        for c, (i, vi) in enumerate(bucket, 1):
+            wv = w * vi
+            sq[i] += wv * vi
+            for j, vj in bucket[c:]:  # j > i: buckets are in edge order
+                d = j - i
+                if d == 1:
+                    nb[i] += wv * vj
+                elif d == m - 1:
+                    nb[j] += wv * vj
+                else:
+                    far[i, j] = far.get((i, j), 0) + wv * vj
+    for s in range(b):
+        for t in range(s + 1, b):
+            g = head[s][t]
+            if not g:
+                continue
+            for i, vi in by_slot.get(s, ()):
+                gv = g * vi
+                for j, vj in by_slot.get(t, ()):
+                    if i == j:
+                        sq[i] += 2 * gv * vj
+                        continue
+                    lo, hi = (i, j) if i < j else (j, i)
+                    d = hi - lo
+                    if d == 1:
+                        nb[lo] += gv * vj
+                    elif d == m - 1:
+                        nb[hi] += gv * vj
+                    else:
+                        far[lo, hi] = far.get((lo, hi), 0) + gv * vj
+    den, aden = p.den, area.denominator
+    for i, (q, s, x, ln, y) in enumerate(zip(sq, sels, ar, p._edges[1], nb)):
+        if q != s:
+            raise LemmaViolated(f"edge {i}: square {q} != {s}")
+        if (x != ln) if den == aden else (x * den != ln * aden):
             raise LemmaViolated(f"edge {i}: area does not match edge length")
-        j = (i + 1) % m
-        if get((i, j) if i < j else (j, i), 0) != 1:
-            raise LemmaViolated(f"edges {i},{j}: not adjacent in homology")
+        if y != 1:
+            raise LemmaViolated(f"edges {i},{(i + 1) % m}: not adjacent in homology")
     if lat.canonical is None:
         raise MissingClasses("ledger lattice has no canonical class")
-    if class_sum(cls) != vneg(lat.canonical):
+    if total != vneg(lat.canonical):
         raise LemmaViolated("edge classes do not sum to the anticanonical class")
     if m != lat.rank + 2:
         raise LemmaViolated("canonical square does not match the rank")
-    _reject_nonadjacent(gram, m)
-
-
-def _reject_nonadjacent(gram: dict[tuple[int, int], int], m: int) -> None:
-    """LemmaViolated naming the first nonzero entry (i, j), i < j, of the
-    sparse gram of an m-cycle whose edges i and j are not adjacent."""
-    bad = [(i, j) for i, j in gram if i != j and (j - i) % m not in (1, m - 1)]
+    bad = [key for key, g in far.items() if g]
     if bad:
         i, j = min(bad)
-        raise LemmaViolated(f"edges {i},{j}: unexpected intersection {gram[i, j]}")
+        raise LemmaViolated(f"edges {i},{j}: unexpected intersection {far[i, j]}")
 
 
 # --- the six weight presentations ----------------------------------------------
@@ -638,10 +697,15 @@ class Presentation:
 _LAYOUTS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
 
 
+def check_presentation(index: int) -> None:
+    """Raise UserInputError unless index is an int in 1..6, not a bool."""
+    if isinstance(index, bool) or not isinstance(index, int) or not 1 <= index <= 6:
+        raise UserInputError(f"presentation must be 1..6, got {index!r}")
+
+
 def presentation(w: WeightTriple, index: int) -> Presentation:
     """One of the six moment triangles, index in 1..6."""
-    if not 1 <= index <= 6:
-        raise UserInputError(f"presentation index must be 1..6, got {index}")
+    check_presentation(index)
     x, y, z = _LAYOUTS[index - 1]
     wx, wy = getattr(w, x.lower()), getattr(w, y.lower())
     table = {

@@ -52,6 +52,7 @@ from .polygon import (
     CORNER_CYCLE,
     LatticePolygon,
     assign_classes,
+    check_presentation,
     check_schedule,
     chop_corner,
     edge_selfints,
@@ -181,8 +182,7 @@ def build_resolution(
     sorted into roles a < b < c internally; the input order is kept for
     reporting.
     """
-    if not 1 <= presentation <= 6:
-        raise UserInputError(f"presentation must be 1..6, got {presentation}")
+    check_presentation(presentation)
     check_schedule(schedule)
     w = weight_triple(*sorted((a, b, c)))
     unknown = set(epsilons or ()) - set(CORNER_CYCLE)
@@ -311,11 +311,13 @@ def connector_selfints(rp: ResolutionPair) -> tuple[int, int, int]:
 # --- divisor predicate checks ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DivisorPredicates:
     """The four structural predicates of a resolution divisor, with the data
     backing the admissibility decision. Nothing here is assumed from the
-    construction; every field is recomputed from classes and areas."""
+    construction; every field is recomputed from classes and areas. Made
+    once per check and read a few times, it writes its fields straight into
+    the instance __dict__."""
 
     full: bool
     abc_type: bool
@@ -326,6 +328,20 @@ class DivisorPredicates:
     adjoint_square: int
     area_identity: bool  # adjoint area equals minus the total connector area
     kodaira: float | int | None
+
+    def __init__(self, full: bool, abc_type: bool, gap_admissible: bool, sub_toric: bool,
+                 gaps: dict, adjoint_area: Fraction, adjoint_square: int,
+                 area_identity: bool, kodaira: float | int | None) -> None:
+        d = self.__dict__
+        d["full"] = full
+        d["abc_type"] = abc_type
+        d["gap_admissible"] = gap_admissible
+        d["sub_toric"] = sub_toric
+        d["gaps"] = gaps
+        d["adjoint_area"] = adjoint_area
+        d["adjoint_square"] = adjoint_square
+        d["area_identity"] = area_identity
+        d["kodaira"] = kodaira
 
 
 def _string_values(selfints: tuple[int, ...], forward: DeltaSeq) -> set[tuple[int, int]]:

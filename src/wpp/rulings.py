@@ -215,7 +215,7 @@ def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
                         fiber_class(cfg, ds.deltas, big_k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RulingData:
     """Common fiber class of the two approaches with its case data.
 
@@ -223,7 +223,8 @@ class RulingData:
     approaches; pa, qa and pb, qb their local types at the sign change. For
     the Unicuspidal case the cusp sits at the node between stored components
     nu_a and nu_b of the target string; for EmbeddedFiber the fiber meets the
-    single component nu_a + 1.
+    single component nu_a + 1. Made once per ruling and read a few times, it
+    writes its fields straight into the instance __dict__.
     """
 
     target: str
@@ -244,6 +245,32 @@ class RulingData:
     forward: ApproachData
     backward: ApproachData
     violations: tuple[str, ...]
+
+    def __init__(self, target: str, opposite: str, opposite_selfint: int, case: str,
+                 nu_a: int | None, nu_b: int | None, fiber: Vec | None, pa: int | None,
+                 qa: int | None, pb: int | None, qb: int | None, selfint: int | None,
+                 canonical_pairing: int | None, cusp_location: tuple[int, int] | None,
+                 meet_component: int | None, forward: ApproachData, backward: ApproachData,
+                 violations: tuple[str, ...]) -> None:
+        d = self.__dict__
+        d["target"] = target
+        d["opposite"] = opposite
+        d["opposite_selfint"] = opposite_selfint
+        d["case"] = case
+        d["nu_a"] = nu_a
+        d["nu_b"] = nu_b
+        d["fiber"] = fiber
+        d["pa"] = pa
+        d["qa"] = qa
+        d["pb"] = pb
+        d["qb"] = qb
+        d["selfint"] = selfint
+        d["canonical_pairing"] = canonical_pairing
+        d["cusp_location"] = cusp_location
+        d["meet_component"] = meet_component
+        d["forward"] = forward
+        d["backward"] = backward
+        d["violations"] = violations
 
 
 def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:

@@ -49,6 +49,8 @@ def coprime_triples(max_c: int) -> list[tuple[int, int, int]]:
 
 
 def _check_names(checks: tuple[str, ...]) -> None:
+    if isinstance(checks, str):
+        raise UserInputError(f"checks is a sequence of check names, got the string {checks!r}")
     for name in checks:
         if name not in CHECK_CHOICES:
             raise UserInputError(f"unknown check {name!r}")

@@ -7,31 +7,43 @@ frozen dataclass of the same name and fields: construction by position and
 by keyword, ==, repr, hash and dataclasses.replace behave the same, and
 assigning or deleting a field still raises FrozenInstanceError.
 
-hj_expand, weight_sequence and delta_sequence keep a bounded cache; each is
-compared with its uncached __wrapped__ on the same inputs, twice, so that the
-second answer comes from the cache. Bad inputs, also those equal to a cached
+weight_triple, hj_expand, weight_sequence and delta_sequence keep a bounded
+cache; each is compared with its uncached __wrapped__ on the same inputs,
+twice, so that the second answer comes from the cache. Bad inputs, also those equal to a cached
 good input, raise on every call.
 """
 
+import importlib
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 from fractions import Fraction
 
 import pytest
 
-from wpp.arith import MEMO_SIZE, hj_expand, weight_sequence
-from wpp.errors import InvalidFraction, NotCoprime
+from wpp.arith import MEMO_SIZE, hj_expand, weight_sequence, weight_triple
+from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, NotPairwiseCoprime
 from wpp.homlat import cp2_lattice
 from wpp.polygon import ChopResult, LatticePolygon
 from wpp.resolution import (
     ConnectorData,
+    DivisorPredicates,
     StringData,
     TwoMinus2Data,
     build_resolution,
+    check_divisor_predicates,
     check_two_minus2,
 )
-from wpp.rulings import ApproachData, CombinedString, CycleElement, boundary_elements, ruling
+from wpp.rulings import (
+    ApproachData,
+    CombinedString,
+    CycleElement,
+    RulingData,
+    boundary_elements,
+    ruling,
+)
 from wpp.scan import check_triple, coprime_triples
 from wpp.strings import Component, DivisorConfig, FiberData, delta_sequence
+
+arith = importlib.import_module("wpp.arith")
 
 _EL = CycleElement("string", "S_a[1]", "a", 1, 7, {1: -1, 2: 1}, -2)
 _POLY = LatticePolygon(((0, 0), (2, 0), (0, 1)), 1)
@@ -50,6 +62,13 @@ HOT = [
     (StringData, ("a", 5, 2, (1, 2), (-3, -2)), ("a", 5, 3, (1, 2), (-2, -3))),
     (ConnectorData, ("N_a", 4, -1), ("N_b", 4, -1)),
     (TwoMinus2Data, (5, 3, 7, False, None, None), (5, 3, 8, True, 1, (-4,))),
+    (RulingData, ("c", "a", -1, "EmbeddedFiber", 1, 2, {1: 1}, 2, 1, 1, 2, 2, -4, None, 2,
+                  None, None, ()),
+     ("b", "c", -2, "Unicuspidal", 2, 3, {2: 1}, 3, 2, 2, 3, 6, -8, (2, 3), None,
+      None, None, ("profile",))),
+    (DivisorPredicates, (True, True, True, True, {"ab": Fraction(1, 2)}, Fraction(-3), -5,
+                         True, 1),
+     (False, True, False, True, {"ab": Fraction(1, 3)}, Fraction(-2), -4, False, None)),
 ]
 IDS = [cls.__name__ for cls, _, _ in HOT]
 
@@ -97,6 +116,7 @@ def test_records_made_by_a_build_stay_frozen():
         *boundary_elements(rp), rd.forward, rd.forward.combined, rd.forward.fiber,
         rp.polygon, *rp.strings.values(), *rp.connectors.values(),
         *check_two_minus2(rp), rd.forward.config.components[0],
+        rd, check_divisor_predicates(rp),
     ]
     for rec in made:
         name = fields(rec)[0].name
@@ -153,6 +173,50 @@ def test_weight_sequence_matches_uncached():
     for _ in range(2):
         for p, q in PAIRS:
             assert _outcome(weight_sequence, p, q) == _outcome(weight_sequence.__wrapped__, p, q)
+
+
+def ref_weight_triple(a, b, c):
+    """weight_triple with no cache: its type check, then the uncached body."""
+    for w in (a, b, c):
+        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+            raise DegenerateWeight(f"weights must be positive integers, got {w!r}")
+    return arith._weight_triple.__wrapped__(a, b, c)
+
+
+def test_weight_triple_matches_uncached():
+    triples = [(a, b, c) for a in range(0, 9) for b in range(0, 9) for c in (5, 7, 8, 9, 12)]
+    bad = [(2, 3, True), (2.0, 3, 5), (3, 2, 5), (_Int(2), 3, 5), ([2], 3, 5), (2, 3, {5: 1})]
+    for _ in range(2):
+        for t in triples + bad:
+            assert _outcome(weight_triple, *t) == _outcome(ref_weight_triple, *t)
+
+
+@pytest.mark.parametrize("good, bad, exc", [
+    ((2, 3, 5), (2.0, 3, 5), DegenerateWeight),
+    ((2, 3, 5), (2, 3, True), DegenerateWeight),
+    ((2, 3, 5), ([2], 3, 5), DegenerateWeight),
+    ((2, 3, 5), (4, 3, 6), NotPairwiseCoprime),
+    ((2, 3, 5), (1, 3, 5), DegenerateWeight),
+])
+def test_bad_weight_triple_raises_every_time(good, bad, exc):
+    weight_triple(*good)
+    for _ in range(3):
+        with pytest.raises(exc):
+            weight_triple(*bad)
+        with pytest.raises(exc):
+            ref_weight_triple(*bad)
+
+
+def test_weight_triple_cache_is_bounded_and_serves_the_six_presentations():
+    cache = arith._weight_triple
+    assert cache.cache_info().maxsize == MEMO_SIZE
+    for c in range(5, 600, 6):
+        weight_triple(2, 3, c)
+    assert cache.cache_info().currsize == MEMO_SIZE
+    cache.cache_clear()
+    check_triple((11, 13, 14))
+    # check_triple validates the triple once, and each presentation again
+    assert cache.cache_info()[:2] == (6, 1)
 
 
 def test_delta_sequence_matches_uncached():

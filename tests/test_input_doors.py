@@ -1,0 +1,108 @@
+"""Public entry points reject bad input with UserInputError and a message.
+
+Each test names the exception class and the whole message: exact-int
+arguments at build_resolution, presentation, check_triple, run_scan and
+weight_triple (a bool is not an integer here, and a str is not a sequence of
+check names), and the input checks of hj_expand, hj_dual, weight_sequence
+and render.
+"""
+
+import importlib
+import re
+
+import pytest
+
+from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
+from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, UserInputError
+from wpp.render import render
+from wpp.resolution import build_resolution
+from wpp.scan import check_triple, run_scan
+
+polygon_mod = importlib.import_module("wpp.polygon")
+
+
+def _raises(exc, message):
+    return pytest.raises(exc, match=f"^{re.escape(message)}$")
+
+
+# --- exact ints at the doors -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+def test_build_resolution_takes_an_int_presentation(bad):
+    with _raises(UserInputError, f"presentation must be 1..6, got {bad!r}"):
+        build_resolution(2, 3, 5, presentation=bad)
+
+
+@pytest.mark.parametrize("bad", [0, 7, True, 2.0])
+def test_presentation_takes_an_int_index(bad):
+    w = weight_triple(2, 3, 5)
+    with _raises(UserInputError, f"presentation must be 1..6, got {bad!r}"):
+        polygon_mod.presentation(w, bad)
+
+
+def test_an_int_presentation_still_builds():
+    assert build_resolution(2, 3, 5, presentation=6).presentation == 6
+
+
+def test_check_triple_rejects_a_string_of_checks():
+    with _raises(UserInputError, "checks is a sequence of check names, got the string 'all'"):
+        check_triple((2, 3, 5), checks="all")
+
+
+def test_run_scan_rejects_a_string_of_checks():
+    with _raises(UserInputError, "checks is a sequence of check names, got the string 'def13'"):
+        run_scan(8, jobs=1, checks="def13")
+
+
+@pytest.mark.parametrize("triple", [(2, 3, True), (True, 3, 5), (2, False, 5)])
+def test_weight_triple_rejects_a_bool_weight(triple):
+    bad = next(w for w in triple if isinstance(w, bool))
+    with _raises(DegenerateWeight, f"weights must be positive integers, got {bad!r}"):
+        weight_triple(*triple)
+
+
+def test_a_unit_weight_is_still_named_as_such():
+    with _raises(DegenerateWeight, "(1, 3, 5) contains a unit weight"):
+        weight_triple(1, 3, 5)
+
+
+# --- the input checks of the continued-fraction helpers and render -------------------
+
+
+@pytest.mark.parametrize("fn", [hj_expand, hj_expand.__wrapped__, hj_dual])
+@pytest.mark.parametrize("p, q", [(5, 5), (5, 0), (2.0, 1), (5, 2.0)])
+def test_continued_fraction_helpers_need_p_above_q_at_least_one(fn, p, q):
+    with _raises(InvalidFraction, f"need integers p > q >= 1, got {p}/{q}"):
+        fn(p, q)
+
+
+@pytest.mark.parametrize("fn", [hj_expand, hj_expand.__wrapped__, hj_dual])
+def test_continued_fraction_helpers_need_lowest_terms(fn):
+    with _raises(InvalidFraction, "6/4 is not in lowest terms"):
+        fn(6, 4)
+
+
+@pytest.mark.parametrize("fn", [weight_sequence, weight_sequence.__wrapped__])
+@pytest.mark.parametrize("p, q", [(0, 2), (-3, 2), (3.0, 2), (3, 0)])
+def test_weight_sequence_needs_positive_ints(fn, p, q):
+    with _raises(NotCoprime, f"need nonnegative coprime (p, q), got ({p}, {q})"):
+        fn(p, q)
+
+
+@pytest.mark.parametrize("fn", [weight_sequence, weight_sequence.__wrapped__])
+def test_weight_sequence_needs_coprime_ints(fn):
+    with _raises(NotCoprime, "(6, 4) is not coprime"):
+        fn(6, 4)
+
+
+def test_render_names_an_unknown_kind():
+    rp = build_resolution(2, 3, 5)
+    with _raises(UserInputError, "unknown picture kind 'triangle'"):
+        render(rp, "triangle", "svg")
+
+
+def test_render_names_an_unknown_format():
+    rp = build_resolution(2, 3, 5)
+    with _raises(UserInputError, "unknown format 'png'"):
+        render(rp, "polygon", "png")

@@ -17,7 +17,6 @@ from wpp.errors import ChopsOverlap, InvalidPolygon, LemmaViolated
 from wpp.homlat import AreaForm, dense, vadd
 from wpp.polygon import (
     CORNER_CYCLE,
-    _reject_nonadjacent,
     assign_classes,
     chop_corner,
     _chop_depths,
@@ -26,6 +25,7 @@ from wpp.polygon import (
     polygon,
     presentation,
 )
+from test_verify_sweep import ref_reject_nonadjacent
 from wpp.resolution import build_resolution
 
 TRIPLES = ((2, 3, 5), (3, 4, 5), (5, 7, 9), (7, 8, 15), (11, 13, 14), (5, 33, 49), (2, 39, 41))
@@ -192,7 +192,7 @@ def ref_nonadjacent_ok(lat, cls):
 def ref_check_nonadjacent(lat, cls):
     """The product's former nonadjacency check: LemmaViolated naming the first
     nonzero sparse gram entry of two nonadjacent edges of the cycle cls."""
-    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
+    ref_reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
 # --- copies of product code that only tests called ------------------------------

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_golden_outputs import REPORT_DIGESTS, SCHEDULES
+from test_verify_sweep import ref_reject_nonadjacent
 from wpp.arith import weight_sequence
 from wpp.errors import LemmaViolated, RankMismatch
 from wpp.homlat import (
@@ -31,7 +32,6 @@ from wpp.homlat import (
     to_cp2,
 )
 from wpp.polygon import (
-    _reject_nonadjacent,
     _verify_classes,
     assign_classes,
     edge_selfints,
@@ -53,7 +53,7 @@ INPUTS = [
 def ref_check_nonadjacent(lat, cls):
     """The product's former nonadjacency check: LemmaViolated naming the first
     nonzero sparse gram entry of two nonadjacent edges of the cycle cls."""
-    _reject_nonadjacent(lat.sparse_gram(cls), len(cls))
+    ref_reject_nonadjacent(lat.sparse_gram(cls), len(cls))
 
 
 def ref_dot(x, y):
