@@ -73,6 +73,11 @@ def _residue(x: int, y: int, z: int) -> int:
     return r
 
 
+def _is_int(x) -> bool:
+    """Whether x is an int and not a bool: a bool is not a weight or an entry."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def weight_triple(a: int, b: int, c: int) -> WeightTriple:
     """Validate (a, b, c) and compute all six residues.
 
@@ -82,7 +87,7 @@ def weight_triple(a: int, b: int, c: int) -> WeightTriple:
     so an unhashable argument raises DegenerateWeight too.
     """
     for w in (a, b, c):
-        if isinstance(w, bool) or not isinstance(w, int) or w < 1:
+        if not _is_int(w) or w < 1:
             raise DegenerateWeight(f"weights must be positive integers, got {w!r}")
     return _weight_triple(a, b, c)
 
@@ -113,7 +118,7 @@ def hj_expand(p: int, q: int) -> tuple[int, ...]:
 
     Requires p > q >= 1 and gcd(p, q) = 1.
     """
-    if not (isinstance(p, int) and isinstance(q, int) and p > q >= 1):
+    if not (_is_int(p) and _is_int(q) and p > q >= 1):
         raise InvalidFraction(f"need integers p > q >= 1, got {p}/{q}")
     if math.gcd(p, q) != 1:
         raise InvalidFraction(f"{p}/{q} is not in lowest terms")
@@ -152,7 +157,7 @@ def hj_dual(p: int, q: int) -> int:
 
     Reversing the expansion of p/q yields the expansion of p/q'.
     """
-    if not (isinstance(p, int) and isinstance(q, int) and p > q >= 1):
+    if not (_is_int(p) and _is_int(q) and p > q >= 1):
         raise InvalidFraction(f"need integers p > q >= 1, got {p}/{q}")
     if math.gcd(p, q) != 1:
         raise InvalidFraction(f"{p}/{q} is not in lowest terms")
@@ -167,9 +172,10 @@ def weight_sequence(p: int, q: int) -> tuple[int, ...]:
     until p = q (then record that and stop). (0,1) and (1,0) give the empty
     sequence. Batched: a run of j equal subtractions is emitted at once.
     """
-    if (p, q) in ((0, 1), (1, 0)):
+    ints = _is_int(p) and _is_int(q)
+    if ints and (p, q) in ((0, 1), (1, 0)):
         return ()
-    if not (isinstance(p, int) and isinstance(q, int) and p >= 1 and q >= 1):
+    if not (ints and p >= 1 and q >= 1):
         raise NotCoprime(f"need nonnegative coprime (p, q), got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"({p}, {q}) is not coprime")

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import LemmaViolated, UserInputError, WppError
 from .render import FORMAT_CHOICES, WHAT_CHOICES, render
-from .report import make_report, serialize_report, text_report
+from .report import indented_parts, make_report, text_report
 from .resolution import build_resolution, parse_schedule
 from .rulings import ruling
 from .scan import CHECK_CHOICES, run_scan, serialize_scan
@@ -92,7 +92,11 @@ def _cmd_resolve(args: argparse.Namespace, schedule: Schedule) -> int:
     if args.text:
         print(text_report(report))
     else:
-        print(serialize_report(report))
+        # the whole text is made before its first byte is written, so a failure
+        # prints nothing; its parts are written one by one, never joined
+        parts = indented_parts(report)
+        sys.stdout.writelines(parts)
+        sys.stdout.write("\n")
     return 0
 
 

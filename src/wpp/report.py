@@ -18,19 +18,27 @@ exact ints that are mostly 0, and each is written from its nonzeros: a run of
 zeros is one string repetition and a nonzero is written by int.__repr__.
 Strings and lists of strings are written by the C string escaper, other
 scalars by the C encoder, each being what json itself calls for them.
+
+make_report puts each class vector into the report as a _Row, a list that
+also holds the sorted slots of the sparse class it was made from, and such a
+row is written from those slots without reading the others. Any list method
+that changes a row drops its slots; the row is then written as any other int
+list, whose nonzeros are found by scanning it. A copy or a pickle of a report
+holds plain lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import countOf
 
 from .errors import MissingClasses
-from .homlat import NEG_INF, dense_list
+from .homlat import NEG_INF, Vec, dense_list
 from .resolution import (
     ResolutionPair,
     check_divisor_predicates,
@@ -44,6 +52,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "dumps_indented",
     "fraction_str",
+    "indented_parts",
     "make_report",
     "serialize_report",
     "parse_report",
@@ -83,6 +92,50 @@ def _int_str(x: int) -> str:
     return _int_str(hi) + _int_str(lo).zfill(k)
 
 
+class _Row(list):
+    """A class vector of a report: a list of exact ints that also keeps its
+    nonzero slots, in increasing order, in slots, so that dumps_indented
+    writes it without scanning it.
+
+    Every list method that changes the row (also __init__) sets slots to None
+    first, and the row is then written as any other list. A copy or a pickle
+    of a row is a plain list.
+    """
+
+    __slots__ = ("slots",)
+
+    def __init__(self, items=(), slots=None):
+        self.slots = slots
+        list.__init__(self, items)
+
+    def __reduce_ex__(self, protocol):
+        return list, (list(self),)
+
+
+def _dropping_slots(name: str):
+    method = getattr(list, name)
+
+    def mutate(self, *args, **kwargs):
+        self.slots = None
+        return method(self, *args, **kwargs)
+
+    mutate.__name__ = mutate.__qualname__ = name
+    return mutate
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "extend",
+              "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(_Row, _name, _dropping_slots(_name))
+
+
+def _class_row(x: Vec, rank: int) -> list[int]:
+    """dense_list(x, rank) as a _Row that knows x's slots, or as the plain list
+    when a coefficient is not an exact int (json writes a bool as true)."""
+    if countOf(map(type, x.values()), int) != len(x):
+        return dense_list(x, rank)
+    return _Row(dense_list(x, rank), sorted(x))
+
+
 def _kodaira_json(k):
     if k is None:
         return None
@@ -99,7 +152,7 @@ def _ruling_json(rd: RulingData, rank: int) -> dict:
         "case": rd.case,
         "nu_a": rd.nu_a,
         "nu_b": rd.nu_b,
-        "fiber": None if rd.fiber is None else dense_list(rd.fiber, rank),
+        "fiber": None if rd.fiber is None else _class_row(rd.fiber, rank),
         "pa": rd.pa,
         "qa": rd.qa,
         "pb": rd.pb,
@@ -150,7 +203,7 @@ def _ruling_resolution_json(rr: RulingResolution) -> dict:
         "multiplicities": list(rr.multiplicities),
         "blowups": len(rr.multiplicities),
         "final_rank": rr.final_rank,
-        "fiber": dense_list(rr.resolved.fclass, rr.final_rank),
+        "fiber": _class_row(rr.resolved.fclass, rr.final_rank),
         "chain_labels": [c.label for c in rr.config.components],
         "chain_selfints": _chain_selfints(rr),
         "last_meeting": rr.resolved.last_meeting,
@@ -194,7 +247,7 @@ def make_report(rp: ResolutionPair) -> dict:
                 "residue": sd.residue,
                 "selfints": list(sd.selfints),
                 "edge_ids": list(sd.edge_ids),
-                "classes": [dense_list(rp.edge_classes[i], r) for i in sd.edge_ids],
+                "classes": [_class_row(rp.edge_classes[i], r) for i in sd.edge_ids],
                 "areas": [edge_lengths[i] for i in sd.edge_ids],
             }
             for role, sd in sorted(rp.strings.items())
@@ -203,7 +256,7 @@ def make_report(rp: ResolutionPair) -> dict:
             name: {
                 "selfint": cd.selfint,
                 "edge_id": cd.edge_id,
-                "class": dense_list(rp.edge_classes[cd.edge_id], r),
+                "class": _class_row(rp.edge_classes[cd.edge_id], r),
                 "area": edge_lengths[cd.edge_id],
             }
             for name, cd in sorted(rp.connectors.items())
@@ -256,21 +309,31 @@ def dumps_indented(obj) -> str:
     acyclic obj that json accepts; what json rejects raises the same exception
     type here (TypeError for an unencodable object, ValueError for an int
     past the interpreter's digit limit)."""
+    return "".join(indented_parts(obj))
+
+
+def indented_parts(obj) -> list[str]:
+    """The text of dumps_indented(obj) as the list of strings it joins, so
+    that a caller can write it out without holding the joined copy."""
     parts: list[str] = []
     _write(obj, "\n", parts)
-    return "".join(parts)
+    return parts
 
 
 def _write(obj, nl: str, out: list[str]) -> None:
     """Append the indented text of obj; nl is a newline plus obj's indent.
 
-    A list or tuple of exact ints goes to _write_ints, one of exact strs is
-    joined in one call, any other list is written item by item.
+    A nonempty _Row that still has its slots is written from them. A list or
+    tuple of exact ints goes to _write_ints, one of exact strs is joined in
+    one call, any other list is written item by item.
     """
     # exact types only: bool, an int subclass, and any other subclass go to json
-    if type(obj) is str:
+    t = type(obj)
+    if t is _Row and obj.slots is not None and obj:
+        _write_slots(obj, obj.slots, nl, out)
+    elif t is str:
         out.append(encode_basestring_ascii(obj))
-    elif type(obj) is int:
+    elif t is int:
         out.append(int.__repr__(obj))
     elif isinstance(obj, dict):
         if not obj:
@@ -307,13 +370,20 @@ def _write(obj, nl: str, out: list[str]) -> None:
 
 
 def _write_ints(obj: list[int] | tuple[int, ...], nl: str, out: list[str]) -> None:
-    """Append the indented text of a nonempty list of exact ints from its
-    nonzeros: each run of zeros before a nonzero is one string repetition."""
+    """Append the indented text of a nonempty list of exact ints from its nonzeros."""
+    _write_slots(obj, compress(range(len(obj)), obj), nl, out)
+
+
+def _write_slots(obj: list[int] | tuple[int, ...], slots: Iterable[int], nl: str,
+                 out: list[str]) -> None:
+    """Append the indented text of a nonempty list of exact ints that are 0
+    outside slots, given in increasing order: each run of zeros before a slot
+    is one string repetition."""
     sep = "," + nl + _INDENT
     zero = "0" + sep
     out.append("[" + nl + _INDENT)
     nxt = 0  # the first slot not yet written
-    for i in compress(range(len(obj)), obj):
+    for i in slots:
         out.append(zero * (i - nxt) + int.__repr__(obj[i]))
         out.append(sep)
         nxt = i + 1

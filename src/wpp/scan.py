@@ -34,6 +34,8 @@ SCAN_SCHEMA_VERSION = 1
 
 def coprime_triples(max_c: int) -> list[tuple[int, int, int]]:
     """All pairwise coprime 2 <= a < b < c <= max_c, sorted."""
+    if isinstance(max_c, bool) or not isinstance(max_c, int):
+        raise UserInputError(f"--max-c must be an integer, got {max_c!r}")
     if max_c < 2:
         raise UserInputError("--max-c must be at least 2")
     out = []
@@ -149,8 +151,11 @@ def run_scan(
 ) -> dict:
     _check_names(checks)
     check_schedule(schedule)
-    if jobs is not None and jobs < 1:
-        raise UserInputError(f"--jobs must be at least 1, got {jobs}")
+    if jobs is not None:
+        if isinstance(jobs, bool) or not isinstance(jobs, int):
+            raise UserInputError(f"--jobs must be an integer, got {jobs!r}")
+        if jobs < 1:
+            raise UserInputError(f"--jobs must be at least 1, got {jobs}")
     triples = coprime_triples(max_c)
     tasks = [(t, tuple(checks), schedule) for t in triples]
     if jobs == 1 or len(tasks) < 4:

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 import wpp.cli
+import wpp.report
 import wpp.scan
 from wpp.cli import main
 from wpp.render import render
-from wpp.report import parse_report, serialize_report
+from wpp.report import make_report, parse_report, serialize_report
 from wpp.resolution import build_resolution
 
 
@@ -116,6 +117,27 @@ class TestResolveJson:
         rep = json.loads(out)
         assert rep["triple"] == [14, 11, 13]
         assert rep["weights"] == {"a": 11, "b": 13, "c": 14}
+
+
+    @pytest.mark.parametrize("pres", [1, 4])
+    def test_stdout_is_the_serialized_report_timing_aside(self, capsys, pres):
+        argv = ["resolve", "11", "13", "14", "--presentation", str(pres)]
+        rc, out, _ = run_main(capsys, argv)
+        assert rc == 0
+        rep = make_report(build_resolution(11, 13, 14, presentation=pres))
+        rep["timing"] = json.loads(out)["timing"]
+        assert out == serialize_report(rep) + "\n"
+
+    def test_a_failure_while_writing_the_report_prints_nothing(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("synthetic")
+
+        # the class vectors are written after the report's first keys
+        monkeypatch.setattr(wpp.report, "_write_slots", broken)
+        rc, out, err = run_main(capsys, ["resolve", "11", "13", "14"])
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("internal error: ZeroDivisionError: synthetic")
 
 
 class TestResolveText:

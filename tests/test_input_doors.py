@@ -1,10 +1,10 @@
 """Public entry points reject bad input with UserInputError and a message.
 
 Each test names the exception class and the whole message: exact-int
-arguments at build_resolution, presentation, check_triple, run_scan and
-weight_triple (a bool is not an integer here, and a str is not a sequence of
-check names), and the input checks of hj_expand, hj_dual, weight_sequence
-and render.
+arguments at build_resolution, presentation, check_triple, run_scan,
+coprime_triples, weight_triple, hj_expand, hj_dual and weight_sequence (a
+bool is not an integer here, and a str is not a sequence of check names),
+and the other input checks of the continued-fraction helpers and render.
 """
 
 import importlib
@@ -16,7 +16,7 @@ from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
 from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, UserInputError
 from wpp.render import render
 from wpp.resolution import build_resolution
-from wpp.scan import check_triple, run_scan
+from wpp.scan import check_triple, coprime_triples, run_scan
 
 polygon_mod = importlib.import_module("wpp.polygon")
 
@@ -94,6 +94,43 @@ def test_weight_sequence_needs_positive_ints(fn, p, q):
 def test_weight_sequence_needs_coprime_ints(fn):
     with _raises(NotCoprime, "(6, 4) is not coprime"):
         fn(6, 4)
+
+
+# a bool is not an entry: the typed caches keep (2, True) apart from a cached
+# (2, 1), so each call below is checked even after the int call is cached
+
+
+def test_hj_expand_rejects_a_bool():
+    assert hj_expand(2, 1) == (2,)
+    with _raises(InvalidFraction, "need integers p > q >= 1, got 2/True"):
+        hj_expand(2, True)
+
+
+def test_hj_dual_rejects_a_bool():
+    assert hj_dual(3, 1) == 1
+    with _raises(InvalidFraction, "need integers p > q >= 1, got 3/True"):
+        hj_dual(3, True)
+
+
+@pytest.mark.parametrize("p, q", [(3, True), (False, True), (True, False), (0.0, 1)])
+def test_weight_sequence_rejects_a_bool_or_a_float(p, q):
+    assert weight_sequence(3, 1) == (1, 1, 1) and weight_sequence(0, 1) == ()
+    with _raises(NotCoprime, f"need nonnegative coprime (p, q), got ({p}, {q})"):
+        weight_sequence(p, q)
+
+
+@pytest.mark.parametrize("bad", [True, 8.5, "8", None])
+def test_coprime_triples_takes_an_int_max_c(bad):
+    with _raises(UserInputError, f"--max-c must be an integer, got {bad!r}"):
+        coprime_triples(bad)
+    with _raises(UserInputError, f"--max-c must be an integer, got {bad!r}"):
+        run_scan(bad, jobs=1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, "2"])
+def test_run_scan_takes_an_int_jobs(bad):
+    with _raises(UserInputError, f"--jobs must be an integer, got {bad!r}"):
+        run_scan(6, jobs=bad)
 
 
 def test_render_names_an_unknown_kind():

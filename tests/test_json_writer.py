@@ -1,7 +1,8 @@
 """The report writer against the json module it replaces.
 
 dumps_indented must give exactly json.dumps(x, sort_keys=True, indent=2) for
-every report, every scan and any JSON tree; ratio_str must give exactly
+every report, every scan and any JSON tree, and a report's text must parse
+back to the report; ratio_str must give exactly
 str(Fraction(num, den)).
 """
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_golden_outputs import REPORT_DIGESTS, SCHEDULES
-from wpp.report import dumps_indented, make_report, ratio_str, serialize_report
+from wpp.report import dumps_indented, make_report, parse_report, ratio_str, serialize_report
 from wpp.resolution import build_resolution
 from wpp.scan import run_scan, serialize_scan
 
@@ -30,7 +31,9 @@ def test_golden_reports(triple):
     for idx in range(1, 7):
         for sched in SCHEDULES:
             rep = make_report(build_resolution(*triple, presentation=idx, schedule=sched))
-            assert serialize_report(rep) == oracle(rep)
+            text = serialize_report(rep)
+            assert text == oracle(rep)
+            assert parse_report(text) == rep
 
 
 @pytest.mark.parametrize("triple", HIGH_RANK)
@@ -38,7 +41,9 @@ def test_high_rank_reports(triple):
     rp = build_resolution(*triple)
     assert rp.n >= 150
     rep = make_report(rp)
-    assert serialize_report(rep) == oracle(rep)
+    text = serialize_report(rep)
+    assert text == oracle(rep)
+    assert parse_report(text) == rep
 
 
 def test_scan():
