@@ -55,6 +55,7 @@ __all__ = [
     "ChopResult",
     "chop_corner",
     "check_schedule",
+    "explicit_depths",
     "check_presentation",
     "edge_selfint",
     "edge_selfints",
@@ -149,36 +150,43 @@ class LatticePolygon:
 
     @classmethod
     def _grown(cls, p: "LatticePolygon", i: int, ipts: list[IVec], den: int,
-               scale: int, g: int) -> "LatticePolygon | None":
+               cdirs: list[IVec], s: int, t: int) -> "LatticePolygon | None":
         """The chop of p at vertex i as the polygon ipts / den, or None when
         a local test fails (chop_corner says why the tests suffice).
 
-        ipts holds p's vertices but i, times scale / g, with the chain
-        C_0..C_k in place of vertex i. Only the k + 2 edges from vertex i - 1
-        to vertex i + k + 1 are new; the others are p's, scaled, so they keep
-        their primitive direction, and their lattice length becomes
-        length * scale / g."""
+        ipts holds p's vertices but i, times s / t, with the chain C_0..C_k
+        in place of vertex i. Only the k + 2 edges from vertex i - 1 to
+        vertex i + k + 1 are new, and cdirs holds the primitive direction
+        the chop predicts for each. The cone and turn tests run on these
+        directions; each new edge must then be a positive multiple of its
+        direction, and that multiple, one exact division, is its lattice
+        length. The other edges are p's, scaled, so they keep their primitive
+        direction, and their lattice length becomes length * s / t."""
         n, m = p.n, len(ipts)
-        pos = [(i - 1 + t) % m for t in range(m - n + 3)]
-        vecs = [(ipts[b][0] - ipts[a][0], ipts[b][1] - ipts[a][1])
-                for a, b in zip(pos, pos[1:])]
         dirs, lens = p._edges
         (lx, ly), (hx, hy) = dirs[i - 1], dirs[i]  # the cone at vertex i
         ux, uy = dirs[(i - 2) % n]  # the edge before, for the turn test
-        for x, y in vecs:
+        for x, y in cdirs:
             if lx * y - ly * x < 0 or x * hy - y * hx < 0 or ux * y - uy * x <= 0:
                 return None
             ux, uy = x, y
         wx, wy = dirs[(i + 1) % n]
         if ux * wy - uy * wx <= 0:
             return None
-        cdirs, clens = [], []
-        for x, y in vecs:
-            c = math.gcd(x, y)
-            cdirs.append((x // c, y // c))
-            clens.append(c)
-        if scale != g:
-            lens = tuple(ln * scale // g for ln in lens)
+        clens = []
+        ax, ay = ipts[i - 1]
+        for j, (x, y) in enumerate(cdirs, i):
+            bx, by = ipts[j % m]
+            vx, vy = bx - ax, by - ay
+            ln = vx // x if x else vy // y
+            if ln <= 0 or vx != ln * x or vy != ln * y:
+                return None
+            clens.append(ln)
+            ax, ay = bx, by
+        if t != 1:
+            lens = tuple(ln // t * s for ln in lens)
+        elif s != 1:
+            lens = tuple(ln * s for ln in lens)
         if i:
             table = (*dirs[:i - 1], *cdirs, *dirs[i + 1:]), (*lens[:i - 1], *clens, *lens[i + 1:])
         else:  # the edge into C_0 closes the cycle
@@ -291,26 +299,56 @@ def check_schedule(schedule: tuple[Fraction, Fraction] | None) -> None:
         raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
 
 
+def _schedule_ratios(schedule: tuple[Fraction, Fraction] | None
+                     ) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The initial and shrink ratios of a checked schedule as (num, den)
+    pairs in lowest terms; 1/4 and 1/3 by default."""
+    if schedule is None:
+        return (1, 4), (1, 3)
+    return tuple((x.numerator, x.denominator) for x in map(_fr, schedule))
+
+
+def explicit_depths(epsilons: Sequence[Fraction]) -> list[tuple[int, int]]:
+    """Explicit chop depths as (num, den) pairs in lowest terms; raises
+    UserInputError unless epsilons is a list or tuple of finite real
+    numbers, none of them a bool or a str. Their count and sign are the
+    chop's to judge."""
+    if not isinstance(epsilons, (list, tuple)):
+        raise UserInputError(f"chop depths are a list of numbers, got {epsilons!r}")
+    out = []
+    for e in epsilons:
+        if not isinstance(e, Real) or isinstance(e, bool):
+            raise UserInputError(f"a chop depth is a finite real number, got {e!r}")
+        try:
+            e = _fr(e)
+        except (ValueError, OverflowError) as exc:  # nan, inf
+            raise UserInputError(f"a chop depth is a finite real number, got {e!r}") from exc
+        out.append((e.numerator, e.denominator))
+    return out
+
+
 def _chop_depths(p: LatticePolygon, i: int, k: int,
                  schedule: tuple[Fraction, Fraction] | None = None) -> list[tuple[int, int]]:
     """The default chop depths at vertex i as (num, den) pairs in lowest
     terms: the first is the initial ratio (1/4 by default) of the shorter
     adjacent edge, each next one the shrink ratio (1/3) of the one before.
-    The edge lengths are integers over p.den, so this is integer work."""
+    The edge lengths are integers over p.den, so this is integer work.
+
+    Only the first pair takes a gcd of two big ints. With num / den and
+    c / d each in lowest terms, the gcd of num c and den d is gcd(num, d)
+    gcd(c, den): a prime dividing num divides neither den nor, if it
+    divides c, d. Each of those is a gcd with a small int."""
     check_schedule(schedule)
-    (a, b), (c, d) = (
-        ((x.numerator, x.denominator) for x in map(_fr, schedule))
-        if schedule is not None
-        else ((1, 4), (1, 3))
-    )
+    (a, b), (c, d) = _schedule_ratios(schedule)
     num = min(p.length_scaled(i - 1), p.length_scaled(i)) * a
     den = p.den * b
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     out = []
     for _ in range(k):
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
         out.append((num, den))
-        num, den = num * c, den * d
+        gn, gd = math.gcd(num, d), math.gcd(c, den)
+        num, den = num // gn * (c // gd), den // gd * (d // gn)
     return out
 
 
@@ -346,26 +384,47 @@ def chop_corner(
     resulting edge directions obey e_{j+1} = b_j e_j - e_{j-1} and the new
     edges acquire self-intersections (-b_1, ..., -b_k), u side first.
 
+    The chain checks that e_1 is integral and that e_{k+1} = b_k e_k -
+    e_{k-1} is w. The second implies that the corner types end on (1, 0):
+    write e_j = alpha_j w + beta_j u. Then beta_j = -q_{j-1} / r (with
+    q_{-1} = r), since beta and q obey the same recursion from the same
+    start, and det(e_j, e_{j+1}) = det(e_0, e_1) = -det(u, w) / r for every
+    j. So e_{k+1} = w gives beta_{k+1} = 0, that is q_k = 0, and
+    beta_k det(u, w) = det(e_k, w) = -det(u, w) / r, that is q_{k-1} = 1.
+
     p must be strictly convex and counterclockwise, every turn strictly left
     and the edge directions turning once around, as _validated checks and
     every LatticePolygon the package makes is. The result is then checked
-    locally: the k + 2 new edges, from vertex i - 1 through the chain
-    C_0..C_k to vertex i + 1, must lie in the closed cone spanned by p's
-    edges at vertex i, and the k + 3 turns at C_0..C_k and at the two kept
-    neighbours must be strict left turns. Every other turn is a turn of p,
-    scaled by scale / g > 0, so it is a strict left turn too. Measure edge
-    angles from the edge into vertex i, and let the old corner turn by
-    theta < pi, the neighbours by alpha and beta. New edges in the cone
-    have angles in [0, theta], so a strict left turn between two of them is
-    their angle difference, the one at i - 1 is alpha plus the first angle,
-    and the one at i + 1 is theta + beta minus the last: each lies in
-    (0, 2 pi), and a strict left turn is below pi. The turns add up to
-    alpha + theta + beta, as in p, so the result turns once around with
-    every turn strictly left: it is strictly convex and counterclockwise,
-    and the global check of _validated accepts it in its order. When a
-    local test fails, that global check decides, so a rejected chop raises
-    ChopsOverlap with the message it names. The edge table of the result is
-    seeded: only the k + 2 new edges take a gcd.
+    locally (_grown), on the primitive directions the chain predicts for
+    the k + 2 new edges, from vertex i - 1 through C_0..C_k to vertex
+    i + 1: e_0, e_1, ..., e_k, w, or their negatives in reverse when u is
+    the next edge. Each must lie in the closed cone spanned by p's edges at
+    vertex i, the k + 3 turns at C_0..C_k and at the two kept neighbours
+    must be strict left turns, and each new edge must be its direction
+    times a positive length, which one exact division gives. A positive
+    multiple keeps the sign of every cone and turn test, so the tests say
+    the same of the edges as of their directions. Every other turn is a
+    turn of p, scaled by a positive factor, so it is a strict left turn
+    too. Measure edge angles from the edge into vertex i, and let the old
+    corner turn by theta < pi, the neighbours by alpha and beta. New edges
+    in the cone have angles in [0, theta], so a strict left turn between
+    two of them is their angle difference, the one at i - 1 is alpha plus
+    the first angle, and the one at i + 1 is theta + beta minus the last:
+    each lies in (0, 2 pi), and a strict left turn is below pi. The turns
+    add up to alpha + theta + beta, as in p, so the result turns once
+    around with every turn strictly left: it is strictly convex and
+    counterclockwise, and the global check of _validated accepts it in its
+    order. When a local test fails, that global check decides, so a
+    rejected chop raises ChopsOverlap with the message it names. The edge
+    table of the result is seeded, with no gcd of a big vector.
+
+    The result is reduced to its least common denominator by one running
+    gcd of den and the coordinates, which CPython's math.gcd stops taking
+    once it reaches 1. It starts at C_k, the deepest vertex: its reduced
+    denominator is the largest, so its coordinates share little of den and
+    the running value is small after a step or two. From C_0 the running
+    value would stay near den for most of the chain, each step a full gcd
+    of two big ints, quadratic in the digit count.
     """
     i %= p.n
     u, w = _corner_dirs(p, i, u_side)
@@ -377,7 +436,7 @@ def chop_corner(
     if epsilons is None:
         depths = _chop_depths(p, i, k, schedule)
     else:
-        depths = [(e.numerator, e.denominator) for e in map(_fr, epsilons)]
+        depths = explicit_depths(epsilons)
         if len(depths) != k or any(num <= 0 for num, _ in depths):
             raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
 
@@ -394,52 +453,75 @@ def chop_corner(
     if exit_dir != w:
         raise LemmaViolated("chop chain does not exit along the far edge")
 
-    # q_j of the corner met by chop j: (r, q) -> (q, b q - r) after each chop
+    # q_j of the corner met by chop j: (r, q) -> (q, b q - r) after each chop;
+    # the exit check above implies the chain ends on (1, 0) (see docstring)
     qs = []
     rj, qj = r, q
     for b in entries:
         qs.append(qj)
         rj, qj = qj, b * qj - rj
-    if (rj, qj) != (1, 0):
-        raise LemmaViolated(f"chop chain ended on ({rj}, {qj}), expected (1, 0)")
 
     # chop j moves eps_j along the u side and eps_j / q_j along w; put the
     # old vertices and every move over one denominator and chain in ints.
     # den is a common multiple of p.den and of the denominator of every
     # eps_j / q_j, so ue_j = eps_j den and wf_j = ue_j / q_j are integers.
-    # ue_j is carried from ue_{j-1} (eps_{-1} = 1) by the ratio eps_j /
-    # eps_{j-1}, cross-reduced, so a depth schedule that shrinks by a fixed
-    # ratio multiplies and divides by small ints; both divisions are exact
-    den = math.lcm(p.den, *(eden * (qj // math.gcd(num, qj))
-                            for (num, eden), qj in zip(depths, qs)))
+    # Under a schedule eps_j = eps_0 (c/d)^j, so eden_0 d^(k-1) times the
+    # lcm of the q_j is such a multiple, and ue_j = ue_{j-1} c / d exactly
+    if epsilons is None:
+        (num, eden), (c, d) = depths[0], _schedule_ratios(schedule)[1]
+        den = math.lcm(p.den, eden * d ** (k - 1) * math.lcm(*qs))
+        ues = [num * (den // eden)]
+        for _ in range(k - 1):
+            ues.append(ues[-1] * c // d)
+    else:
+        den = math.lcm(p.den, *(eden * (qj // math.gcd(num, qj))
+                                for (num, eden), qj in zip(depths, qs)))
+        ues = [num * (den // eden) for num, eden in depths]
     scale = den // p.den
     vx, vy = p.ipts[i]
     vx, vy = vx * scale, vy * scale
     chain: list[IVec] = []
-    ue, pnum, peden = den, 1, 1
-    for d, (num, eden), qj in zip(dirs, depths, qs):
-        gn, ge = math.gcd(num, pnum), math.gcd(eden, peden)
-        ue = ue * (num // gn) * (peden // ge) // ((eden // ge) * (pnum // gn))
-        pnum, peden = num, eden
+    for (dx, dy), ue, qj in zip(dirs, ues, qs):
         wf = ue // qj
-        chain.append((vx - ue * d[0], vy - ue * d[1]))
+        chain.append((vx - ue * dx, vy - ue * dy))
         vx, vy = vx + wf * w[0], vy + wf * w[1]
     chain.append((vx, vy))
 
-    # reduce to the least common denominator; the kept old vertices share
-    # the factor g0 with p.den, so their scaled coordinates share scale * g0
+    # reduce to the least common denominator, den / g with g the gcd of den
+    # and every coordinate. The running gcd starts at the deepest vertex C_k
+    # (see docstring) and stops at 1. Only when it stays above 1, at x, do
+    # the kept old vertices count, their coordinates c scaled: gcd(x,
+    # scale c_1, scale c_2, ...) = gcd(x, scale gcd(x, c_1, c_2, ...)), so
+    # that gcd too starts from x. It takes the kept vertices from the last
+    # one back: on the builds of the resolve benchmark's seed-1 triples, the
+    # running value's digits summed over the steps are 12x fewer that way
+    g = math.gcd(den, *_flat(reversed(chain)))
     head, tail = p.ipts[:i], p.ipts[i + 1:]
-    g0 = math.gcd(p.den, *_flat(head), *_flat(tail))
-    g = math.gcd(scale * g0, *_flat(chain))
     if g > 1:
+        g = math.gcd(g, scale * math.gcd(g, *_flat(reversed(tail)), *_flat(reversed(head))))
         den //= g
         chain = [(x // g, y // g) for x, y in chain]
-    if scale != g:
-        head = tuple((x * scale // g, y * scale // g) for x, y in head)
-        tail = tuple((x * scale // g, y * scale // g) for x, y in tail)
-    ordered = chain if u_side == "prev" else chain[::-1]
+    # the kept vertices scale by scale / g = s / t in lowest terms; t divides
+    # every one of their coordinates. It is 1 unless the new denominator
+    # misses a factor of p.den, which only vertex i needed
+    t = math.gcd(scale, g)
+    s, t = scale // t, g // t
+    if t != 1:
+        head = tuple((x // t * s, y // t * s) for x, y in head)
+        tail = tuple((x // t * s, y // t * s) for x, y in tail)
+    elif s != 1:
+        head = tuple((x * s, y * s) for x, y in head)
+        tail = tuple((x * s, y * s) for x, y in tail)
+    # the new edges run along e_0, e_1, ..., e_k, w from vertex i - 1 to
+    # vertex i + 1, or along their negatives in reverse when u is the next edge
+    cdirs = [*dirs, w]
+    if u_side == "prev":
+        ordered = chain
+    else:
+        ordered = chain[::-1]
+        cdirs = [(-x, -y) for x, y in reversed(cdirs)]
     new_ipts = [*head, *ordered, *tail]
-    p2 = LatticePolygon._grown(p, i, new_ipts, den, scale, g)
+    p2 = LatticePolygon._grown(p, i, new_ipts, den, cdirs, s, t)
     if p2 is None:
         try:
             p2 = _validated(new_ipts, den)

@@ -56,6 +56,7 @@ from .polygon import (
     check_schedule,
     chop_corner,
     edge_selfints,
+    explicit_depths,
     presentation as presentation_of,
 )
 from .strings import DeltaSeq, delta_sequence
@@ -177,19 +178,29 @@ def build_resolution(
     per-corner epsilons, keyed by corner label "A", "B" or "C", control chop
     depths; the default schedule always fits. The result depends on the
     arguments only: the environment is not read here (the CLI turns
-    WPP_EPS_SCHEDULE into a schedule). Ratios outside (0, 1) and other
-    epsilons keys raise UserInputError (CLI exit code 2). Weights are
+    WPP_EPS_SCHEDULE into a schedule). Ratios outside (0, 1), epsilons
+    that are not a dict, other epsilons keys and a corner's depths that are
+    not a list or tuple of finite real numbers raise UserInputError (CLI
+    exit code 2); a wrong count or a nonpositive depth is a ChopsOverlap
+    of that corner's chop. Weights are
     sorted into roles a < b < c internally; the input order is kept for
     reporting.
     """
     check_presentation(presentation)
     check_schedule(schedule)
     w = weight_triple(*sorted((a, b, c)))
-    unknown = set(epsilons or ()) - set(CORNER_CYCLE)
-    if unknown:
-        raise UserInputError(
-            f"epsilons for unknown corners {sorted(map(repr, unknown))}; labels are A, B, C"
-        )
+    if epsilons is not None:
+        if not isinstance(epsilons, dict):
+            raise UserInputError(
+                f"epsilons map corner labels A, B, C to lists of depths, got {epsilons!r}")
+        unknown = set(epsilons) - set(CORNER_CYCLE)
+        if unknown:
+            raise UserInputError(
+                f"epsilons for unknown corners {sorted(map(repr, unknown))}; labels are A, B, C"
+            )
+        for eps in epsilons.values():
+            if eps is not None:
+                explicit_depths(eps)
     pres = presentation_of(w, presentation)
     poly0 = pres.polygon
     label_at = {v: lab for lab, v in pres.corner_vertex.items()}

@@ -43,6 +43,11 @@ SCAN_18_DIGEST = "6361c2621bf9355c94c1b61602e4997060684fd3642d3dffc419722804d7ee
 OVERLAP_SCHEDULE = (Fraction(99, 100), Fraction(99, 100))
 SCAN_8_OVERLAP_DIGEST = "cf5aeae94addb21befd2fcfecadc89d3cfbaaeb42640c6be881d57ffd3e41a36"
 
+# make_report of the default build at n = 2002, where the polygon's common
+# denominator has about 1,817 digits: pins the big-integer chop and report
+HIGH_RANK_TRIPLE = (2, 1999, 2001)
+HIGH_RANK_DIGEST = "b449234e5a8b4ff349b5fe85d32da7872abb8e2d2ba36ef3c7268bb6400326af"
+
 RENDER_TRIPLE = (11, 13, 14)
 RENDER_DIGESTS = {
     ("polygon", "svg"): "23f3218a179a2cc6f363f036bcbd942b5ae849171d7ca070adc91425bf50ebf4",
@@ -68,6 +73,12 @@ def test_report_digest(triple):
             h.update(serialize_report(rep).encode())
             h.update(b"\n")
     assert h.hexdigest() == REPORT_DIGESTS[triple]
+
+
+def test_high_rank_report_digest():
+    rep = make_report(build_resolution(*HIGH_RANK_TRIPLE))
+    assert "timing" not in rep
+    assert _sha(serialize_report(rep)) == HIGH_RANK_DIGEST
 
 
 def test_scan_digest():

@@ -5,20 +5,26 @@ arguments at build_resolution, presentation, check_triple, run_scan,
 coprime_triples, weight_triple, hj_expand, hj_dual and weight_sequence (a
 bool is not an integer here, and a str is not a sequence of check names),
 and the other input checks of the continued-fraction helpers and render.
+Per-corner chop depths are checked where they enter, in build_resolution
+(a dict of corner labels) and chop_corner (a list or tuple of finite real
+numbers, none a bool or a str); a wrong count or a nonpositive depth stays
+a ChopsOverlap of the chop.
 """
 
 import importlib
 import re
+from fractions import Fraction
 
 import pytest
 
 from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
-from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, UserInputError
+from wpp.errors import ChopsOverlap, DegenerateWeight, InvalidFraction, NotCoprime, UserInputError
 from wpp.render import render
 from wpp.resolution import build_resolution
 from wpp.scan import check_triple, coprime_triples, run_scan
 
 polygon_mod = importlib.import_module("wpp.polygon")
+resolution_mod = importlib.import_module("wpp.resolution")
 
 
 def _raises(exc, message):
@@ -65,6 +71,73 @@ def test_weight_triple_rejects_a_bool_weight(triple):
 def test_a_unit_weight_is_still_named_as_such():
     with _raises(DegenerateWeight, "(1, 3, 5) contains a unit weight"):
         weight_triple(1, 3, 5)
+
+
+# --- per-corner chop depths --------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["AB", ["A"]], ids=["str", "list"])
+def test_build_resolution_takes_a_dict_of_epsilons(bad):
+    with _raises(UserInputError,
+                 f"epsilons map corner labels A, B, C to lists of depths, got {bad!r}"):
+        build_resolution(2, 3, 5, epsilons=bad)
+
+
+@pytest.mark.parametrize("bad", ["1/3", 5], ids=["str", "int"])
+def test_a_corner_takes_a_list_of_depths(bad):
+    with _raises(UserInputError, f"chop depths are a list of numbers, got {bad!r}"):
+        build_resolution(2, 3, 5, epsilons={"A": bad})
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "1/3", float("nan"), float("inf"), 1j],
+    ids=["bool", "str", "nan", "inf", "complex"],
+)
+def test_a_chop_depth_is_a_finite_real_number(bad):
+    with _raises(UserInputError, f"a chop depth is a finite real number, got {bad!r}"):
+        build_resolution(2, 3, 5, epsilons={"A": [bad]})
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/3", "chop depths are a list of numbers, got '1/3'"),
+    ((True,), "a chop depth is a finite real number, got True"),
+    ([Fraction(1, 9), float("-inf")], "a chop depth is a finite real number, got -inf"),
+], ids=["str", "bool", "inf"])
+def test_chop_corner_checks_its_own_depths(bad, message):
+    p = polygon_mod.presentation(weight_triple(2, 3, 5), 1).polygon
+    with _raises(UserInputError, message):
+        polygon_mod.chop_corner(p, 0, "prev", epsilons=bad)
+
+
+def test_a_later_corner_is_checked_before_any_chop(monkeypatch):
+    calls = []
+    monkeypatch.setattr(resolution_mod, "chop_corner", lambda *a, **k: calls.append(a))
+    with _raises(UserInputError, "a chop depth is a finite real number, got '1'"):
+        build_resolution(2, 3, 5, epsilons={"A": [Fraction(1, 9)], "C": ["1"]})
+    assert calls == []
+
+
+@pytest.mark.parametrize("eps", [[], [Fraction(1, 9)] * 9, [Fraction(0)], [-1.5]],
+                         ids=["empty", "long", "zero", "negative"])
+def test_a_wrong_count_or_sign_stays_a_chop_overlap(eps):
+    pres = polygon_mod.presentation(weight_triple(2, 3, 5), 1)
+    k = len(hj_expand(*polygon_mod.corner_type(pres.polygon, 0, "prev")))
+    with _raises(ChopsOverlap, f"need {k} positive chop depths, got {eps}"):
+        polygon_mod.chop_corner(pres.polygon, 0, "prev", epsilons=eps)
+    label = next(lab for lab, v in pres.corner_vertex.items() if v == 0)
+    with pytest.raises(ChopsOverlap, match=r"^need \d+ positive chop depths, got "):
+        build_resolution(2, 3, 5, epsilons={label: eps})
+
+
+def test_floats_tuples_and_fractions_still_build_alike():
+    w = weight_triple(5, 7, 9)
+    ks = {lab: len(hj_expand(*wr))
+          for lab, wr in (("A", (w.a, w.a_b)), ("B", (w.b, w.b_c)), ("C", (w.c, w.c_a)))}
+    exact = {lab: [Fraction(1, 64)] * k for lab, k in ks.items()}
+    mixed = {"A": (0.015625,) * ks["A"], "B": [0.015625] * ks["B"],
+             "C": [Fraction(1, 64)] * (ks["C"] - 1) + [0.015625]}
+    assert (build_resolution(5, 7, 9, epsilons=mixed).polygon
+            == build_resolution(5, 7, 9, epsilons=exact).polygon)
 
 
 # --- the input checks of the continued-fraction helpers and render -------------------
