@@ -48,7 +48,7 @@ from itertools import repeat
 from operator import mul
 from typing import Callable, Collection, Iterable, Sequence
 
-from .arith import ext_gcd
+from .arith import _is_int, ext_gcd
 from .errors import (
     LemmaViolated,
     MissingClasses,
@@ -342,6 +342,8 @@ class Lattice:
         them, the head is kept, and the new slots lie in the new rank and hold
         1, so the canonical class stays in range and holds 1 on every tail
         slot exactly when this one does: _kc is copied."""
+        if not _is_int(count):
+            raise UserInputError(f"blowup count must be an int, got {count!r}")
         if count < 1:
             raise WppError(f"blowup count must be at least 1, got {count}")
         r = self.rank
@@ -358,6 +360,8 @@ class Lattice:
 def cp2_lattice(n_exceptional: int) -> Lattice:
     """Blowup of the projective plane: basis (H, e_1, ..., e_n); the checked
     rank-1 form, blown up n times (blowup carries the checks over)."""
+    if not _is_int(n_exceptional):
+        raise UserInputError(f"n_exceptional must be an int, got {n_exceptional!r}")
     lat = Lattice(CP2_HEAD, 1, canonical={0: -3})
     return lat.blowup(n_exceptional) if n_exceptional else lat
 
@@ -365,6 +369,9 @@ def cp2_lattice(n_exceptional: int) -> Lattice:
 def hirz_lattice(k: int, n_exceptional: int = 0) -> Lattice:
     """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k; the
     checked rank-2 form, blown up m times."""
+    for name, x in (("k", k), ("n_exceptional", n_exceptional)):
+        if not _is_int(x):
+            raise UserInputError(f"{name} must be an int, got {x!r}")
     lat = Lattice(((0, 1), (1, -k)), 2, canonical=sparse((-(k + 2), -2)))
     return lat.blowup(n_exceptional) if n_exceptional else lat
 
@@ -488,7 +495,7 @@ def _check_key_bounds(n: int, coeff_bound: int) -> None:
     condition holds. A bound that is not an int, or is a bool, is rejected
     before either test.
     """
-    if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int):
+    if not _is_int(coeff_bound):
         raise UserInputError(f"coeff_bound must be an int, got {coeff_bound!r}")
     if not 0 <= coeff_bound <= 31:
         raise UserInputError(f"coeff_bound must lie in 0..31, got {coeff_bound}")

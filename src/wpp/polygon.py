@@ -33,7 +33,7 @@ from itertools import chain
 from numbers import Real
 from typing import Sequence
 
-from .arith import WeightTriple, ext_gcd, hj_expand
+from .arith import WeightTriple, _is_int, ext_gcd, hj_expand
 from .errors import (
     ChopsOverlap,
     InvalidPolygon,
@@ -45,6 +45,7 @@ from .errors import (
     WppError,
 )
 from .homlat import AreaForm, Lattice, Vec, cp2_lattice, hirz_lattice, vneg
+from .records import hot_record
 
 __all__ = [
     "Point",
@@ -79,7 +80,7 @@ def _det(u: IVec, w: IVec) -> int:
     return u[0] * w[1] - u[1] * w[0]
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class LatticePolygon:
     """Strictly convex polygon, counterclockwise, with rational vertices
     stored as integer points ipts over their least common denominator den.
@@ -88,16 +89,10 @@ class LatticePolygon:
     to be a strict left turn, the signed area to be positive and the edge
     directions to turn once around, and through chop_corner, which tests the
     turns it changes (_grown) and keeps that invariant. The constructor
-    itself checks nothing; it writes the two fields straight into the
-    instance __dict__, as every record made per chop does."""
+    itself checks nothing."""
 
     ipts: tuple[IVec, ...]
     den: int
-
-    def __init__(self, ipts: tuple[IVec, ...], den: int) -> None:
-        d = self.__dict__
-        d["ipts"] = ipts
-        d["den"] = den
 
     @property
     def n(self) -> int:
@@ -287,13 +282,18 @@ def corner_type(p: LatticePolygon, i: int, u_side: str = "prev") -> tuple[int, i
     return (r, q)
 
 
+def _is_real(x) -> bool:
+    """Whether x is a real number and not a bool; a str is not Real."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def check_schedule(schedule: tuple[Fraction, Fraction] | None) -> None:
     """Raise UserInputError unless the schedule is None or two real numbers,
     neither a bool nor a str, each in (0, 1)."""
     if schedule is None:
         return
-    if not (isinstance(schedule, (tuple, list)) and len(schedule) == 2 and all(
-            isinstance(x, Real) and not isinstance(x, bool) for x in schedule)):
+    if not (isinstance(schedule, (tuple, list)) and len(schedule) == 2
+            and all(map(_is_real, schedule))):
         raise UserInputError(f"an epsilon schedule is two ratios, got {schedule!r}")
     if not all(0 < x < 1 for x in schedule):
         raise UserInputError("epsilon schedule ratios must lie in (0, 1)")
@@ -317,7 +317,7 @@ def explicit_depths(epsilons: Sequence[Fraction]) -> list[tuple[int, int]]:
         raise UserInputError(f"chop depths are a list of numbers, got {epsilons!r}")
     out = []
     for e in epsilons:
-        if not isinstance(e, Real) or isinstance(e, bool):
+        if not _is_real(e):
             raise UserInputError(f"a chop depth is a finite real number, got {e!r}")
         try:
             e = _fr(e)
@@ -352,22 +352,13 @@ def _chop_depths(p: LatticePolygon, i: int, k: int,
     return out
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class ChopResult:
     polygon: LatticePolygon
     new_edge_indices: tuple[int, ...]  # u-side first, matching the expansion
     edge_map: dict  # old edge index -> new edge index (for surviving edges)
     entries: tuple[int, ...]  # continued-fraction entries of r/q
     corner: tuple[int, int]  # (r, q) that was smoothed
-
-    def __init__(self, polygon: LatticePolygon, new_edge_indices: tuple[int, ...],
-                 edge_map: dict, entries: tuple[int, ...], corner: tuple[int, int]) -> None:
-        d = self.__dict__
-        d["polygon"] = polygon
-        d["new_edge_indices"] = new_edge_indices
-        d["edge_map"] = edge_map
-        d["entries"] = entries
-        d["corner"] = corner
 
 
 def chop_corner(
@@ -781,7 +772,7 @@ _LAYOUTS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
 
 def check_presentation(index: int) -> None:
     """Raise UserInputError unless index is an int in 1..6, not a bool."""
-    if isinstance(index, bool) or not isinstance(index, int) or not 1 <= index <= 6:
+    if not _is_int(index) or not 1 <= index <= 6:
         raise UserInputError(f"presentation must be 1..6, got {index!r}")
 
 

@@ -59,6 +59,7 @@ from .polygon import (
     explicit_depths,
     presentation as presentation_of,
 )
+from .records import hot_record
 from .strings import DeltaSeq, delta_sequence
 
 __all__ = [
@@ -87,12 +88,9 @@ CONNECTOR_OF_PAIR = {
 }
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class StringData:
-    """One singularity string: role, orientation residue, and its edges.
-
-    Like the other records made per string or connector of every build, it
-    writes its fields straight into the instance __dict__ and stays frozen."""
+    """One singularity string: role, orientation residue, and its edges."""
 
     role: str  # "a" | "b" | "c"
     weight: int
@@ -100,27 +98,12 @@ class StringData:
     edge_ids: tuple[int, ...]  # final polygon edges, expansion order
     selfints: tuple[int, ...]
 
-    def __init__(self, role: str, weight: int, residue: int, edge_ids: tuple[int, ...],
-                 selfints: tuple[int, ...]) -> None:
-        d = self.__dict__
-        d["role"] = role
-        d["weight"] = weight
-        d["residue"] = residue
-        d["edge_ids"] = edge_ids
-        d["selfints"] = selfints
 
-
-@dataclass(frozen=True, init=False)
+@hot_record
 class ConnectorData:
     label: str  # "N_a" | "N_b" | "N_c"
     edge_id: int
     selfint: int
-
-    def __init__(self, label: str, edge_id: int, selfint: int) -> None:
-        d = self.__dict__
-        d["label"] = label
-        d["edge_id"] = edge_id
-        d["selfint"] = selfint
 
 
 @dataclass(frozen=True)
@@ -322,13 +305,11 @@ def connector_selfints(rp: ResolutionPair) -> tuple[int, int, int]:
 # --- divisor predicate checks ---------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class DivisorPredicates:
     """The four structural predicates of a resolution divisor, with the data
     backing the admissibility decision. Nothing here is assumed from the
-    construction; every field is recomputed from classes and areas. Made
-    once per check and read a few times, it writes its fields straight into
-    the instance __dict__."""
+    construction; every field is recomputed from classes and areas."""
 
     full: bool
     abc_type: bool
@@ -339,20 +320,6 @@ class DivisorPredicates:
     adjoint_square: int
     area_identity: bool  # adjoint area equals minus the total connector area
     kodaira: float | int | None
-
-    def __init__(self, full: bool, abc_type: bool, gap_admissible: bool, sub_toric: bool,
-                 gaps: dict, adjoint_area: Fraction, adjoint_square: int,
-                 area_identity: bool, kodaira: float | int | None) -> None:
-        d = self.__dict__
-        d["full"] = full
-        d["abc_type"] = abc_type
-        d["gap_admissible"] = gap_admissible
-        d["sub_toric"] = sub_toric
-        d["gaps"] = gaps
-        d["adjoint_area"] = adjoint_area
-        d["adjoint_square"] = adjoint_square
-        d["area_identity"] = area_identity
-        d["kodaira"] = kodaira
 
 
 def _string_values(selfints: tuple[int, ...], forward: DeltaSeq) -> set[tuple[int, int]]:
@@ -483,7 +450,7 @@ def check_sum_bound(rp: ResolutionPair) -> SumBoundResult:
 # --- the two-(-2)-string classification ------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class TwoMinus2Data:
     x: int
     y: int
@@ -491,16 +458,6 @@ class TwoMinus2Data:
     both_minus2: bool
     k: int | None
     predicted_third: tuple[int, ...] | None
-
-    def __init__(self, x: int, y: int, z: int, both_minus2: bool, k: int | None,
-                 predicted_third: tuple[int, ...] | None) -> None:
-        d = self.__dict__
-        d["x"] = x
-        d["y"] = y
-        d["z"] = z
-        d["both_minus2"] = both_minus2
-        d["k"] = k
-        d["predicted_third"] = predicted_third
 
 
 def two_minus2_strings(x: int, y: int, z: int) -> TwoMinus2Data:

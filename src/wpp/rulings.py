@@ -11,9 +11,7 @@ of its local type turns it into an honest square-zero fiber.
 There is one record per cycle sphere, its CycleElement: the cycle, both
 chains, both chain configs and the resolved chain of ruling_resolution hold
 the same records, with no slot-range check here: the spheres carry the edge
-classes, and build_resolution checks once that each lies in the rank. The
-records made per sphere and per chain write their fields straight into the
-instance __dict__ (see strings); they stay frozen.
+classes, and build_resolution checks once that each lies in the rank.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import LemmaViolated, NoSignChange, WppError
 from .homlat import Vec
+from .records import hot_record
 from .resolution import ResolutionPair
 from .strings import (
     DivisorConfig,
@@ -49,7 +48,7 @@ __all__ = [
 OPPOSITE_CONNECTOR = {"a": "N_a", "b": "N_b", "c": "N_c"}
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class CycleElement:
     """One sphere of the boundary cycle, the only record of it: it is also
     the sphere's component in the chain configs (a config reads a label and
@@ -62,17 +61,6 @@ class CycleElement:
     edge_id: int
     cls: Vec  # sparse, shared with ResolutionPair.edge_classes
     selfint: int
-
-    def __init__(self, kind: str, name: str, role: str | None, stored_index: int | None,
-                 edge_id: int, cls: Vec, selfint: int) -> None:
-        d = self.__dict__
-        d["kind"] = kind
-        d["name"] = name
-        d["role"] = role
-        d["stored_index"] = stored_index
-        d["edge_id"] = edge_id
-        d["cls"] = cls
-        d["selfint"] = selfint
 
     @property
     def label(self) -> str:
@@ -97,7 +85,7 @@ def boundary_elements(rp: ResolutionPair) -> tuple[CycleElement, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class CombinedString:
     """A walk through two strings and the connector between them, ending in
     the target string; elements carry provenance back to the cycle."""
@@ -105,12 +93,6 @@ class CombinedString:
     direction: str  # "forward" | "backward"
     target: str
     elements: tuple[CycleElement, ...]
-
-    def __init__(self, direction: str, target: str, elements: tuple[CycleElement, ...]) -> None:
-        d = self.__dict__
-        d["direction"] = direction
-        d["target"] = target
-        d["elements"] = elements
 
     @property
     def selfints(self) -> tuple[int, ...]:
@@ -170,7 +152,7 @@ def nu_indices(rp: ResolutionPair, target: str = "c") -> tuple[int, int]:
     return _chain_nu(fwd), _chain_nu(bwd)
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class ApproachData:
     """Sign-change data of one approach chain."""
 
@@ -181,18 +163,6 @@ class ApproachData:
     nu: int | None  # stored index of the chain node, when it lies in the target
     in_range: bool  # node and its chain successor both in the target string
     fiber: FiberData | None  # fiber class at the sign change, with its (p, q)
-
-    def __init__(self, combined: CombinedString, config: DivisorConfig,
-                 deltas: tuple[int, ...], sign_change: int | None, nu: int | None,
-                 in_range: bool, fiber: FiberData | None) -> None:
-        d = self.__dict__
-        d["combined"] = combined
-        d["config"] = config
-        d["deltas"] = deltas
-        d["sign_change"] = sign_change
-        d["nu"] = nu
-        d["in_range"] = in_range
-        d["fiber"] = fiber
 
 
 def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
@@ -215,7 +185,7 @@ def _approach(rp: ResolutionPair, cs: CombinedString) -> ApproachData:
                         fiber_class(cfg, ds.deltas, big_k))
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class RulingData:
     """Common fiber class of the two approaches with its case data.
 
@@ -223,8 +193,7 @@ class RulingData:
     approaches; pa, qa and pb, qb their local types at the sign change. For
     the Unicuspidal case the cusp sits at the node between stored components
     nu_a and nu_b of the target string; for EmbeddedFiber the fiber meets the
-    single component nu_a + 1. Made once per ruling and read a few times, it
-    writes its fields straight into the instance __dict__.
+    single component nu_a + 1.
     """
 
     target: str
@@ -245,32 +214,6 @@ class RulingData:
     forward: ApproachData
     backward: ApproachData
     violations: tuple[str, ...]
-
-    def __init__(self, target: str, opposite: str, opposite_selfint: int, case: str,
-                 nu_a: int | None, nu_b: int | None, fiber: Vec | None, pa: int | None,
-                 qa: int | None, pb: int | None, qb: int | None, selfint: int | None,
-                 canonical_pairing: int | None, cusp_location: tuple[int, int] | None,
-                 meet_component: int | None, forward: ApproachData, backward: ApproachData,
-                 violations: tuple[str, ...]) -> None:
-        d = self.__dict__
-        d["target"] = target
-        d["opposite"] = opposite
-        d["opposite_selfint"] = opposite_selfint
-        d["case"] = case
-        d["nu_a"] = nu_a
-        d["nu_b"] = nu_b
-        d["fiber"] = fiber
-        d["pa"] = pa
-        d["qa"] = qa
-        d["pb"] = pb
-        d["qb"] = qb
-        d["selfint"] = selfint
-        d["canonical_pairing"] = canonical_pairing
-        d["cusp_location"] = cusp_location
-        d["meet_component"] = meet_component
-        d["forward"] = forward
-        d["backward"] = backward
-        d["violations"] = violations
 
 
 def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:

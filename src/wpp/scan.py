@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from multiprocessing import Pool
 
-from .arith import weight_triple
+from .arith import _is_int, weight_triple
 from .errors import LemmaViolated, MissingClasses, UserInputError, WppError
 from .polygon import check_schedule
 from .report import dumps_indented
@@ -34,7 +34,7 @@ SCAN_SCHEMA_VERSION = 1
 
 def coprime_triples(max_c: int) -> list[tuple[int, int, int]]:
     """All pairwise coprime 2 <= a < b < c <= max_c, sorted."""
-    if isinstance(max_c, bool) or not isinstance(max_c, int):
+    if not _is_int(max_c):
         raise UserInputError(f"--max-c must be an integer, got {max_c!r}")
     if max_c < 2:
         raise UserInputError("--max-c must be at least 2")
@@ -152,7 +152,7 @@ def run_scan(
     _check_names(checks)
     check_schedule(schedule)
     if jobs is not None:
-        if isinstance(jobs, bool) or not isinstance(jobs, int):
+        if not _is_int(jobs):
             raise UserInputError(f"--jobs must be an integer, got {jobs!r}")
         if jobs < 1:
             raise UserInputError(f"--jobs must be at least 1, got {jobs}")

@@ -4,11 +4,6 @@ A string is recorded by its self-intersection sequence; when it lives in an
 ambient lattice it is a DivisorConfig whose components carry homology classes.
 The determinant sequence of a string drives everything: definiteness, fiber
 classes at sign changes, and the multiplicity data of fiber resolutions.
-
-The records made once per sphere or per ruling step (Component, FiberData)
-write their fields straight into the instance __dict__ instead of calling
-object.__setattr__ once per field, as a generated frozen __init__ does; they
-stay frozen, and ==, repr and dataclasses.replace are the dataclass's own.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from .homlat import (
     vadd,
     vsub,
 )
+from .records import hot_record
 
 __all__ = [
     "DeltaSeq",
@@ -142,7 +138,7 @@ def is_negative_definite(selfints: tuple[int, ...] | list[int]) -> bool:
 # --- sphere configurations -----------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class Component:
     """A sphere of a configuration: its label and its sparse class. A config
     reads only these two attributes, so any record carrying them serves as a
@@ -150,11 +146,6 @@ class Component:
 
     label: str
     cls: Vec
-
-    def __init__(self, label: str, cls: Vec) -> None:
-        d = self.__dict__
-        d["label"] = label
-        d["cls"] = cls
 
 
 def _check_slots(components: Iterable[Component], rank: int) -> None:
@@ -425,21 +416,13 @@ def blowdown(cfg: DivisorConfig, i: int) -> BlowdownResult:
 # --- fiber classes at determinant sign changes ---------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@hot_record
 class FiberData:
     fclass: Vec
     deltas: tuple[int, ...]
     upto: int  # number of leading components summed
     p: int  # -delta_{upto+1}
     q: int  # delta_upto
-
-    def __init__(self, fclass: Vec, deltas: tuple[int, ...], upto: int, p: int, q: int) -> None:
-        d = self.__dict__
-        d["fclass"] = fclass
-        d["deltas"] = deltas
-        d["upto"] = upto
-        d["p"] = p
-        d["q"] = q
 
 
 def fiber_class(cfg: DivisorConfig, deltas: tuple[int, ...], upto: int) -> FiberData:

@@ -1,11 +1,15 @@
 """The records made per sphere, chop and ruling step, and the memoized
 string arithmetic.
 
-The hot records write their fields into the instance __dict__ instead of
-calling object.__setattr__ once per field. Each is compared with a plain
-frozen dataclass of the same name and fields: construction by position and
-by keyword, ==, repr, hash and dataclasses.replace behave the same, and
-assigning or deleting a field still raises FrozenInstanceError.
+The hot records take their __init__ from wpp.records.hot_record. Each is
+compared with a plain frozen dataclass of the same name and fields:
+construction by position and by keyword, ==, repr, vars, hash and
+dataclasses.replace behave the same, a missing or an extra argument raises
+the same TypeError text, pickle and copy round-trips give an equal record of
+the same type, and assigning or deleting a field still raises
+FrozenInstanceError. A scan of the package's source keeps the table
+complete: the classes decorated @hot_record are exactly those in HOT, and
+no other __init__ writes into self.__dict__.
 
 weight_triple, hj_expand, weight_sequence and delta_sequence keep a bounded
 cache; each is compared with its uncached __wrapped__ on the same inputs,
@@ -13,12 +17,17 @@ twice, so that the second answer comes from the cache. Bad inputs, also those eq
 good input, raise on every call.
 """
 
+import ast
+import copy
 import importlib
+import pickle
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import wpp
 from wpp.arith import MEMO_SIZE, hj_expand, weight_sequence, weight_triple
 from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, NotPairwiseCoprime
 from wpp.homlat import cp2_lattice
@@ -107,6 +116,44 @@ def test_hot_record_behaves_like_a_frozen_dataclass(cls, args, other):
         with pytest.raises(FrozenInstanceError):
             delattr(x, name)
     assert x == cls(*args)
+    for bad in (args[:-1], (*args, None)):
+        with pytest.raises(TypeError) as got:
+            cls(*bad)
+        with pytest.raises(TypeError) as want:
+            ref(*bad)
+        assert str(got.value) == str(want.value)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is cls
+        assert y == x
+
+
+def _hot_sources():
+    for path in sorted(Path(wpp.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_hot_record_is_in_the_table():
+    decorated = {
+        node.name
+        for _, tree in _hot_sources()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "hot_record" for d in node.decorator_list)
+    }
+    assert decorated == set(IDS)
+
+
+def test_no_hand_written_init_writes_the_instance_dict():
+    found = [
+        f"{path.name}:{sub.lineno}"
+        for path, tree in _hot_sources() if path.name != "records.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "__dict__"
+        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+    ]
+    assert found == []
 
 
 def test_records_made_by_a_build_stay_frozen():

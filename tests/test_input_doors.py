@@ -2,9 +2,10 @@
 
 Each test names the exception class and the whole message: exact-int
 arguments at build_resolution, presentation, check_triple, run_scan,
-coprime_triples, weight_triple, hj_expand, hj_dual and weight_sequence (a
-bool is not an integer here, and a str is not a sequence of check names),
-and the other input checks of the continued-fraction helpers and render.
+coprime_triples, weight_triple, hj_expand, hj_dual, weight_sequence,
+cp2_lattice, hirz_lattice and Lattice.blowup (a bool is not an integer
+here, and a str is not a sequence of check names), and the other input
+checks of the continued-fraction helpers and render.
 Per-corner chop depths are checked where they enter, in build_resolution
 (a dict of corner labels) and chop_corner (a list or tuple of finite real
 numbers, none a bool or a str); a wrong count or a nonpositive depth stays
@@ -18,7 +19,15 @@ from fractions import Fraction
 import pytest
 
 from wpp.arith import hj_dual, hj_expand, weight_sequence, weight_triple
-from wpp.errors import ChopsOverlap, DegenerateWeight, InvalidFraction, NotCoprime, UserInputError
+from wpp.errors import (
+    ChopsOverlap,
+    DegenerateWeight,
+    InvalidFraction,
+    NotCoprime,
+    UserInputError,
+    WppError,
+)
+from wpp.homlat import cp2_lattice, hirz_lattice
 from wpp.render import render
 from wpp.resolution import build_resolution
 from wpp.scan import check_triple, coprime_triples, run_scan
@@ -204,6 +213,27 @@ def test_coprime_triples_takes_an_int_max_c(bad):
 def test_run_scan_takes_an_int_jobs(bad):
     with _raises(UserInputError, f"--jobs must be an integer, got {bad!r}"):
         run_scan(6, jobs=bad)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+@pytest.mark.parametrize("door, args, name", [
+    (cp2_lattice, (), "n_exceptional"),
+    (hirz_lattice, (), "k"),
+    (hirz_lattice, (1,), "n_exceptional"),
+    (cp2_lattice(2).blowup, (), "blowup count"),
+], ids=["cp2_lattice", "hirz_lattice_k", "hirz_lattice_n", "blowup"])
+def test_the_lattice_doors_take_ints(door, args, name, bad):
+    with _raises(UserInputError, f"{name} must be an int, got {bad!r}"):
+        door(*args, bad)
+
+
+def test_the_lattice_doors_still_take_ints():
+    assert [cp2_lattice(n).rank for n in (0, 1, 3)] == [1, 2, 4]
+    assert [hirz_lattice(k, 2).rank for k in (0, 1, 4)] == [4, 4, 4]
+    assert hirz_lattice(1, 2).head == ((0, 1), (1, -1))
+    with _raises(WppError, "blowup count must be at least 1, got 0") as info:
+        cp2_lattice(2).blowup(0)
+    assert type(info.value) is WppError
 
 
 def test_render_names_an_unknown_kind():
