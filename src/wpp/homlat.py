@@ -357,11 +357,18 @@ class Lattice:
         return out
 
 
+def _check_blowups(n_exceptional: int) -> None:
+    """Raise UserInputError unless n_exceptional is an int >= 0, not a bool."""
+    if not _is_int(n_exceptional):
+        raise UserInputError(f"n_exceptional must be an int, got {n_exceptional!r}")
+    if n_exceptional < 0:
+        raise UserInputError(f"n_exceptional must be at least 0, got {n_exceptional}")
+
+
 def cp2_lattice(n_exceptional: int) -> Lattice:
     """Blowup of the projective plane: basis (H, e_1, ..., e_n); the checked
     rank-1 form, blown up n times (blowup carries the checks over)."""
-    if not _is_int(n_exceptional):
-        raise UserInputError(f"n_exceptional must be an int, got {n_exceptional!r}")
+    _check_blowups(n_exceptional)
     lat = Lattice(CP2_HEAD, 1, canonical={0: -3})
     return lat.blowup(n_exceptional) if n_exceptional else lat
 
@@ -369,9 +376,9 @@ def cp2_lattice(n_exceptional: int) -> Lattice:
 def hirz_lattice(k: int, n_exceptional: int = 0) -> Lattice:
     """Ruled surface lattice: basis (F, B, e_1, ..., e_m) with B.B = -k; the
     checked rank-2 form, blown up m times."""
-    for name, x in (("k", k), ("n_exceptional", n_exceptional)):
-        if not _is_int(x):
-            raise UserInputError(f"{name} must be an int, got {x!r}")
+    if not _is_int(k):
+        raise UserInputError(f"k must be an int, got {k!r}")
+    _check_blowups(n_exceptional)
     lat = Lattice(((0, 1), (1, -k)), 2, canonical=sparse((-(k + 2), -2)))
     return lat.blowup(n_exceptional) if n_exceptional else lat
 

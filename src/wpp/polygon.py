@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Real
 from typing import Sequence
 
@@ -88,7 +88,7 @@ class LatticePolygon:
     The package makes polygons through _validated, which requires every turn
     to be a strict left turn, the signed area to be positive and the edge
     directions to turn once around, and through chop_corner, which tests the
-    turns it changes (_grown) and keeps that invariant. The constructor
+    turns it makes and keeps that invariant. The constructor
     itself checks nothing."""
 
     ipts: tuple[IVec, ...]
@@ -142,53 +142,6 @@ class LatticePolygon:
         if sum(out) != 12 - 3 * self.n:
             raise LemmaViolated("edge self-intersections violate the smooth toric sum rule")
         return tuple(out)
-
-    @classmethod
-    def _grown(cls, p: "LatticePolygon", i: int, ipts: list[IVec], den: int,
-               cdirs: list[IVec], s: int, t: int) -> "LatticePolygon | None":
-        """The chop of p at vertex i as the polygon ipts / den, or None when
-        a local test fails (chop_corner says why the tests suffice).
-
-        ipts holds p's vertices but i, times s / t, with the chain C_0..C_k
-        in place of vertex i. Only the k + 2 edges from vertex i - 1 to
-        vertex i + k + 1 are new, and cdirs holds the primitive direction
-        the chop predicts for each. The cone and turn tests run on these
-        directions; each new edge must then be a positive multiple of its
-        direction, and that multiple, one exact division, is its lattice
-        length. The other edges are p's, scaled, so they keep their primitive
-        direction, and their lattice length becomes length * s / t."""
-        n, m = p.n, len(ipts)
-        dirs, lens = p._edges
-        (lx, ly), (hx, hy) = dirs[i - 1], dirs[i]  # the cone at vertex i
-        ux, uy = dirs[(i - 2) % n]  # the edge before, for the turn test
-        for x, y in cdirs:
-            if lx * y - ly * x < 0 or x * hy - y * hx < 0 or ux * y - uy * x <= 0:
-                return None
-            ux, uy = x, y
-        wx, wy = dirs[(i + 1) % n]
-        if ux * wy - uy * wx <= 0:
-            return None
-        clens = []
-        ax, ay = ipts[i - 1]
-        for j, (x, y) in enumerate(cdirs, i):
-            bx, by = ipts[j % m]
-            vx, vy = bx - ax, by - ay
-            ln = vx // x if x else vy // y
-            if ln <= 0 or vx != ln * x or vy != ln * y:
-                return None
-            clens.append(ln)
-            ax, ay = bx, by
-        if t != 1:
-            lens = tuple(ln // t * s for ln in lens)
-        elif s != 1:
-            lens = tuple(ln * s for ln in lens)
-        if i:
-            table = (*dirs[:i - 1], *cdirs, *dirs[i + 1:]), (*lens[:i - 1], *clens, *lens[i + 1:])
-        else:  # the edge into C_0 closes the cycle
-            table = (*cdirs[1:], *dirs[1:-1], cdirs[0]), (*clens[1:], *lens[1:-1], clens[0])
-        out = cls(tuple(ipts), den)
-        out.__dict__["_edges"] = table  # seeds the cached property
-        return out
 
 
 _flat = chain.from_iterable  # the coordinates of a sequence of points
@@ -327,31 +280,6 @@ def explicit_depths(epsilons: Sequence[Fraction]) -> list[tuple[int, int]]:
     return out
 
 
-def _chop_depths(p: LatticePolygon, i: int, k: int,
-                 schedule: tuple[Fraction, Fraction] | None = None) -> list[tuple[int, int]]:
-    """The default chop depths at vertex i as (num, den) pairs in lowest
-    terms: the first is the initial ratio (1/4 by default) of the shorter
-    adjacent edge, each next one the shrink ratio (1/3) of the one before.
-    The edge lengths are integers over p.den, so this is integer work.
-
-    Only the first pair takes a gcd of two big ints. With num / den and
-    c / d each in lowest terms, the gcd of num c and den d is gcd(num, d)
-    gcd(c, den): a prime dividing num divides neither den nor, if it
-    divides c, d. Each of those is a gcd with a small int."""
-    check_schedule(schedule)
-    (a, b), (c, d) = _schedule_ratios(schedule)
-    num = min(p.length_scaled(i - 1), p.length_scaled(i)) * a
-    den = p.den * b
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    out = []
-    for _ in range(k):
-        out.append((num, den))
-        gn, gd = math.gcd(num, d), math.gcd(c, den)
-        num, den = num // gn * (c // gd), den // gd * (d // gn)
-    return out
-
-
 @hot_record
 class ChopResult:
     polygon: LatticePolygon
@@ -375,161 +303,198 @@ def chop_corner(
     resulting edge directions obey e_{j+1} = b_j e_j - e_{j-1} and the new
     edges acquire self-intersections (-b_1, ..., -b_k), u side first.
 
-    The chain checks that e_1 is integral and that e_{k+1} = b_k e_k -
-    e_{k-1} is w. The second implies that the corner types end on (1, 0):
-    write e_j = alpha_j w + beta_j u. Then beta_j = -q_{j-1} / r (with
-    q_{-1} = r), since beta and q obey the same recursion from the same
-    start, and det(e_j, e_{j+1}) = det(e_0, e_1) = -det(u, w) / r for every
-    j. So e_{k+1} = w gives beta_{k+1} = 0, that is q_k = 0, and
-    beta_k det(u, w) = det(e_k, w) = -det(u, w) / r, that is q_{k-1} = 1.
+    Chop j (from 0) meets a corner of type (q_{j-1}, q_j): (r, q) -> (q, b q
+    - r) after each chop, so q_{-1} = r, q_0 = q and q_j = b_j q_{j-1} -
+    q_{j-2}. With e_0 = -u and e_1 = (w - q u) / r, the two recursions give
+    w = q_{j-2} e_j - q_{j-1} e_{j-1} for every j >= 1: it reads r e_1 + q u
+    = w at j = 1, and q_{j-1} e_{j+1} - q_j e_j = q_{j-2} e_j - q_{j-1}
+    e_{j-1} by them. Also det(e_j, e_{j+1}) = det(e_0, e_1) = -det(u, w) / r
+    for every j, which is not 0, so e_{k+1} = b_k e_k - e_{k-1} is w exactly
+    when the type ends on (q_{k-1}, q_k) = (1, 0). The chain checks that
+    e_1 is integral and that end state, which says it exits along w.
+
+    Chop j moves ue_j along the u side of its corner V_j, to C_j = V_j - ue_j
+    e_j, and wf_j = ue_j / q_j along w, to V_{j+1} = V_j + wf_j w; C_k = V_k.
+    By the identity, V_j - C_{j-1} = wf_{j-1} w + ue_{j-1} e_{j-1} = q_{j-2}
+    wf_{j-1} e_j. So the new edge into C_j runs along e_j with length lam_j
+    - ue_j, where lam_0 is the u-side edge's length, lam_j = q_{j-2}
+    wf_{j-1} and ue_k = 0, and the last new edge runs along w with the
+    w-side edge's length less the sum of the wf_j: one product each, and no
+    vertex difference is divided. One loop over the expansion carries e_j,
+    ue_j and the new edges' lengths and tests; the q_j come first, in a pass
+    over small ints, as den holds their lcm. The chain C_0..C_k is then
+    walked edge by edge from the vertex across the u-side edge, once the
+    lengths are reduced.
 
     p must be strictly convex and counterclockwise, every turn strictly left
     and the edge directions turning once around, as _validated checks and
     every LatticePolygon the package makes is. The result is then checked
-    locally (_grown), on the primitive directions the chain predicts for
-    the k + 2 new edges, from vertex i - 1 through C_0..C_k to vertex
-    i + 1: e_0, e_1, ..., e_k, w, or their negatives in reverse when u is
-    the next edge. Each must lie in the closed cone spanned by p's edges at
-    vertex i, the k + 3 turns at C_0..C_k and at the two kept neighbours
-    must be strict left turns, and each new edge must be its direction
-    times a positive length, which one exact division gives. A positive
-    multiple keeps the sign of every cone and turn test, so the tests say
-    the same of the edges as of their directions. Every other turn is a
-    turn of p, scaled by a positive factor, so it is a strict left turn
-    too. Measure edge angles from the edge into vertex i, and let the old
-    corner turn by theta < pi, the neighbours by alpha and beta. New edges
-    in the cone have angles in [0, theta], so a strict left turn between
-    two of them is their angle difference, the one at i - 1 is alpha plus
-    the first angle, and the one at i + 1 is theta + beta minus the last:
-    each lies in (0, 2 pi), and a strict left turn is below pi. The turns
-    add up to alpha + theta + beta, as in p, so the result turns once
-    around with every turn strictly left: it is strictly convex and
-    counterclockwise, and the global check of _validated accepts it in its
-    order. When a local test fails, that global check decides, so a
-    rejected chop raises ChopsOverlap with the message it names. The edge
-    table of the result is seeded, with no gcd of a big vector.
+    locally, on the k + 2 new edges from vertex i - 1 through C_0..C_k to
+    vertex i + 1, along e_0, e_1, ..., e_k, w, or their negatives in reverse
+    when u is the next edge. Each must lie in the closed cone spanned by p's
+    edges at vertex i and have a positive length, and the k + 3 turns at
+    C_0..C_k and at the two kept neighbours must be strict left turns; the
+    k + 1 turns between new edges are all det(e_0, e_1), up to the side's
+    sign, so one test decides them. Every other turn is a turn of p, scaled
+    by a positive factor, so it is a strict left turn too. Measure edge
+    angles from the edge into vertex i, and let the old corner turn by theta
+    < pi, the neighbours by alpha and beta. New edges in the cone have
+    angles in [0, theta], so a strict left turn between two of them is their
+    angle difference, the one at i - 1 is alpha plus the first angle, and the
+    one at i + 1 is theta + beta minus the last: each lies in (0, 2 pi), and
+    a strict left turn is below pi. The turns add up to alpha + theta + beta,
+    as in p, so the result turns once around with every turn strictly left:
+    it is strictly convex and counterclockwise, and the global check of
+    _validated accepts it in its order. When a local test fails, that global
+    check decides, so a rejected chop raises ChopsOverlap with the message it
+    names. The edge table of the result is seeded, with no gcd of a big
+    vector.
 
     The result is reduced to its least common denominator by one running
-    gcd of den and the coordinates, which CPython's math.gcd stops taking
-    once it reaches 1. It starts at C_k, the deepest vertex: its reduced
-    denominator is the largest, so its coordinates share little of den and
-    the running value is small after a step or two. From C_0 the running
-    value would stay near den for most of the chain, each step a full gcd
-    of two big ints, quadratic in the digit count.
+    gcd of den, the coordinates of C_k and the new edge lengths, which
+    CPython's math.gcd stops taking once it reaches 1. It starts at C_k, the
+    deepest vertex: its reduced denominator is the largest, so its
+    coordinates share little of den and the running value is small after a
+    step or two. From C_0 the running value would stay near den for most of
+    the chain, each step a full gcd of two big ints, quadratic in the digit
+    count.
     """
-    i %= p.n
+    n = p.n
+    i %= n
     u, w = _corner_dirs(p, i, u_side)
     r, q = corner_type(p, i, u_side)
     if r == 1:
         raise WppError("corner is already Delzant; nothing to chop")
     entries = hj_expand(r, q)
     k = len(entries)
-    if epsilons is None:
-        depths = _chop_depths(p, i, k, schedule)
-    else:
-        depths = explicit_depths(epsilons)
-        if len(depths) != k or any(num <= 0 for num, _ in depths):
-            raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
-
-    # predicted directions: e_0 = -u, e_1 = (w - q u)/r, e_{j+1} = b_j e_j - e_{j-1}
-    e1_x, e1_y = w[0] - q * u[0], w[1] - q * u[1]
-    if e1_x % r or e1_y % r:
-        raise LemmaViolated("first chop direction is not integral")
-    dirs: list[IVec] = [(-u[0], -u[1]), (e1_x // r, e1_y // r)]
-    for b in entries[:-1]:
-        prev, cur = dirs[-2], dirs[-1]
-        dirs.append((b * cur[0] - prev[0], b * cur[1] - prev[1]))
-    bk = entries[-1]
-    exit_dir = (bk * dirs[-1][0] - dirs[-2][0], bk * dirs[-1][1] - dirs[-2][1])
-    if exit_dir != w:
-        raise LemmaViolated("chop chain does not exit along the far edge")
-
-    # q_j of the corner met by chop j: (r, q) -> (q, b q - r) after each chop;
-    # the exit check above implies the chain ends on (1, 0) (see docstring)
-    qs = []
+    qs = []  # q_0 .. q_{k-1}
     rj, qj = r, q
     for b in entries:
         qs.append(qj)
         rj, qj = qj, b * qj - rj
-
-    # chop j moves eps_j along the u side and eps_j / q_j along w; put the
-    # old vertices and every move over one denominator and chain in ints.
-    # den is a common multiple of p.den and of the denominator of every
-    # eps_j / q_j, so ue_j = eps_j den and wf_j = ue_j / q_j are integers.
-    # Under a schedule eps_j = eps_0 (c/d)^j, so eden_0 d^(k-1) times the
-    # lcm of the q_j is such a multiple, and ue_j = ue_{j-1} c / d exactly
+    dirs, lens = p._edges
+    prev = u_side == "prev"
+    lu, lw = (lens[i - 1], lens[i]) if prev else (lens[i], lens[i - 1])
+    # chop j moves eps_j along the u side and eps_j / q_j along w. den is a
+    # common multiple of p.den and of the denominator of every eps_j / q_j,
+    # so ue_j = eps_j den and wf_j = ue_j / q_j are integers, and ue_{j+1} =
+    # ue_j c_j / d_j exactly, c_j / d_j = eps_{j+1} / eps_j
     if epsilons is None:
-        (num, eden), (c, d) = depths[0], _schedule_ratios(schedule)[1]
+        # eps_0 is the initial ratio (1/4 by default) of the shorter adjacent
+        # edge, each next one the shrink ratio (1/3) of the one before, so
+        # eden_0 d^(k-1) times the lcm of the q_j is such a multiple
+        check_schedule(schedule)
+        (an, ad), (c, d) = _schedule_ratios(schedule)
+        num, eden = min(lu, lw) * an, p.den * ad
+        g = math.gcd(num, eden)
+        num, eden = num // g, eden // g
         den = math.lcm(p.den, eden * d ** (k - 1) * math.lcm(*qs))
-        ues = [num * (den // eden)]
-        for _ in range(k - 1):
-            ues.append(ues[-1] * c // d)
+        ratios = repeat((c, d))
     else:
+        depths = explicit_depths(epsilons)
+        if len(depths) != k or any(num <= 0 for num, _ in depths):
+            raise ChopsOverlap(f"need {k} positive chop depths, got {list(epsilons)}")
         den = math.lcm(p.den, *(eden * (qj // math.gcd(num, qj))
                                 for (num, eden), qj in zip(depths, qs)))
-        ues = [num * (den // eden) for num, eden in depths]
+        (num, eden) = depths[0]
+        ratios = [(n1 * e0, e1 * n0) for (n0, e0), (n1, e1) in zip(depths, depths[1:])]
+        ratios.append((1, 1))  # after the last chop, never read
+    e1_x, e1_y = w[0] - q * u[0], w[1] - q * u[1]
+    if e1_x % r or e1_y % r:
+        raise LemmaViolated("first chop direction is not integral")
+    if (rj, qj) != (1, 0):
+        raise LemmaViolated("chop chain does not exit along the far edge")
     scale = den // p.den
-    vx, vy = p.ipts[i]
-    vx, vy = vx * scale, vy * scale
-    chain: list[IVec] = []
-    for (dx, dy), ue, qj in zip(dirs, ues, qs):
+
+    # the cone and turn tests run in the side's orientation: those of the
+    # next side are the prev side's with every determinant negated
+    sg = 1 if prev else -1
+    (ux, uy), (wx, wy) = u, w
+    pux, puy, pwx, pwy = sg * ux, sg * uy, sg * wx, sg * wy
+    ex, ey, fx, fy = -ux, -uy, e1_x // r, e1_y // r  # e_j, e_{j+1}
+    ok = (sg * (ex * fy - ey * fx) > 0 and _det(dirs[i - 2], dirs[i - 1]) > 0
+          and _det(dirs[i], dirs[(i + 1) % n]) > 0)
+    lam, ue, wsum, rj = lu * scale, num * (den // eden), 0, r
+    cdirs: list[IVec] = []
+    clens: list[int] = []
+    for b, qj, (c, d) in zip(entries, qs, ratios):
+        ln = lam - ue
+        cdirs.append((ex, ey))
+        clens.append(ln)
+        if ln <= 0 or ex * puy < ey * pux or ex * pwy < ey * pwx:
+            ok = False
         wf = ue // qj
-        chain.append((vx - ue * dx, vy - ue * dy))
-        vx, vy = vx + wf * w[0], vy + wf * w[1]
-    chain.append((vx, vy))
+        lam, wsum, rj = rj * wf, wsum + wf, qj
+        ex, ey, fx, fy = fx, fy, b * fx - ex, b * fy - ey
+        ue = ue * c // d
+    # the edge into C_k = V_k, then the w-side edge that is left
+    cdirs += (ex, ey), w
+    clens += lam, lw * scale - wsum
+    if lam <= 0 or clens[-1] <= 0 or ex * puy < ey * pux or ex * pwy < ey * pwx:
+        ok = False
 
     # reduce to the least common denominator, den / g with g the gcd of den
-    # and every coordinate. The running gcd starts at the deepest vertex C_k
-    # (see docstring) and stops at 1. Only when it stays above 1, at x, do
-    # the kept old vertices count, their coordinates c scaled: gcd(x,
-    # scale c_1, scale c_2, ...) = gcd(x, scale gcd(x, c_1, c_2, ...)), so
-    # that gcd too starts from x. It takes the kept vertices from the last
-    # one back: on the builds of the resolve benchmark's seed-1 triples, the
-    # running value's digits summed over the steps are 12x fewer that way
-    g = math.gcd(den, *_flat(reversed(chain)))
-    head, tail = p.ipts[:i], p.ipts[i + 1:]
+    # and every coordinate: of C_k and of the new edge vectors, which are
+    # primitive directions times lengths, so of C_k and those lengths. The
+    # running gcd starts at the deepest vertex C_k (see docstring) and stops
+    # at 1. The kept old vertices count too, their coordinates c scaled: with
+    # x the gcd so far and a = gcd(x, scale), gcd(x, scale c_1, scale c_2,
+    # ...) = a t, t = gcd(x / a, c_1, c_2, ...), since x / a is prime to
+    # scale / a. x divides den = scale p.den, so x / a divides p.den, and it
+    # is 1 unless the new denominator misses a factor of p.den, which only
+    # vertex i needed. The kept vertices and edge lengths then scale by
+    # scale / g = s / t in lowest terms, s = scale / a
+    vx, vy = p.ipts[i]
+    g = math.gcd(den, vx * scale + wsum * wx, vy * scale + wsum * wy, *clens[-2:0:-1])
+    a = math.gcd(g, scale)
+    t = 1 if a == g else math.gcd(g // a, *_flat(p.ipts[:i]), *_flat(p.ipts[i + 1:]))
+    g, s = a * t, scale // a
     if g > 1:
-        g = math.gcd(g, scale * math.gcd(g, *_flat(reversed(tail)), *_flat(reversed(head))))
         den //= g
-        chain = [(x // g, y // g) for x, y in chain]
-    # the kept vertices scale by scale / g = s / t in lowest terms; t divides
-    # every one of their coordinates. It is 1 unless the new denominator
-    # misses a factor of p.den, which only vertex i needed
-    t = math.gcd(scale, g)
-    s, t = scale // t, g // t
+        clens = [ln // g for ln in clens]
+    pts = p.ipts
     if t != 1:
-        head = tuple((x // t * s, y // t * s) for x, y in head)
-        tail = tuple((x // t * s, y // t * s) for x, y in tail)
+        pts = [(x // t * s, y // t * s) for x, y in pts]
     elif s != 1:
-        head = tuple((x * s, y * s) for x, y in head)
-        tail = tuple((x * s, y * s) for x, y in tail)
-    # the new edges run along e_0, e_1, ..., e_k, w from vertex i - 1 to
-    # vertex i + 1, or along their negatives in reverse when u is the next edge
-    cdirs = [*dirs, w]
-    if u_side == "prev":
-        ordered = chain
-    else:
-        ordered = chain[::-1]
+        pts = [(x * s, y * s) for x, y in pts]
+    # walk the chain from the vertex across the u-side edge
+    cx, cy = pts[i - 1] if prev else pts[(i + 1) % n]
+    chain: list[IVec] = []
+    for (ex, ey), ln in zip(cdirs, clens[:-1]):
+        cx, cy = cx + ln * ex, cy + ln * ey
+        chain.append((cx, cy))
+    if not prev:
+        chain.reverse()
+        clens.reverse()
         cdirs = [(-x, -y) for x, y in reversed(cdirs)]
-    new_ipts = [*head, *ordered, *tail]
-    p2 = LatticePolygon._grown(p, i, new_ipts, den, cdirs, s, t)
-    if p2 is None:
+    new_ipts = (*pts[:i], *chain, *pts[i + 1:])
+    if ok:
+        if t != 1:
+            lens = [ln // t * s for ln in lens]
+        elif s != 1:
+            lens = [ln * s for ln in lens]
+        if i:
+            table = (*dirs[:i - 1], *cdirs, *dirs[i + 1:]), (*lens[:i - 1], *clens, *lens[i + 1:])
+        else:  # the edge into C_0 closes the cycle
+            table = (*cdirs[1:], *dirs[1:-1], cdirs[0]), (*clens[1:], *lens[1:-1], clens[0])
+        p2 = LatticePolygon(new_ipts, den)
+        p2.__dict__["_edges"] = table  # seeds the cached property
+    else:
         try:
-            p2 = _validated(new_ipts, den)
+            p2 = _validated(list(new_ipts), den)
         except InvalidPolygon as exc:
             raise ChopsOverlap(f"chop depths too large at vertex {i}: {exc}") from exc
-        if p2.ipts != tuple(new_ipts):
+        if p2.ipts != new_ipts:
             # depths past both edges of a triangle corner turn every turn right
             raise ChopsOverlap(f"chop at vertex {i} broke the vertex cycle")
 
-    if u_side == "prev":
+    if prev:
         new_ids = tuple(range(i, i + k))
     else:
         new_ids = tuple(range(i + k - 1, i - 1, -1))
     # edges before vertex i keep their index, the others move up by k; at
     # i = 0 that includes the last edge, which now ends at C_0
-    n_old = p.n
-    edge_map = dict(zip(range(n_old), [*range(i), *range(i + k, n_old + k)]))
+    edge_map = {j: j if j < i else j + k for j in range(n)}
 
     return ChopResult(p2, new_ids, edge_map, entries, (r, q))
 

@@ -14,7 +14,7 @@ from functools import lru_cache, wraps
 from operator import countOf
 from typing import Callable, Iterable
 
-from .arith import MEMO_SIZE, weight_sequence
+from .arith import MEMO_SIZE, _is_int, weight_sequence
 from .errors import (
     BadIndex,
     LemmaViolated,
@@ -22,6 +22,7 @@ from .errors import (
     NotAtSignChange,
     NotBlowdownable,
     RankMismatch,
+    UserInputError,
     WppError,
 )
 from .homlat import (
@@ -115,12 +116,22 @@ def _memo_int_tuples(fn: Callable[[tuple[int, ...]], DeltaSeq]):
     return memo
 
 
+def _check_selfints(selfints: Iterable[int]) -> None:
+    """Raise UserInputError unless every self-intersection is an int, not a
+    bool."""
+    for s in selfints:
+        if not _is_int(s):
+            raise UserInputError(f"self-intersections must be ints, got {s!r}")
+
+
 @_memo_int_tuples
 def delta_sequence(selfints: tuple[int, ...] | list[int]) -> DeltaSeq:
     """Recurrence d_{l+1} = b_l d_l - d_{l-1} with d_0 = 1, b_l = -s_l.
 
     Memoized on tuples of exact ints: the six presentations of a triple read
-    the same chains and strings, and a DeltaSeq is immutable."""
+    the same chains and strings, and a DeltaSeq is immutable. The entries are
+    checked on a miss and on any other sequence, not on a hit."""
+    _check_selfints(selfints)
     out = [1]
     prev, cur = 0, 1
     for s in selfints:
@@ -230,6 +241,7 @@ def chain_config(lattice: Lattice, classes: list[Vec], labels: list[str] | None 
 def abstract_chain(selfints: tuple[int, ...] | list[int],
                    labels: list[str] | None = None) -> DivisorConfig:
     """Chain with the tautological basis: gram is the chain intersection form."""
+    _check_selfints(selfints)
     n = len(selfints)
     gram = [[0] * n for _ in range(n)]
     for i, s in enumerate(selfints):
@@ -561,6 +573,7 @@ def _verify_resolved_fiber(rf: ResolvedFiber, kf_adjunction: int) -> None:
 
 def xi_invariant(selfints: tuple[int, ...] | list[int]) -> int:
     """-3 * length - sum of entries; unchanged by toric blowdown, +1 under half-toric."""
+    _check_selfints(selfints)
     return -3 * len(selfints) - sum(selfints)
 
 

@@ -1,7 +1,9 @@
 """Differential tests: the fast paths of a build against the paths they replaced.
 
 - integer chop depths against the Fraction depths of the earlier
-  default_epsilons, on every corner a build chops;
+  default_epsilons, and the chain a chop carries from the first of them
+  against the division formula over all of them, on every corner a build
+  chops;
 - the sparse gram pass against pairwise Lattice.pair on ledgers in both forms;
 - the per-k cached F_k -> CP^2 blocks against a fresh derivation per call;
 - mat_vec sharing a class it leaves unchanged;
@@ -86,34 +88,77 @@ def ref_default_epsilons(p, i, k, schedule=None):
     return out
 
 
+def ref_chop_depths(p, i, k, schedule=None):
+    """The deleted polygon._chop_depths: the default chop depths at vertex i
+    as (num, den) pairs in lowest terms, the first the initial ratio (1/4 by
+    default) of the shorter adjacent edge, each next one the shrink ratio
+    (1/3) of the one before. chop_corner reads only the first and carries
+    the rest along its chain."""
+    polygon_mod.check_schedule(schedule)
+    (a, b), (c, d) = polygon_mod._schedule_ratios(schedule)
+    num = min(p.length_scaled(i - 1), p.length_scaled(i)) * a
+    den = p.den * b
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    out = []
+    for _ in range(k):
+        out.append((num, den))
+        gn, gd = math.gcd(num, d), math.gcd(c, den)
+        num, den = num // gn * (c // gd), den // gd * (d // gn)
+    return out
+
+
 def ref_fraction_depths(p, i, k, schedule=None):
-    """The Fractions of _chop_depths, as the deleted polygon.default_epsilons
-    gave them."""
-    return [Fraction(num, den) for num, den in polygon_mod._chop_depths(p, i, k, schedule)]
+    """The Fractions of ref_chop_depths, as the deleted
+    polygon.default_epsilons gave them."""
+    return [Fraction(num, den) for num, den in ref_chop_depths(p, i, k, schedule)]
+
+
+def spy_chops(monkeypatch):
+    """Record (p, i, u_side, epsilons, schedule, result) for every chop of
+    build_resolution until monkeypatch.undo."""
+    calls = []
+    real = resolution_mod.chop_corner
+
+    def spy(p, i, u_side, epsilons=None, schedule=None):
+        res = real(p, i, u_side, epsilons=epsilons, schedule=schedule)
+        calls.append((p, i % p.n, u_side, epsilons, schedule, res))
+        return res
+
+    monkeypatch.setattr(resolution_mod, "chop_corner", spy)
+    return calls
+
+
+def chop_chain(p, i, u_side, res):
+    """The chain C_0..C_k of a chop at vertex i, u side first, as Fraction
+    points."""
+    chain = list(res.polygon.vertices[i:i + len(res.entries) + 1])
+    return chain if u_side == "prev" else chain[::-1]
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, ids=("default", "third-fifth"))
 def test_integer_depths_match_fraction_depths(schedule, monkeypatch):
-    """Every corner chopped by the builds with c <= 30: the (num, den) pairs
-    are the Fraction depths in lowest terms, and ref_fraction_depths gives them."""
-    calls = []
-    depths = polygon_mod._chop_depths
-
-    def spy(p, i, k, sched=None):
-        out = depths(p, i, k, sched)
-        calls.append((p, i, k, sched, out))
-        return out
-
-    monkeypatch.setattr(polygon_mod, "_chop_depths", spy)
+    """Every corner chopped by the builds with c <= 30: ref_chop_depths gives
+    the Fraction depths in lowest terms; the chop cuts the first of them
+    along the u side, and the chain it carries from that pair holds the
+    vertices of the division formula over all k pairs."""
+    calls = spy_chops(monkeypatch)
     for _ in builds(30, schedule):
         pass
     monkeypatch.undo()
     assert len(calls) == 3 * 6 * len(coprime_triples(30))
-    for p, i, k, sched, out in calls:
-        assert sched == schedule
+    for p, i, u_side, epsilons, sched, res in calls:
+        assert (epsilons, sched) == (None, schedule)
+        k = len(res.entries)
         want = ref_default_epsilons(p, i, k, sched)
-        assert out == [(e.numerator, e.denominator) for e in want]
+        depths = ref_chop_depths(p, i, k, sched)
+        assert depths == [(e.numerator, e.denominator) for e in want]
         assert ref_fraction_depths(p, i, k, sched) == want
+        chain = chop_chain(p, i, u_side, res)
+        (ux, uy), _ = polygon_mod._corner_dirs(p, i, u_side)
+        vx, vy = p.vertices[i]
+        assert chain[0] == (vx + want[0] * ux, vy + want[0] * uy)
+        assert chain == ref_division_chain(p, i, u_side, depths), (p, i, u_side)
 
 
 def ref_division_chain(p, i, u_side, depths):
@@ -168,15 +213,7 @@ def test_chop_chain_matches_division_formula(schedule, monkeypatch):
     4 under three schedules, and of (5, 7, 9) at every presentation under
     explicit epsilons: the chain chop_corner carries from step to step holds
     the vertices of the division formula, in order."""
-    calls = []
-    real = resolution_mod.chop_corner
-
-    def spy(p, i, u_side, epsilons=None, schedule=None):
-        res = real(p, i, u_side, epsilons=epsilons, schedule=schedule)
-        calls.append((p, i, u_side, epsilons, schedule, res))
-        return res
-
-    monkeypatch.setattr(resolution_mod, "chop_corner", spy)
+    calls = spy_chops(monkeypatch)
     if schedule == "explicit":
         for pres in range(1, 7):
             build_resolution(5, 7, 9, presentation=pres, epsilons=explicit_epsilons_579())
@@ -187,16 +224,13 @@ def test_chop_chain_matches_division_formula(schedule, monkeypatch):
     monkeypatch.undo()
     assert calls
     for p, i, u_side, epsilons, sched, res in calls:
-        i %= p.n
         k = len(res.entries)
         if epsilons is None:
-            depths = polygon_mod._chop_depths(p, i, k, sched)
+            depths = ref_chop_depths(p, i, k, sched)
         else:
             depths = [(e.numerator, e.denominator) for e in map(Fraction, epsilons)]
-        chain = list(res.polygon.vertices[i:i + k + 1])
-        if u_side == "next":
-            chain.reverse()
-        assert chain == ref_division_chain(p, i, u_side, depths), (p, i, u_side)
+        assert chop_chain(p, i, u_side, res) == ref_division_chain(p, i, u_side, depths), (
+            p, i, u_side)
 
 
 # --- the sparse gram ----------------------------------------------------------------

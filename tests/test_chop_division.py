@@ -1,17 +1,20 @@
 """Differential tests: the chop against the big-integer chop it replaced.
 
-chop_corner takes the chain's running gcds from the deepest vertex and gives
-each new edge its lattice length by one exact division along the direction
-the chop predicts; _grown runs the cone and turn tests on those directions.
-ref_chop_corner and ref_grown below are the earlier implementation: one gcd
-of the whole chain from C_0, the depths carried by cross-reduced ratios, and
-the cone, turn and length of every new edge read off its big vector. Every
-chop must give the same ChopResult and seeded edge table, or raise the same
-exception class with the same message.
+chop_corner carries the depths, the new edges' lengths and their cone and
+turn tests in one loop over the expansion, takes the running gcd from the
+deepest vertex and walks the chain edge by edge along the directions it
+predicts. ref_chop_corner and ref_grown below are an earlier implementation:
+one gcd of the whole chain from C_0, the depths carried by cross-reduced
+ratios, the chain placed by its w-moves, and the cone, turn and length of
+every new edge read off its big vector. Every chop must give the same
+ChopResult and seeded edge table, or raise the same exception class with the
+same message.
 
 The chain checks of chop_corner, the first direction and the exit
-direction, are reached by patching the helpers that feed them; the end state
-(1, 0), whose check was deleted, is shown to follow from the exit check.
+direction, are reached by patching the helpers that feed them; the exit
+check, which chop_corner reads off the end state (1, 0) of the corner types,
+is shown to be the same test as the exit direction itself, and the identity
+the edge lengths rest on is checked on every corner type with r <= 40.
 """
 
 import importlib
@@ -26,7 +29,6 @@ from wpp.polygon import (
     CORNER_CYCLE,
     ChopResult,
     LatticePolygon,
-    _chop_depths,
     _corner_dirs,
     _validated,
     chop_corner,
@@ -34,6 +36,7 @@ from wpp.polygon import (
     presentation,
 )
 from wpp.scan import coprime_triples
+from test_build_fast_paths import ref_chop_depths
 
 # the module, not the function wpp.polygon that the package re-exports
 polygon_mod = importlib.import_module("wpp.polygon")
@@ -94,7 +97,7 @@ def ref_chop_corner(p, i, u_side, epsilons=None, schedule=None):
     entries = hj_expand(r, q)
     k = len(entries)
     if epsilons is None:
-        depths = _chop_depths(p, i, k, schedule)
+        depths = ref_chop_depths(p, i, k, schedule)
     else:
         depths = [(e.numerator, e.denominator) for e in map(Fraction, epsilons)]
         if len(depths) != k or any(num <= 0 for num, _ in depths):
@@ -311,9 +314,9 @@ def _chain_end(r, q, entries):
 
 def test_exiting_along_the_far_edge_implies_the_end_state():
     """The proof in chop_corner's docstring, checked on every corner type
-    with r <= 40 and every expansion one entry off its HJ string: the end
-    state (1, 0), whose check was deleted, holds whenever the exit check
-    passes, and fails with it on the changed expansions here."""
+    with r <= 40 and every expansion one entry off its HJ string: the chain
+    exits along w exactly when the corner types end on (1, 0), the state the
+    exit check reads, and both fail on the changed expansions here."""
     exits = 0
     for r in range(2, 41):
         for q in range(1, r):
@@ -330,20 +333,30 @@ def test_exiting_along_the_far_edge_implies_the_end_state():
     assert exits == 0
 
 
-def test_grown_refuses_an_edge_off_its_predicted_direction():
-    """_grown rebuilds an accepted chop from its vertices and the new edges'
-    directions; with one direction bent toward its predecessor, every cone
-    and turn test still passes, but the edge is no multiple of it: None."""
-    p = presentation(weight_triple(11, 13, 14), 4).polygon
-    i = next(v for v in range(3) if corner_type(p, v, "prev")[0] > 2)
-    res = chop_corner(p, i, "prev")
-    got = res.polygon
-    k = len(res.entries)
-    f = Fraction(got.den, p.den)
-    s, t = f.numerator, f.denominator
-    cdirs = [got.direction(j) for j in range(i - 1, i + k + 1)]
-    again = LatticePolygon._grown(p, i, list(got.ipts), got.den, cdirs, s, t)
-    assert again is not None and again._edges == got._edges
-    (ax, ay), (bx, by) = cdirs[1], cdirs[2]
-    bent = [*cdirs[:2], (ax + bx, ay + by), *cdirs[3:]]
-    assert LatticePolygon._grown(p, i, list(got.ipts), got.den, bent, s, t) is None
+def test_the_far_edge_is_a_step_identity():
+    """The identity the new edge lengths rest on, w = q_{j-2} e_j - q_{j-1}
+    e_{j-1} for j = 1..k+1 (q_{-1} = r), checked in the frame where u goes
+    up and w leaves along (r, q), on every corner type with r <= 40 and
+    every expansion one entry off its HJ string: it holds whatever the
+    entries, as it follows from the two recursions alone."""
+    checked = 0
+    for r in range(2, 41):
+        for q in range(1, r):
+            if math.gcd(q, r) != 1:
+                continue
+            entries = hj_expand(r, q)
+            for j in range(len(entries)):
+                for step in (0, -1, 1):
+                    changed = (*entries[:j], entries[j] + step, *entries[j + 1:])
+                    w = (r, q)
+                    e = [(0, -1), (1, 0)]  # e_0 = -u, e_1 = (w - q u) / r
+                    qs = [r, q]  # q_{-1}, q_0
+                    for b in changed:
+                        e.append((b * e[-1][0] - e[-2][0], b * e[-1][1] - e[-2][1]))
+                        qs.append(b * qs[-1] - qs[-2])
+                    for m in range(1, len(changed) + 2):
+                        (ax, ay), (bx, by) = e[m], e[m - 1]
+                        qa, qb = qs[m - 1], qs[m]  # q_{m-2}, q_{m-1}
+                        assert (qa * ax - qb * bx, qa * ay - qb * by) == w, (r, q, changed, m)
+                        checked += 1
+    assert checked > 10_000

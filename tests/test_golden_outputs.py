@@ -48,6 +48,16 @@ SCAN_8_OVERLAP_DIGEST = "cf5aeae94addb21befd2fcfecadc89d3cfbaaeb42640c6be881d57f
 HIGH_RANK_TRIPLE = (2, 1999, 2001)
 HIGH_RANK_DIGEST = "b449234e5a8b4ff349b5fe85d32da7872abb8e2d2ba36ef3c7268bb6400326af"
 
+# the polygon of the build at n = 4002 under the default and one other
+# schedule, by polygon_digest: its common denominator has about 3,600 and
+# 5,100 digits, past the 4,300-digit limit of int-to-text in the second
+HIGH_RANK_POLYGON_TRIPLE = (2, 3999, 4001)
+HIGH_RANK_POLYGON_DIGESTS = {
+    None: "c725c7d3f4f3efd8966702bd26100e09689b282b73cbe2bb1859228016451406",
+    (Fraction(2, 5), Fraction(3, 7)):
+        "f9d95f893b7907ace6ff7ddbe4d9c83ec76ea37bd3e49cc8652ee94361b74860",
+}
+
 RENDER_TRIPLE = (11, 13, 14)
 RENDER_DIGESTS = {
     ("polygon", "svg"): "23f3218a179a2cc6f363f036bcbd942b5ae849171d7ca070adc91425bf50ebf4",
@@ -79,6 +89,23 @@ def test_high_rank_report_digest():
     rep = make_report(build_resolution(*HIGH_RANK_TRIPLE))
     assert "timing" not in rep
     assert _sha(serialize_report(rep)) == HIGH_RANK_DIGEST
+
+
+def polygon_digest(poly) -> str:
+    """SHA-256 of (den, ipts): den and every vertex coordinate in order, each
+    as its signed big-endian bytes after their 8-byte count."""
+    h = hashlib.sha256()
+    for x in (poly.den, *(c for v in poly.ipts for c in v)):
+        data = x.to_bytes((x.bit_length() + 8) // 8, "big", signed=True)
+        h.update(len(data).to_bytes(8, "big"))
+        h.update(data)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("schedule", list(HIGH_RANK_POLYGON_DIGESTS), ids=("default", "2/5,3/7"))
+def test_high_rank_polygon_digest(schedule):
+    rp = build_resolution(*HIGH_RANK_POLYGON_TRIPLE, schedule=schedule)
+    assert polygon_digest(rp.polygon) == HIGH_RANK_POLYGON_DIGESTS[schedule]
 
 
 def test_scan_digest():

@@ -4,7 +4,7 @@ A chop grows its polygon from the one it starts from and tests only the turns
 it makes; a blowup copies its lattice's checks; transport_area keeps its form
 in lowest terms without a gcd pass; to_cp2 compares a canonical class that
 holds 1 on every tail slot on the conversion block alone. The reference functions below are the paths
-they replaced: the chop through the global check of _validated, the blowup
+they replaced: the earlier chop through the global check of _validated, the blowup
 through the public Lattice constructor, the area form through from_scaled and
 the canonical certificate by converting the whole class.
 """
@@ -33,7 +33,6 @@ from wpp.homlat import (
 )
 from wpp.polygon import (
     CORNER_CYCLE,
-    LatticePolygon,
     assign_classes,
     chop_corner,
     corner_type,
@@ -42,6 +41,8 @@ from wpp.polygon import (
 from wpp.resolution import build_resolution
 from wpp.scan import coprime_triples
 
+import test_chop_division
+
 OVERLAP = (Fraction(99, 100), Fraction(99, 100))
 
 
@@ -49,10 +50,11 @@ OVERLAP = (Fraction(99, 100), Fraction(99, 100))
 
 
 def ref_chop_corner(*args, **kwargs):
-    """chop_corner with every result sent through the global check: _validated
-    over the whole polygon, then the reorder check."""
-    with mock.patch.object(LatticePolygon, "_grown", lambda *a: None):
-        return chop_corner(*args, **kwargs)
+    """The earlier chop of test_chop_division with every result sent through
+    the global check: _validated over the whole polygon, then the reorder
+    check."""
+    with mock.patch.object(test_chop_division, "ref_grown", lambda *a: None):
+        return test_chop_division.ref_chop_corner(*args, **kwargs)
 
 
 def ref_edges(p):

@@ -21,6 +21,7 @@ import ast
 import copy
 import importlib
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, make_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,13 @@ import pytest
 
 import wpp
 from wpp.arith import MEMO_SIZE, hj_expand, weight_sequence, weight_triple
-from wpp.errors import DegenerateWeight, InvalidFraction, NotCoprime, NotPairwiseCoprime
+from wpp.errors import (
+    DegenerateWeight,
+    InvalidFraction,
+    NotCoprime,
+    NotPairwiseCoprime,
+    UserInputError,
+)
 from wpp.homlat import cp2_lattice
 from wpp.polygon import ChopResult, LatticePolygon
 from wpp.resolution import (
@@ -314,13 +321,17 @@ def test_bad_weight_input_raises_every_time(good, bad):
     (-2, Fraction(-2)),
     [-2, -2.0],
     (-2, "x"),
+    (_Int(-3), True, -2),
 ])
 def test_bad_deltas_input_raises_every_time(bad):
+    """An entry that is not an int, or is a bool, is the caller's error."""
+    entry = next(x for x in bad if isinstance(x, bool) or not isinstance(x, int))
+    message = f"^self-intersections must be ints, got {re.escape(repr(entry))}$"
     delta_sequence((-2, -2))
-    with pytest.raises(TypeError):
+    with pytest.raises(UserInputError, match=message):
         delta_sequence.__wrapped__(bad)
     for _ in range(3):
-        with pytest.raises(TypeError):
+        with pytest.raises(UserInputError, match=message):
             delta_sequence(bad)
 
 
@@ -329,7 +340,7 @@ def test_int_subclasses_answer_as_uncached():
     for _ in range(2):
         assert hj_expand(*args) == hj_expand.__wrapped__(*args)
         assert weight_sequence(*args) == weight_sequence.__wrapped__(*args)
-        seq = (_Int(-3), True, -2)
+        seq = (_Int(-3), -2)
         assert delta_sequence(seq) == delta_sequence.__wrapped__(seq)
 
 

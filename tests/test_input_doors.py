@@ -4,8 +4,10 @@ Each test names the exception class and the whole message: exact-int
 arguments at build_resolution, presentation, check_triple, run_scan,
 coprime_triples, weight_triple, hj_expand, hj_dual, weight_sequence,
 cp2_lattice, hirz_lattice and Lattice.blowup (a bool is not an integer
-here, and a str is not a sequence of check names), and the other input
-checks of the continued-fraction helpers and render.
+here, and a str is not a sequence of check names), the blowup counts of
+cp2_lattice and hirz_lattice, the self-intersections of delta_sequence,
+abstract_chain and xi_invariant, and the other input checks of the
+continued-fraction helpers and render.
 Per-corner chop depths are checked where they enter, in build_resolution
 (a dict of corner labels) and chop_corner (a list or tuple of finite real
 numbers, none a bool or a str); a wrong count or a nonpositive depth stays
@@ -31,6 +33,7 @@ from wpp.homlat import cp2_lattice, hirz_lattice
 from wpp.render import render
 from wpp.resolution import build_resolution
 from wpp.scan import check_triple, coprime_triples, run_scan
+from wpp.strings import abstract_chain, delta_sequence, xi_invariant
 
 polygon_mod = importlib.import_module("wpp.polygon")
 resolution_mod = importlib.import_module("wpp.resolution")
@@ -234,6 +237,36 @@ def test_the_lattice_doors_still_take_ints():
     with _raises(WppError, "blowup count must be at least 1, got 0") as info:
         cp2_lattice(2).blowup(0)
     assert type(info.value) is WppError
+
+
+@pytest.mark.parametrize("door, args", [(cp2_lattice, ()), (hirz_lattice, (1,))],
+                         ids=["cp2_lattice", "hirz_lattice"])
+def test_the_lattice_doors_take_a_count_of_at_least_zero(door, args):
+    """A negative count is the caller's: the blowup it would reach keeps its
+    own text for a count below one."""
+    with _raises(UserInputError, "n_exceptional must be at least 0, got -1"):
+        door(*args, -1)
+    assert door(*args, 0).rank == 1 + len(args)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", None])
+@pytest.mark.parametrize("door", [delta_sequence, delta_sequence.__wrapped__,
+                                  abstract_chain, xi_invariant],
+                         ids=["delta_sequence", "delta_sequence_body", "abstract_chain",
+                              "xi_invariant"])
+@pytest.mark.parametrize("seq", [tuple, list], ids=["tuple", "list"])
+def test_self_intersections_are_ints(door, bad, seq):
+    with _raises(UserInputError, f"self-intersections must be ints, got {bad!r}"):
+        door(seq((2, bad)))
+
+
+def test_int_self_intersections_still_pass():
+    delta_sequence.cache_clear()
+    assert delta_sequence((-2, -3)).deltas == (1, 2, 5)
+    assert delta_sequence((-2, -3)) is delta_sequence((-2, -3))  # a hit
+    assert delta_sequence([-2, -3]) == delta_sequence((-2, -3))
+    assert abstract_chain([-2, -3]).selfints() == (-2, -3)
+    assert xi_invariant((-2, -3)) == -1
 
 
 def test_render_names_an_unknown_kind():

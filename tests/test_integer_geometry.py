@@ -19,12 +19,12 @@ from wpp.polygon import (
     CORNER_CYCLE,
     assign_classes,
     chop_corner,
-    _chop_depths,
     corner_type,
     edge_selfints,
     polygon,
     presentation,
 )
+from test_build_fast_paths import ref_chop_depths
 from test_verify_sweep import ref_reject_nonadjacent
 from wpp.resolution import build_resolution
 
@@ -205,7 +205,7 @@ def ref_edge_length(p, i):
 
 def ref_default_epsilons(p, i, k, schedule=None):
     """The chop depths a build takes, as Fractions."""
-    return [Fraction(num, den) for num, den in _chop_depths(p, i, k, schedule)]
+    return [Fraction(num, den) for num, den in ref_chop_depths(p, i, k, schedule)]
 
 
 def ref_values(area):

@@ -18,7 +18,6 @@ from wpp.errors import (
 from wpp.homlat import CP2_HEAD, AreaForm, cp2_lattice, hirz_lattice
 from wpp.polygon import (
     PolygonClasses,
-    _chop_depths,
     _cross_sum,
     _validated,
     assign_classes,
@@ -31,6 +30,7 @@ from wpp.polygon import (
 )
 from wpp.resolution import build_resolution
 from wpp.scan import coprime_triples
+from test_build_fast_paths import ref_chop_depths
 
 W235 = weight_triple(2, 3, 5)
 W11 = weight_triple(11, 13, 14)
@@ -50,7 +50,7 @@ def ref_area2(p):
 
 def ref_default_epsilons(p, i, k, schedule=None):
     """The chop depths a build takes, as Fractions."""
-    return [Fraction(num, den) for num, den in _chop_depths(p, i, k, schedule)]
+    return [Fraction(num, den) for num, den in ref_chop_depths(p, i, k, schedule)]
 
 
 def ref_presentations(w):
