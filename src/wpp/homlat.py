@@ -1057,10 +1057,11 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     block T is the identity and both forms are -1 on the diagonal and
     orthogonal to the block, so the certificate makes T an isometry on every
     class. Past the block T K keeps K's coefficients, so the K certificate
-    asks that both classes hold 1 on every tail slot and stripped slot, as
-    the standard cp2 class does, that the ranks agree and that T times K's
-    first b coefficients equal the returned class's: only the b head slots
-    are converted and compared.
+    asks that K hold 1 on every tail slot and stripped slot, as the standard
+    cp2 class does, and that T times K's first b coefficients equal the
+    returned class's: only the b head slots are converted and compared. The
+    returned lattice is cp2_lattice(rank - 1), so its rank and its standard
+    class need no test.
     """
     r = lat.rank
     b = min(3, r)
@@ -1087,8 +1088,9 @@ def to_cp2(lat: Lattice) -> tuple[Lattice, Mat, Mat]:
     kk, kt = lat.canonical, out.canonical
     if kk is not None:
         kh = [kk.get(i, 0) for i in range(b)]
+        # out is cp2_lattice(r - 1): rank r and the standard K, by construction
         if not (
-            lat._kc is not None and out._kc is not None and out.rank == r
+            lat._kc is not None
             and [dot(row, kh) for row in t] == [kt.get(i, 0) for i in range(b)]
             and all(kk.get(i) == 1 for i in range(b, len(lat.head)))
         ):

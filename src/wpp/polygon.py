@@ -379,11 +379,11 @@ def chop_corner(
     # common multiple of p.den and of the denominator of every eps_j / q_j,
     # so ue_j = eps_j den and wf_j = ue_j / q_j are integers, and ue_{j+1} =
     # ue_j c_j / d_j exactly, c_j / d_j = eps_{j+1} / eps_j
+    check_schedule(schedule)
     if epsilons is None:
         # eps_0 is the initial ratio (1/4 by default) of the shorter adjacent
         # edge, each next one the shrink ratio (1/3) of the one before, so
         # eden_0 d^(k-1) times the lcm of the q_j is such a multiple
-        check_schedule(schedule)
         (an, ad), (c, d) = _schedule_ratios(schedule)
         num, eden = min(lu, lw) * an, p.den * ad
         g = math.gcd(num, eden)

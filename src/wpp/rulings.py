@@ -105,8 +105,10 @@ class CombinedString:
         return tuple(el.name for el in self.elements)
 
 
-def _chains(cycle: tuple[CycleElement, ...], target: str) -> tuple[CombinedString, CombinedString]:
-    """Both approach chains toward target, cut from one path.
+def combined_strings(rp: ResolutionPair, target: str = "c") -> tuple[CombinedString, CombinedString]:
+    """Both approach chains toward target: the boundary cycle walked forward
+    and backward from the opposite connector, cut from one path. The backward
+    walk traverses the other strings in reversed orientation.
 
     The path is the cycle without the opposite connector, read from just after
     it. The forward chain is the path cut after the target string's last
@@ -115,18 +117,12 @@ def _chains(cycle: tuple[CycleElement, ...], target: str) -> tuple[CombinedStrin
     opp = OPPOSITE_CONNECTOR.get(target)
     if opp is None:
         raise WppError(f"target must be one of a, b, c, got {target!r}")
+    cycle = boundary_elements(rp)
     start = next(i for i, el in enumerate(cycle) if el.name == opp)
     path = cycle[start + 1:] + cycle[:start]
     hits = [i for i, el in enumerate(path) if el.role == target]
     return (CombinedString("forward", target, path[: hits[-1] + 1]),
             CombinedString("backward", target, path[hits[0]:][::-1]))
-
-
-def combined_strings(rp: ResolutionPair, target: str = "c") -> tuple[CombinedString, CombinedString]:
-    """The two approach chains for a target string: walking the cycle forward
-    and backward from the opposite connector. The backward walk traverses the
-    other strings in reversed orientation."""
-    return _chains(boundary_elements(rp), target)
 
 
 def _chain_nu(cs: CombinedString) -> int:
@@ -219,20 +215,49 @@ class RulingData:
 def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     """Fiber-class data for the ruling missing the target string.
 
-    For the default target (the largest weight) every structural claim is
-    asserted: matching fibers, the case split against the opposite connector
-    square, the index gap, the normal forms of the local types, the canonical
-    identity, a positive area, and the full intersection profile along the
-    cycle. The square identity F.F = p * q is fiber_class's own check, which
-    raises for every target. For the permuted targets the same data is
-    computed and any failed claim is recorded in violations instead of raised.
+    For the default target (the largest weight) every claim left to decide
+    is asserted: a sign change on both chains, in range of the target
+    string, with matching fibers and the case split against the opposite
+    connector square (the index gap and the normal forms of the local
+    types). For the permuted targets the same data is computed and a failed
+    claim is recorded in violations instead of raised, under one of the tags
+    no_sign_change, out_of_range, fiber_mismatch and case_shape. The square
+    identity F.F = p * q is fiber_class's own check, which raises for every
+    target.
+
+    The other claims need no lattice work here; they follow from facts the
+    build already proved. Let x_1 .. x_m be the forward chain, x_1 next to
+    the opposite connector N, b_i = -s_i, and k the sign change: delta_0 ..
+    delta_{k-1} > 0 >= delta_k, p = -delta_k, q = delta_{k-1}, and F = sum
+    delta_{i-1} x_i over i <= k, with delta_{-1} = 0 and delta_i = b_i
+    delta_{i-1} - delta_{i-2}. _verify_classes proved on the ledger that x_i
+    . x_i = s_i, that cycle neighbours pair to 1 and other spheres to 0,
+    that K.x_i = -(s_i + 2) and that area(x_i) is the edge's positive
+    length; the conversion to the CP^2 basis keeps all four (to_cp2's
+    certificate, transport_area's checked inverse), and build_resolution's
+    string-end checks make boundary_elements the cycle's edge order.
+
+    - Profile: F.x_j = delta_{j-2} - b_j delta_{j-1} + delta_j = 0 for j <
+      k, F.x_k = -delta_k = p, F.x_{k+1} = delta_{k-1} = q and F.N =
+      delta_0 = 1, as x_1 is the only x_i (i <= k) next to N: in_range puts
+      x_{k+1} in the chain, so x_k does not end the path. F pairs 0 with
+      every other sphere. x_k and x_{k+1} are the target's stored nu_a and
+      nu_a + 1, as the forward chain reads the target string in order.
+    - Canonical: K.F = sum delta_{i-1} (b_i - 2) = delta_k - delta_{k-1} -
+      1 = -p - q - 1, since b_i delta_{i-1} = delta_i + delta_{i-2}
+      telescopes (as in resolution_fiber_class), so the index F.F - K.F is
+      (p + 1)(q + 1).
+    - Area: area(F) = sum delta_{i-1} area(x_i) > 0, every term positive.
+    - Indices: in_range puts each node in the target string, where every
+      sphere has a stored index, so nu_a and nu_b are set; the prefixes
+      before a node are negative definite and the one ending there is not,
+      so nu_indices gives (nu_a, nu_b) by construction.
 
     The chain configs hold the cycle's own records, one per sphere, and
     trust the slot range of its class: build_resolution checks every edge
     class against the rank.
     """
-    cycle = boundary_elements(rp)
-    fwd, bwd = (_approach(rp, cs) for cs in _chains(cycle, target))
+    fwd, bwd = (_approach(rp, cs) for cs in combined_strings(rp, target))
     strict = target == "c"
     opp = OPPOSITE_CONNECTOR[target]
     s_opp = rp.connectors[opp].selfint
@@ -257,13 +282,7 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
                           None, fa.p, fa.q, fb.p, fb.q, None, None, None,
                           None, fwd, bwd, tuple(violations))
 
-    # in_range puts each node in the target string; the prefixes before a node
-    # are negative definite and the one ending there is not, so nu_indices
-    # gives (nu_a, nu_b) by construction and needs no cross-check here
     nu_a, nu_b = fwd.nu, bwd.nu
-    if nu_a is None or nu_b is None:
-        raise LemmaViolated(f"sign change approaching {target} has no index")
-
     if fa.fclass != fb.fclass:
         fail("fiber_mismatch", "forward and backward fibers differ")
     fiber, p, q = fa.fclass, fa.p, fa.q
@@ -283,30 +302,6 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
     if not shape_ok:
         fail("case_shape", f"{case} data out of shape for target {target}")
 
-    lat = rp.lattice
-    kf = lat.k_pair(fiber)
-    # the index F.F - K.F = (p+1)(q+1) holds exactly when this one does
-    if kf != -p - q - 1:
-        fail("canonical", f"canonical pairing {kf} differs from {-p - q - 1}")
-    # the area's sign, over the form's positive denominator
-    if rp.area.area_scaled(fiber) <= 0:
-        fail("area", "fiber class has nonpositive area")
-
-    pair_f = lat.pairing(fiber)
-    profile_ok = True
-    for el in cycle:
-        want = 0
-        if el.name == opp:
-            want = 1
-        elif el.role == target and el.stored_index == nu_a:
-            want = p
-        elif el.role == target and el.stored_index == nu_a + 1:
-            want = q
-        if pair_f(el.cls) != want:
-            profile_ok = False
-    if not profile_ok:
-        fail("profile", "fiber meets the cycle outside the expected components")
-
     return RulingData(
         target=target,
         opposite=opp,
@@ -321,7 +316,7 @@ def ruling(rp: ResolutionPair, target: str = "c") -> RulingData:
         qb=fb.q,
         # fiber_class raised unless F.F = -delta_{k-1} * delta_k, which is p * q
         selfint=p * q,
-        canonical_pairing=kf,
+        canonical_pairing=-p - q - 1,  # K.F, by the docstring
         cusp_location=(nu_a, nu_b) if case == "Unicuspidal" else None,
         meet_component=nu_a + 1 if case == "EmbeddedFiber" else None,
         forward=fwd,
@@ -352,8 +347,9 @@ def ruling_resolution(rd: RulingData) -> RulingResolution:
     resolution_fiber_class checks the pairings with the transformed forward
     chain. The other cycle spheres (the opposite connector and those past the
     target string) are zero on the new exceptional slots, so the resolved
-    fiber pairs with each of them as the fiber did, and ruling's profile check
-    found 1 with the opposite connector and 0 with the rest.
+    fiber pairs with each of them as the fiber did: 1 with the opposite
+    connector and 0 with the rest, by the profile that ruling's docstring
+    derives from the ledger's verified gram.
     """
     if rd.case != "Unicuspidal":
         raise WppError(f"ruling resolution needs a Unicuspidal ruling, got {rd.case}")
@@ -365,6 +361,6 @@ def ruling_resolution(rd: RulingData) -> RulingResolution:
     # implied, so not re-checked: the multiplicities are weight_sequence(pa,
     # qa) by resolution_fiber_class's subtraction-pair check on the forward
     # (p, q); pa and qa are set on every Unicuspidal ruling; the pairings off
-    # the chain are ruling's profile check (see the docstring)
+    # the chain are ruling's profile, proved from the ledger (see the docstring)
     rf = resolution_fiber_class(fwd.config, fwd.fiber)
     return RulingResolution(rd, rf.config, rf, rf.multiplicities, rf.config.lattice.rank)

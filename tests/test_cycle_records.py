@@ -6,8 +6,8 @@ config, which held a Component twin (label and class) of each sphere; the
 rulings and their resolutions must write the same report bytes either way.
 
 The strict branch of ruling (target c) raises LemmaViolated on a failed
-claim; the permuted targets record the claim's tag instead. A corrupted
-record makes one claim fail.
+claim; the permuted targets record the claim's tag instead. A patched
+approach record makes one claim fail.
 """
 
 import re
@@ -25,7 +25,7 @@ from wpp.report import (
     serialize_report,
 )
 from wpp.resolution import build_resolution
-from wpp.rulings import OPPOSITE_CONNECTOR, ApproachData, ruling, ruling_resolution
+from wpp.rulings import ApproachData, ruling, ruling_resolution
 from wpp.scan import coprime_triples
 from wpp.strings import Component, DivisorConfig, delta_sequence, fiber_class
 
@@ -107,52 +107,45 @@ def test_spheres_are_one_record_each():
 # --- the claims of ruling: raised for target c, recorded for a and b -------------
 
 
-def _canonical_moved(rp, rd):
-    """rp with its canonical class raised by 1 on a tail slot where rd's
-    fiber is nonzero, and the canonical pairing ruling then finds."""
-    lat = rp.lattice
-    s = max(rd.fiber)
-    assert s >= len(lat.head) and rd.fiber[s]
-    k = dict(lat.canonical)
-    k[s] += 1
-    # e_s.e_s = -1 and e_s meets no other slot, so K.F drops by F_s
-    return replace(rp, lattice=replace(lat, canonical=k)), rd.canonical_pairing - rd.fiber[s]
+def _patched_backward(monkeypatch, change):
+    """Make rulings._approach return the backward chain's data passed through
+    change, the forward chain's as it is."""
+    original = rulings._approach
+
+    def patched(rp, cs):
+        ap = original(rp, cs)
+        return change(ap) if cs.direction == "backward" else ap
+
+    monkeypatch.setattr(rulings, "_approach", patched)
+
+
+def _moved_fiber(ap):
+    fd = ap.fiber
+    return replace(ap, fiber=replace(fd, fclass={**fd.fclass, 0: fd.fclass.get(0, 0) + 1}))
+
+
+def _moved_node(ap):
+    return replace(ap, nu=ap.nu + 1)
 
 
 @pytest.mark.parametrize("target", ("c", "a"))
-def test_failed_canonical_claim(target):
+@pytest.mark.parametrize("change, tag, message", [
+    (_moved_fiber, "fiber_mismatch", "forward and backward fibers differ"),
+    (_moved_node, "case_shape", "Unicuspidal data out of shape for target {}"),
+], ids=["fiber_mismatch", "case_shape"])
+def test_failed_claim(target, change, tag, message, monkeypatch):
+    """A backward chain whose fiber or node moved fails one claim: raised
+    for target c, recorded for a with the rest of the data as it was."""
     rp = build_resolution(3, 4, 5)
     clean = ruling(rp, target)
     assert clean.case == "Unicuspidal" and clean.violations == ()
-    bad, kf = _canonical_moved(rp, clean)
-    msg = f"canonical pairing {kf} differs from {-clean.pa - clean.qa - 1}"
-    assert kf != clean.canonical_pairing
+    _patched_backward(monkeypatch, change)
     if target == "c":
-        with pytest.raises(LemmaViolated, match=f"^{re.escape(msg)}$"):
-            ruling(bad, target)
-    else:
-        rd = ruling(bad, target)
-        assert rd.violations == ("canonical",)
-        assert rd.canonical_pairing == kf
-        assert (rd.case, rd.fiber, rd.pa, rd.qa) == (clean.case, clean.fiber, clean.pa, clean.qa)
-
-
-@pytest.mark.parametrize("target", ("c", "a"))
-def test_failed_profile_claim(target, monkeypatch):
-    """The opposite connector lies on no chain; with its class zeroed the fiber
-    no longer meets it once, and only the profile claim sees that."""
-    rp = build_resolution(3, 4, 5)
-    clean = ruling(rp, target)
-    assert clean.violations == ()
-    opp = OPPOSITE_CONNECTOR[target]
-    cycle = tuple(replace(el, cls={}) if el.name == opp else el
-                  for el in rulings.boundary_elements(rp))
-    monkeypatch.setattr(rulings, "boundary_elements", lambda _rp: cycle)
-    if target == "c":
-        with pytest.raises(LemmaViolated,
-                           match="^fiber meets the cycle outside the expected components$"):
+        with pytest.raises(LemmaViolated, match=f"^{re.escape(message.format(target))}$"):
             ruling(rp, target)
-    else:
-        rd = ruling(rp, target)
-        assert rd.violations == ("profile",)
-        assert replace(rd, violations=()) == clean
+        return
+    rd = ruling(rp, target)
+    assert rd.violations == (tag,)
+    assert rd.backward == change(clean.backward)
+    assert replace(rd, violations=(), backward=clean.backward, nu_b=clean.nu_b,
+                   cusp_location=clean.cusp_location) == clean

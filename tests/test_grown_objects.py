@@ -269,17 +269,25 @@ def test_transport_area_matches_from_scaled_on_drawn_forms(k, ints, den):
 def test_block_certificate_agrees_with_the_full_comparison(k, monkeypatch):
     """Both parities of k at ranks 2..40: to_cp2 accepts the standard class
     exactly when converting the whole class matches the returned one, for
-    the standard cp2 class and for targets off by one in a head slot or in
-    the last slot."""
+    the standard cp2 class and for targets off by one in a block slot (the
+    last slot, when it lies in the block). A target off the block is not
+    the certificate's to catch: the returned lattice is cp2_lattice(rank -
+    1), which has that rank and holds 1 on every tail slot, as checked
+    here."""
     targets = {}
     monkeypatch.setattr(homlat, "cp2_lattice", lambda n: targets[n + 1])
     for rank in range(2, 41):
         if k % 2 == 0 and rank < 3:
             continue
         lat = hirz_lattice(k, rank - 2)
-        t = _hirz_block(k, min(3, rank))[0]
-        std = cp2_lattice(rank - 1).canonical
-        variants = [std] + [{**std, s: std.get(s, 0) + 1} for s in (0, 1, rank - 1)]
+        b = min(3, rank)
+        t = _hirz_block(k, b)[0]
+        real = cp2_lattice(rank - 1)
+        assert real.rank == rank
+        assert real.canonical == {0: -3, **dict.fromkeys(range(1, rank), 1)}
+        std = real.canonical
+        slots = sorted({0, 1, rank - 1} & set(range(b)))
+        variants = [std] + [{**std, s: std.get(s, 0) + 1} for s in slots]
         for kt in variants:
             targets[rank] = Lattice(((1,),), rank, canonical=kt)
             full = mat_vec(t, lat.canonical) == kt

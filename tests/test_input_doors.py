@@ -11,7 +11,8 @@ continued-fraction helpers and render.
 Per-corner chop depths are checked where they enter, in build_resolution
 (a dict of corner labels) and chop_corner (a list or tuple of finite real
 numbers, none a bool or a str); a wrong count or a nonpositive depth stays
-a ChopsOverlap of the chop.
+a ChopsOverlap of the chop. chop_corner checks its schedule with explicit
+depths too.
 """
 
 import importlib
@@ -119,6 +120,16 @@ def test_chop_corner_checks_its_own_depths(bad, message):
     p = polygon_mod.presentation(weight_triple(2, 3, 5), 1).polygon
     with _raises(UserInputError, message):
         polygon_mod.chop_corner(p, 0, "prev", epsilons=bad)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["schedule", "explicit"])
+def test_chop_corner_checks_its_schedule_with_or_without_depths(explicit):
+    p = polygon_mod.presentation(weight_triple(2, 3, 5), 1).polygon
+    k = len(hj_expand(*polygon_mod.corner_type(p, 0, "prev")))
+    eps = [Fraction(1, 100)] * k if explicit else None
+    with _raises(UserInputError, "an epsilon schedule is two ratios, got (True, 'x')"):
+        polygon_mod.chop_corner(p, 0, "prev", epsilons=eps, schedule=(True, "x"))
+    polygon_mod.chop_corner(p, 0, "prev", epsilons=eps, schedule=None)
 
 
 def test_a_later_corner_is_checked_before_any_chop(monkeypatch):
